@@ -204,10 +204,7 @@ class MultiMap(_SparseMap):
                          for ((a, b), out), value in self.coeffs.items()})
 
     def coords(self) -> list[Fraction]:
-        d = self.space.dimension
-        return [self.coeffs.get((args, out), ZERO)
-                for args in itertools.product(range(d), repeat=self.arity)
-                for out in range(d)]
+        return dense_coords(self)
 
     @staticmethod
     def from_coords(space: Space, arity: int, values) -> "MultiMap":
@@ -266,10 +263,7 @@ class AltMap(_SparseMap):
         return out
 
     def coords(self) -> list[Fraction]:
-        d = self.space.dimension
-        return [self.coeffs.get((args, out), ZERO)
-                for args in itertools.combinations(range(d), self.arity)
-                for out in range(d)]
+        return dense_coords(self)
 
     @staticmethod
     def from_coords(space: Space, arity: int, values) -> "AltMap":
@@ -476,10 +470,7 @@ class DerCochain:
         return self.scale(factor)
 
     def coords(self) -> list[Fraction]:
-        values = self.top.coords()
-        if self.shadow is not None:
-            values.extend(self.shadow.coords())
-        return values
+        return dense_coords(self)
 
     @staticmethod
     def coord_length(space: Space, degree: int, flavor: str) -> int:
@@ -574,10 +565,7 @@ class CompatCochain:
         return self.scale(factor)
 
     def coords(self) -> list[Fraction]:
-        values = []
-        for part in self.parts:
-            values.extend(part.coords())
-        return values
+        return dense_coords(self)
 
     @staticmethod
     def coord_length(space: Space, degree: int, flavor: str) -> int:
@@ -604,3 +592,60 @@ class CompatCochain:
 
     def __repr__(self):
         return f"CompatCochain({list(self.parts)!r})"
+
+
+# ---------------------------------------------------------------------------
+# coordinates
+# ---------------------------------------------------------------------------
+
+def _layout(cochain, offset: int, out: dict) -> int:
+    """Write the nonzero coordinates of cochain, shifted by offset, into out.
+
+    Returns the offset just past the cochain.  A map's coordinate of key
+    (args, j) sits at position(args) * d + j, where position is the rank of
+    args among all index tuples (MultiMap) or increasing ones (AltMap) in
+    lexicographic order; a DerCochain puts its top before its shadow, and a
+    CompatCochain or a tuple of maps puts its parts left to right.
+    """
+    if isinstance(cochain, MultiMap):
+        d = cochain.space.dimension
+        for (args, j), value in cochain.coeffs.items():
+            position = 0
+            for a in args:
+                position = position * d + a
+            out[offset + position * d + j] = value
+        return offset + MultiMap.coord_length(cochain.space, cochain.arity)
+    if isinstance(cochain, AltMap):
+        d, k = cochain.space.dimension, cochain.arity
+        last = comb(d, k) - 1
+        for (args, j), value in cochain.coeffs.items():
+            position = last - sum(comb(d - 1 - a, k - i) for i, a in enumerate(args))
+            out[offset + position * d + j] = value
+        return offset + AltMap.coord_length(cochain.space, k)
+    if isinstance(cochain, DerCochain):
+        offset = _layout(cochain.top, offset, out)
+        if cochain.shadow is not None:
+            offset = _layout(cochain.shadow, offset, out)
+        return offset
+    parts = cochain.parts if isinstance(cochain, CompatCochain) else cochain
+    for part in parts:
+        offset = _layout(part, offset, out)
+    return offset
+
+
+def sparse_coords(cochain) -> dict[int, Fraction]:
+    """The nonzero coordinates {index: value} of a cochain of any flavor.
+
+    Covers MultiMap, AltMap, DerCochain, CompatCochain and tuples of maps
+    (the compatible-associative cochains), in the order ``coords`` uses.
+    """
+    out = {}
+    _layout(cochain, 0, out)
+    return out
+
+
+def dense_coords(cochain) -> list[Fraction]:
+    """All coordinates of a cochain of any flavor, zeros included."""
+    values = {}
+    length = _layout(cochain, 0, values)
+    return [values.get(i, ZERO) for i in range(length)]

@@ -17,9 +17,11 @@ Seven complex flavors are provided over a checked base presentation:
 * ``cad`` / ``cldp``: n-tuples of pairs for a compatible derivation pair,
   staircase differential with shadow corrections; degree-0 cochains are 0.
 
-Ranks are computed exactly; reports carry per-degree dimensions and a
-certification that d o d = 0 holds on every basis cochain up to the requested
-degree.
+Each coboundary matrix is assembled as sparse columns, the nonzero
+coordinates of the images of the basis cochains, and its rank is computed
+exactly by the sparse eliminator of ``derpair.linalg``.  Reports carry
+per-degree dimensions and a certification that d o d = 0 holds on every basis
+cochain up to the requested degree.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .brackets import gerstenhaber, nijenhuis_richardson
-from .cochains import AltMap, CompatCochain, DerCochain, MultiMap
+from .cochains import (AltMap, CompatCochain, DerCochain, MultiMap, dense_coords,
+                       sparse_coords)
 from .errors import DegreeBudgetError, InvalidStructureError, SchemaError, ShapeError
 from .linalg import Matrix, ZERO, nullspace, rank
 from .structures import Presentation, check_structure, validate_presentation
@@ -411,13 +414,7 @@ class _Complex:
     # -- coordinates ----------------------------------------------------------
 
     def coords(self, n: int, cochain) -> list[Fraction]:
-        if self.flavor in ("hochschild", "chevalley-eilenberg", "assder", "lieder",
-                           "cad", "cldp"):
-            return cochain.coords()
-        values = []
-        for part in cochain:
-            values.extend(part.coords())
-        return values
+        return dense_coords(cochain)
 
     # -- the differential -------------------------------------------------------
 
@@ -489,32 +486,15 @@ def cohomology(spec: ComplexSpec, budget: int | None = None,
             raise DegreeBudgetError(dim_n, budget)
 
     matrices = {}
-    images = {}
+    certified = True
     for n in range(top + 1):
-        cols = []
-        image_cochains = []
+        columns = []
         for basis_cochain in cx.basis(n):
             image = cx.d(n, basis_cochain)
-            image_cochains.append(image)
-            cols.append(cx.coords(n + 1, image))
-        rows_dim = cx.dim(n + 1)
-        if cols:
-            matrix = Matrix(rows_dim, len(cols),
-                            tuple(col[i] for i in range(rows_dim) for col in cols))
-        else:
-            matrix = Matrix.zero(rows_dim, 0)
-        matrices[n] = matrix
-        images[n] = image_cochains
-
-    certified = True
-    for n in range(top):
-        for image in images[n]:
-            second = cx.d(n + 1, image)
-            if any(x != 0 for x in cx.coords(n + 2, second)):
+            columns.append(sparse_coords(image))
+            if certified and n < top and sparse_coords(cx.d(n + 1, image)):
                 certified = False
-                break
-        if not certified:
-            break
+        matrices[n] = Matrix.from_columns(cx.dim(n + 1), columns)
 
     ranks = {n: rank(matrices[n]) for n in matrices}
     degrees = []

@@ -13,6 +13,10 @@ class SchemaError(DerpairError):
     """Malformed input: bad file contents, unknown kind, missing names."""
 
 
+class EliminationError(DerpairError):
+    """An exact elimination step broke one of its invariants."""
+
+
 class UnsupportedRoleError(DerpairError):
     """Operator role requested on a structure kind that does not define it."""
 

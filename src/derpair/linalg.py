@@ -1,19 +1,28 @@
-"""Exact rational linear algebra: based spaces, dense matrices, ranks, kernels.
+"""Exact rational linear algebra: based spaces, sparse matrices, ranks, kernels.
 
 Scalars are ``fractions.Fraction`` values, i.e. arbitrary-precision rationals
 kept in lowest terms with positive denominator, so every computation in the
-package is exact.  Rank is computed by fraction-free (Bareiss) elimination,
-which keeps intermediate values integral when the input is integral and never
-rounds in any case.
+package is exact.  A ``Matrix`` stores only its nonzero entries, row by row.
+
+``rank`` and ``nullspace`` share one sparse, fraction-free eliminator: every
+row is scaled to integers, a row is updated as ``p*row - a*pivot_row`` and
+then divided by the gcd of its entries, so values stay integral and small and
+nothing is ever rounded.  ``rank`` picks its pivots Markowitz-style (the
+shortest row, and in it a +-1 entry of the sparsest column), which keeps the
+fill-in low on sparse coboundary matrices.  ``nullspace`` takes the columns in
+order and clears each pivot column above and below the pivot, which yields
+the reduced row echelon form; since that form is unique, so is the kernel
+basis read off from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
-from .errors import SchemaError, ShapeError
+from .errors import EliminationError, SchemaError, ShapeError
 
 # The scalar field: exact rationals of characteristic zero.
 Scalar = Fraction
@@ -72,17 +81,47 @@ class Space:
         return tuple(ONE if i == index else ZERO for i in range(self.dimension))
 
 
-@dataclass(frozen=True)
 class Matrix:
-    """Dense matrix of exact rationals, entries stored row-major."""
+    """Matrix of exact rationals that stores only its nonzero entries.
 
-    rows: int
-    cols: int
-    entries: tuple[Fraction, ...]
+    ``Matrix(rows, cols, entries)`` takes the entries densely, row-major;
+    ``Matrix.from_columns`` takes sparse columns and never forms the dense
+    matrix.  ``entries``, ``entry`` and ``row`` are read-only dense views.
+    """
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
+    __slots__ = ("rows", "cols", "_table")
+
+    def __init__(self, rows: int, cols: int, entries):
+        entries = tuple(entries)
+        if len(entries) != rows * cols:
             raise ShapeError("entry count must equal rows*cols")
+        table = {}
+        for i in range(rows):
+            row = {j: as_scalar(x)
+                   for j, x in enumerate(entries[i * cols:(i + 1) * cols]) if x}
+            if row:
+                table[i] = row
+        self.rows, self.cols, self._table = rows, cols, table
+
+    @staticmethod
+    def _of(rows: int, cols: int, table: dict) -> "Matrix":
+        # table: row index -> {column index: nonzero Fraction}, no empty rows
+        m = object.__new__(Matrix)
+        m.rows, m.cols, m._table = rows, cols, table
+        return m
+
+    @staticmethod
+    def from_columns(rows: int, columns) -> "Matrix":
+        """The rows x len(columns) matrix whose column j is {row index: value}."""
+        columns = list(columns)
+        table = {}
+        for j, column in enumerate(columns):
+            for i, x in column.items():
+                if not 0 <= i < rows:
+                    raise ShapeError(f"row index {i} out of range for {rows} rows")
+                if x:
+                    table.setdefault(i, {})[j] = as_scalar(x)
+        return Matrix._of(rows, len(columns), table)
 
     @staticmethod
     def from_rows(rows) -> "Matrix":
@@ -95,29 +134,49 @@ class Matrix:
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
-        return Matrix(rows, cols, (ZERO,) * (rows * cols))
+        return Matrix._of(rows, cols, {})
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(n, n, tuple(ONE if i == j else ZERO
-                                  for i in range(n) for j in range(n)))
+        return Matrix._of(n, n, {i: {i: ONE} for i in range(n)})
+
+    @property
+    def entries(self) -> tuple[Fraction, ...]:
+        """All rows*cols entries, row-major."""
+        return tuple(x for i in range(self.rows) for x in self.row(i))
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise ShapeError(f"entry ({i}, {j}) out of range")
+        return self._table.get(i, {}).get(j, ZERO)
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def to_rows(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
+        if not 0 <= i < self.rows:
+            raise ShapeError(f"row {i} out of range")
+        row = self._table.get(i, {})
+        return tuple(row.get(j, ZERO) for j in range(self.cols))
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows,
-                      tuple(self.entry(i, j)
-                            for j in range(self.cols) for i in range(self.rows)))
+        table = {}
+        for i, row in self._table.items():
+            for j, x in row.items():
+                table.setdefault(j, {})[i] = x
+        return Matrix._of(self.cols, self.rows, table)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
+        return not self._table
+
+    def __eq__(self, other):
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return (self.rows, self.cols, self._table) == (other.rows, other.cols,
+                                                       other._table)
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.entries))
+
+    def __repr__(self):
+        return f"Matrix({self.rows}, {self.cols}, {self._table!r})"
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         return compose(self, other)
@@ -127,53 +186,102 @@ def compose(a: Matrix, b: Matrix) -> Matrix:
     """Exact matrix product a*b."""
     if a.cols != b.rows:
         raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    b_cols = [tuple(b.entry(k, j) for k in range(b.rows)) for j in range(b.cols)]
-    out = []
-    for i in range(a.rows):
-        row = a.row(i)
-        for col in b_cols:
-            out.append(sum((x * y for x, y in zip(row, col) if x and y), ZERO))
-    return Matrix(a.rows, b.cols, tuple(out))
+    table = {}
+    for i, row in a._table.items():
+        acc = {}
+        for k, x in row.items():
+            for j, y in b._table.get(k, {}).items():
+                acc[j] = acc.get(j, ZERO) + x * y
+        acc = {j: x for j, x in acc.items() if x}
+        if acc:
+            table[i] = acc
+    return Matrix._of(a.rows, b.cols, table)
 
 
-def _integer_rows(m: Matrix) -> list[list[int]]:
-    # Scaling each row by the lcm of its denominators preserves the row space.
-    rows = []
-    for i in range(m.rows):
-        row = m.row(i)
-        scale = 1
-        for x in row:
-            d = x.denominator
-            scale = scale * d // gcd(scale, d)
-        rows.append([int(x * scale) for x in row])
-    return rows
+class _Eliminator:
+    """The rows of a matrix as sparse integer rows, under row operations.
+
+    ``rows[i]`` maps column -> nonzero int for every nonzero row i, and
+    ``holders[c]`` is the set of rows with a nonzero entry in column c.
+    Scaling each row by the lcm of its denominators, and later dividing it by
+    the gcd of its entries, preserves the row space.
+    """
+
+    def __init__(self, m: Matrix):
+        self.rows = {}
+        self.holders = {}
+        for i, row in m._table.items():
+            scale = lcm(*(x.denominator for x in row.values()))
+            ints = {j: x.numerator * (scale // x.denominator) for j, x in row.items()}
+            self.rows[i] = _primitive(ints)
+            for j in ints:
+                self.holders.setdefault(j, set()).add(i)
+
+    def drop(self, i: int) -> None:
+        """Take row i out of the elimination."""
+        for j in self.rows.pop(i):
+            self.holders[j].discard(i)
+
+    def clear(self, pivot_row: dict, col: int, targets) -> None:
+        """Make column col zero in every target row using pivot_row."""
+        p = pivot_row[col]
+        for i in targets:
+            row = self.rows[i]
+            a = row[col]
+            g = gcd(p, a)
+            keep, take = p // g, a // g
+            new = {j: keep * x for j, x in row.items()}
+            for j, x in pivot_row.items():
+                value = new.get(j, 0) - take * x
+                if value:
+                    new[j] = value
+                else:
+                    new.pop(j, None)
+            if col in new:
+                raise EliminationError(
+                    f"row {i} kept a nonzero in pivot column {col}")
+            for j in row.keys() - new.keys():
+                self.holders[j].discard(i)
+            for j in new.keys() - row.keys():
+                self.holders.setdefault(j, set()).add(i)
+            if new:
+                self.rows[i] = _primitive(new)
+            else:
+                del self.rows[i]
+
+
+def _primitive(row: dict) -> dict:
+    content = gcd(*row.values())
+    if content == 1:
+        return row
+    return {j: x // content for j, x in row.items()}
 
 
 def rank(m: Matrix) -> int:
-    """Exact rank over the rationals via fraction-free Bareiss elimination."""
-    a = _integer_rows(m)
-    n_rows, n_cols = m.rows, m.cols
+    """Exact rank over the rationals by sparse fraction-free elimination.
+
+    Each step takes the shortest remaining row, and in it the column with the
+    fewest other nonzeros, preferring an entry of +-1, so that few rows are
+    touched and the rows that are touched gain few new entries.
+    """
+    work = _Eliminator(m)
+    holders = work.holders
+    queue = [(len(row), i) for i, row in work.rows.items()]
+    heapify(queue)
     r = 0
-    prev = 1
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if a[i][c]), None)
-        if pivot is None:
-            continue
-        if pivot != r:
-            a[r], a[pivot] = a[pivot], a[r]
-        for i in range(r + 1, n_rows):
-            row_i, row_r = a[i], a[r]
-            head = row_i[c]
-            for j in range(c + 1, n_cols):
-                num = row_r[c] * row_i[j] - head * row_r[j]
-                q, rem = divmod(num, prev)
-                assert rem == 0, "Bareiss division must be exact"
-                row_i[j] = q
-            row_i[c] = 0
-        prev = a[r][c]
+    while queue:
+        length, i = heappop(queue)
+        row = work.rows.get(i)
+        if row is None or len(row) != length:
+            continue            # a stale entry: the row was updated or used
+        col = min(row, key=lambda j: (abs(row[j]) != 1, len(holders[j]), j))
+        work.drop(i)
+        targets = list(holders[col])
+        work.clear(row, col, targets)
+        for t in targets:
+            if t in work.rows:
+                heappush(queue, (len(work.rows[t]), t))
         r += 1
-        if r == n_rows:
-            break
     return r
 
 
@@ -182,39 +290,34 @@ def kernel_dim(m: Matrix) -> int:
     return m.cols - rank(m)
 
 
-def rref(m: Matrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form (plain rational Gauss-Jordan) and pivot columns."""
-    a = [list(m.row(i)) for i in range(m.rows)]
-    pivots = []
-    r = 0
-    for c in range(m.cols):
-        pivot = next((i for i in range(r, m.rows) if a[i][c] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(m.rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == m.rows:
-            break
-    return a, pivots
-
-
 def nullspace(m: Matrix) -> list[tuple[Fraction, ...]]:
-    """A basis of the right kernel {v : m v = 0}, one vector per free column."""
-    a, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
+    """A basis of the right kernel {v : m v = 0}, one vector per free column.
+
+    The vector for free column f has a 1 at f, zeros at the other free
+    columns and minus the reduced row echelon entries at the pivot columns.
+    """
+    work = _Eliminator(m)
+    pivots = []             # (column, row index), in column order
+    used = set()
+    for c in range(m.cols):
+        holders = work.holders.get(c, ())
+        candidates = [k for k in holders if k not in used]
+        if not candidates:
+            continue
+        i = min(candidates, key=lambda k: (len(work.rows[k]), k))
+        work.clear(work.rows[i], c, [k for k in holders if k != i])
+        pivots.append((c, i))
+        used.add(i)
+    pivot_cols = {c for c, _ in pivots}
     basis = []
-    for f in free:
+    for f in range(m.cols):
+        if f in pivot_cols:
+            continue
         v = [ZERO] * m.cols
         v[f] = ONE
-        for r, c in enumerate(pivots):
-            v[c] = -a[r][f]
+        for c, i in pivots:
+            row = work.rows[i]
+            if f in row:
+                v[c] = Fraction(-row[f], row[c])
         basis.append(tuple(v))
     return basis

@@ -5,15 +5,16 @@ evaluation over all basis tuples, and deliberately avoids the package's
 sparse composition kernels: the insertion composition is expanded position by
 position via `eval`, the alternating composition is recovered from the full
 symmetric-group antisymmetrization, and the classical coboundaries use the
-textbook face sums.
+textbook face sums.  The dense Bareiss rank and the Gauss-Jordan kernel are
+the linear algebra the package used before its sparse eliminator.
 """
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 from derpair.cochains import AltMap, MultiMap, _perm_sign
-from derpair.linalg import ZERO
+from derpair.linalg import ONE, ZERO, Matrix
 
 
 def circle_g_oracle(f: MultiMap, g: MultiMap) -> MultiMap:
@@ -198,3 +199,82 @@ def hochschild_face_d(mu: MultiMap, f: MultiMap) -> MultiMap:
             if x:
                 table[(args, j)] = x
     return MultiMap(space, n + 1, table)
+
+
+def _integer_rows(m: Matrix) -> list[list[int]]:
+    # Scaling each row by the lcm of its denominators preserves the row space.
+    rows = []
+    for i in range(m.rows):
+        row = m.row(i)
+        scale = 1
+        for x in row:
+            d = x.denominator
+            scale = scale * d // gcd(scale, d)
+        rows.append([int(x * scale) for x in row])
+    return rows
+
+
+def rank_oracle(m: Matrix) -> int:
+    """Exact rank over the rationals via dense fraction-free Bareiss elimination."""
+    a = _integer_rows(m)
+    n_rows, n_cols = m.rows, m.cols
+    r = 0
+    prev = 1
+    for c in range(n_cols):
+        pivot = next((i for i in range(r, n_rows) if a[i][c]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            a[r], a[pivot] = a[pivot], a[r]
+        for i in range(r + 1, n_rows):
+            row_i, row_r = a[i], a[r]
+            head = row_i[c]
+            for j in range(c + 1, n_cols):
+                num = row_r[c] * row_i[j] - head * row_r[j]
+                q, rem = divmod(num, prev)
+                assert rem == 0, "Bareiss division must be exact"
+                row_i[j] = q
+            row_i[c] = 0
+        prev = a[r][c]
+        r += 1
+        if r == n_rows:
+            break
+    return r
+
+
+def rref_oracle(m: Matrix) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form (plain rational Gauss-Jordan) and pivot columns."""
+    a = [list(m.row(i)) for i in range(m.rows)]
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        pivot = next((i for i in range(r, m.rows) if a[i][c] != 0), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(m.rows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == m.rows:
+            break
+    return a, pivots
+
+
+def nullspace_oracle(m: Matrix) -> list[tuple[Fraction, ...]]:
+    """A basis of the right kernel read off the dense reduced row echelon form."""
+    a, pivots = rref_oracle(m)
+    pivot_set = set(pivots)
+    free = [c for c in range(m.cols) if c not in pivot_set]
+    basis = []
+    for f in free:
+        v = [ZERO] * m.cols
+        v[f] = ONE
+        for r, c in enumerate(pivots):
+            v[c] = -a[r][f]
+        basis.append(tuple(v))
+    return basis

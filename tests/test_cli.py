@@ -191,6 +191,19 @@ def test_cohomology_kernel_bases_flag(capsys, corpus):
     assert doc["kernel_bases"]["1"] == [["1"]]
 
 
+def test_cohomology_kernel_bases_report_is_frozen(capsys, corpus, monkeypatch):
+    # The expected report was produced by the dense Gauss-Jordan kernel that
+    # the sparse eliminator replaced; the reduced echelon form is unique, so
+    # the kernel bases must come out byte for byte the same.
+    monkeypatch.chdir(corpus)
+    code, out, _ = run_cli(capsys, "cohomology", "nilpotent3_assoc.json",
+                           "--complex", "hochschild", "--max-degree", "3",
+                           "--kernel-bases")
+    assert code == 0
+    frozen = corpus / "reports" / "nilpotent3_hochschild_top3_kernel_bases.json"
+    assert out == frozen.read_text(encoding="utf-8")
+
+
 # -- dendrify command --------------------------------------------------------------------
 
 def test_dendrify_roundtrip(capsys, corpus, tmp_path):

@@ -1,10 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from derpair.cochains import (AltMap, CompatCochain, DerCochain, MultiMap,
-                              circle_g, circle_nr)
+                              circle_g, circle_nr, dense_coords, sparse_coords)
 from derpair.errors import ShapeError
 from derpair.linalg import Space
 
@@ -159,6 +160,47 @@ def test_coords_roundtrip_randomized():
         cc = CompatCochain(parts)
         back = CompatCochain.from_coords(space, degree, "multi", cc.coords())
         assert back == cc
+
+
+def _enumerated_coords(cochain):
+    # the coordinate order spelled out: index tuples in lexicographic order,
+    # outputs innermost, top before shadow, parts left to right
+    if isinstance(cochain, (MultiMap, AltMap)):
+        d = cochain.space.dimension
+        if isinstance(cochain, MultiMap):
+            tuples = itertools.product(range(d), repeat=cochain.arity)
+        else:
+            tuples = itertools.combinations(range(d), cochain.arity)
+        return [cochain.coeffs.get((args, out), 0) for args in tuples
+                for out in range(d)]
+    if isinstance(cochain, DerCochain):
+        shadow = [] if cochain.shadow is None else _enumerated_coords(cochain.shadow)
+        return _enumerated_coords(cochain.top) + shadow
+    parts = cochain.parts if isinstance(cochain, CompatCochain) else cochain
+    return [x for part in parts for x in _enumerated_coords(part)]
+
+
+def test_sparse_coords_follow_the_coordinate_order():
+    rng = random.Random(206)
+    for _ in range(60):
+        space = gen.S2 if rng.random() < 0.3 else Space.of_dim(rng.randint(3, 5))
+        degree = rng.randint(1, 3)
+        flavor = rng.choice(("multi", "alt"))
+        rand = gen.rand_multimap if flavor == "multi" else gen.rand_altmap
+
+        def der():
+            return DerCochain(rand(rng, space, degree),
+                              rand(rng, space, degree - 1) if degree > 1 else None)
+
+        cochains = (rand(rng, space, degree), der(),
+                    CompatCochain([der() for _ in range(degree)]),
+                    tuple(gen.rand_multimap(rng, space, degree) for _ in range(degree)))
+        for c in cochains:
+            expected = _enumerated_coords(c)
+            assert dense_coords(c) == expected
+            assert sparse_coords(c) == {i: x for i, x in enumerate(expected) if x}
+            if not isinstance(c, tuple):
+                assert c.coords() == expected
 
 
 def test_from_coords_length_mismatch():

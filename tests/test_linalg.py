@@ -5,9 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from derpair import cohomology as co
+from derpair.cochains import sparse_coords
 from derpair.errors import SchemaError, ShapeError
 from derpair.linalg import (Matrix, Space, compose, format_scalar, kernel_dim,
                             nullspace, parse_scalar, rank)
+from derpair.structures import Presentation
+
+import gen
+from oracles import nullspace_oracle, rank_oracle
 
 
 def test_rank_identity():
@@ -122,3 +128,110 @@ def test_space_validation():
     space = Space.of_dim(3)
     assert space.labels == ("e1", "e2", "e3")
     assert space.basis_vector(1) == (0, 1, 0)
+
+
+# -- the sparse matrix against its dense views ---------------------------------------
+
+def test_sparse_columns_agree_with_dense_entries():
+    rng = random.Random(303)
+    values = (0, 0, 0, 1, -1, 2, Fraction(-3, 5))
+    for _ in range(80):
+        rows, cols = rng.randint(1, 7), rng.randint(0, 7)
+        dense = [[rng.choice(values) for _ in range(cols)] for _ in range(rows)]
+        # columns list every nonzero and, at random, some explicit zeros
+        columns = [{i: dense[i][j] for i in range(rows)
+                    if dense[i][j] or rng.random() < 0.3} for j in range(cols)]
+        sparse = Matrix.from_columns(rows, columns)
+        flat = Matrix(rows, cols, tuple(x for row in dense for x in row))
+        assert sparse == flat
+        assert sparse.entries == flat.entries == tuple(x for row in dense for x in row)
+        for i in range(rows):
+            assert sparse.row(i) == flat.row(i) == tuple(dense[i])
+            for j in range(cols):
+                assert sparse.entry(i, j) == flat.entry(i, j) == dense[i][j]
+        assert sparse.transpose() == flat.transpose()
+        assert sparse.transpose().entries == tuple(dense[i][j] for j in range(cols)
+                                                   for i in range(rows))
+        assert sparse.is_zero() == flat.is_zero() == all(
+            x == 0 for row in dense for x in row)
+        inner = rng.randint(1, 5)
+        right = Matrix.from_rows([[rng.choice(values) for _ in range(inner)]
+                                  for _ in range(cols)]) if cols else Matrix.zero(0, inner)
+        product = compose(sparse, right)
+        assert product == compose(flat, right)
+        assert product.entries == tuple(
+            sum((dense[i][k] * right.entry(k, j) for k in range(cols)), Fraction(0))
+            for i in range(rows) for j in range(inner))
+
+
+def test_from_columns_rejects_row_index_out_of_range():
+    with pytest.raises(ShapeError):
+        Matrix.from_columns(2, [{2: 1}])
+    with pytest.raises(ShapeError):
+        Matrix.from_columns(2, [{-1: 1}])
+
+
+# -- the sparse eliminator against the dense oracles ------------------------------------
+
+def _random_matrix(rng):
+    """1-30 rows and columns, density 0.05-1, some rows combinations of others."""
+    rows, cols = rng.randint(1, 30), rng.randint(1, 30)
+    density = rng.uniform(0.05, 1)
+    rational = rng.random() < 0.5
+
+    def scalar(bound):
+        value = rng.randint(-bound, bound)
+        return Fraction(value, rng.randint(1, 6)) if rational else value
+
+    independent = rng.randint(1, rows)
+    table = [[scalar(9) if rng.random() < density else 0 for _ in range(cols)]
+             for _ in range(independent)]
+    while len(table) < rows:
+        a, b = rng.choice(table), rng.choice(table)
+        x, y = scalar(3), scalar(3)
+        table.append([x * u + y * v for u, v in zip(a, b)])
+    rng.shuffle(table)
+    return Matrix.from_rows(table)
+
+
+def _assert_matches_oracles(m):
+    assert rank(m) == rank_oracle(m)
+    assert repr(nullspace(m)) == repr(nullspace_oracle(m))
+
+
+def test_sparse_rank_and_kernel_match_dense_oracles_randomized():
+    rng = random.Random(2311)
+    for _ in range(250):
+        m = _random_matrix(rng)
+        _assert_matches_oracles(m)
+        _assert_matches_oracles(m.transpose())
+
+
+def _catalog_complexes(rng):
+    P = Presentation
+    for mu in gen.ASSOCIATIVE_CATALOG:
+        yield "hochschild", P(mu.space, {"mu": mu}, {}, "associative")
+    yield from (("assder", p) for p in gen.der_pair_instances(
+        rng, 4, gen.ASSOCIATIVE_CATALOG, "assder", "mu"))
+    for _ in range(4):
+        m1, m2 = gen.compatible_assoc_products(rng)
+        yield "compatible-associative", gen.conjugate_presentation(
+            rng, P(m1.space, {"mu1": m1, "mu2": m2}, {}, "compatible-associative"))
+    yield from (("cad", p) for p in gen.compatible_assder_instances(rng, 3))
+
+
+def test_coboundary_ranks_and_kernels_match_dense_oracles():
+    rng = random.Random(2312)
+    flavors = set()
+    for flavor, p in _catalog_complexes(rng):
+        cx = co._Complex(flavor, p)
+        top = 3 if p.space.dimension == 2 else 2
+        for n in range(top + 1):
+            images = [cx.d(n, b) for b in cx.basis(n)]
+            m = Matrix.from_columns(cx.dim(n + 1), map(sparse_coords, images))
+            dense = [cx.coords(n + 1, image) for image in images]
+            assert m == Matrix(m.rows, m.cols, tuple(
+                column[i] for i in range(m.rows) for column in dense))
+            _assert_matches_oracles(m)
+        flavors.add(flavor)
+    assert flavors == {"hochschild", "assder", "compatible-associative", "cad"}
