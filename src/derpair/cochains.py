@@ -10,8 +10,11 @@ a repeated index is zero.
 This module also supplies the two insertion compositions these maps support:
 ``circle_g`` (the sum over argument-slot insertions with alternating-block
 signs, arity p+1 o arity q+1 -> arity p+q+1) and ``circle_nr`` (the unshuffle
-sum used on alternating maps).  The graded brackets built from them live in
-``derpair.brackets``.
+sum used on alternating maps).  Both are driven by the stored entries: each
+pairs an entry of g with the entries of f that take g's output as an input,
+so their cost follows the number of nonzeros, not the dimension.  ``apply``
+likewise walks the stored entries.  The graded brackets built from the
+compositions live in ``derpair.brackets``.
 
 ``DerCochain`` pairs a top map of arity n with a shadow map of arity n-1 (the
 shadow is absent at n = 1); ``CompatCochain`` is an n-tuple of degree-n
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial
 
 from .errors import ShapeError
@@ -44,20 +48,6 @@ def sort_with_sign(indices):
         if idx[i - 1] == idx[i]:
             return None
     return tuple(idx), sign
-
-
-def unshuffles(k: int, total: int):
-    """All (k, total-k) unshuffles as (first_block, second_block, sign).
-
-    Yields index tuples partitioning range(total) with both blocks increasing;
-    sign is the parity of the permutation first_block + second_block.
-    """
-    everything = range(total)
-    for first in itertools.combinations(everything, k):
-        chosen = set(first)
-        second = tuple(i for i in everything if i not in chosen)
-        inversions = sum(pos - offset for offset, pos in enumerate(first))
-        yield first, second, (-1) ** inversions
 
 
 class _SparseMap:
@@ -83,6 +73,14 @@ class _SparseMap:
                 self._check_key(args, out)
                 table[(tuple(args), out)] = value
         self.coeffs = table
+
+    @classmethod
+    def _of(cls, space: Space, arity: int, table: dict):
+        # table: {(args tuple, out): nonzero Fraction} whose keys come from
+        # maps that were already checked, so they are not checked again
+        m = object.__new__(cls)
+        m.space, m.arity, m.coeffs = space, arity, table
+        return m
 
     def _check_key(self, args, out):
         d = self.space.dimension
@@ -117,7 +115,7 @@ class _SparseMap:
                 table.pop(key, None)
             else:
                 table[key] = total
-        return type(self)(self.space, self.arity, table)
+        return self._of(self.space, self.arity, table)
 
     def __neg__(self):
         return self.scale(-1)
@@ -128,30 +126,40 @@ class _SparseMap:
     def scale(self, factor):
         factor = as_scalar(factor)
         if factor == 0:
-            return type(self)(self.space, self.arity, {})
-        return type(self)(self.space, self.arity,
-                          {key: factor * value for key, value in self.coeffs.items()})
+            return self._of(self.space, self.arity, {})
+        return self._of(self.space, self.arity,
+                        {key: factor * value for key, value in self.coeffs.items()})
 
     def __rmul__(self, factor):
         return self.scale(factor)
 
+    def _slot_orders(self):
+        # (order, sign) pairs: a stored entry (args, j) stands for the value
+        # sign * c on the index tuple (args[order[0]], args[order[1]], ...)
+        return ((tuple(range(self.arity)), 1),)
+
     def apply(self, vectors):
-        """Multilinear extension: evaluate on coefficient vectors."""
+        """Multilinear extension: evaluate on coefficient vectors.
+
+        Each stored entry (args, j) -> c adds c * prod_t vectors[t][args[t]]
+        to output j, stopping at the first zero factor; an AltMap entry does
+        so once per permutation of its key, with the permutation's sign.
+        """
         if len(vectors) != self.arity:
             raise ShapeError("argument count != arity")
-        d = self.space.dimension
-        out = [ZERO] * d
-        for args in itertools.product(range(d), repeat=self.arity):
-            factor = ONE
-            for vec, i in zip(vectors, args):
-                factor *= vec[i]
-                if factor == 0:
-                    break
-            if factor == 0:
-                continue
-            for j, c in zip(range(d), self.eval(args)):
-                if c:
-                    out[j] += factor * c
+        out = [ZERO] * self.space.dimension
+        orders = self._slot_orders()
+        supports = [{i: x for i, x in enumerate(vec) if x} for vec in vectors]
+        for (args, j), value in self.coeffs.items():
+            for order, sign in orders:
+                factor = value if sign > 0 else -value
+                for support, slot in zip(supports, order):
+                    x = support.get(args[slot])
+                    if x is None:
+                        break
+                    factor *= x
+                else:
+                    out[j] += factor
         return out
 
     def __repr__(self):
@@ -199,9 +207,9 @@ class MultiMap(_SparseMap):
         """Swap the two arguments of a bilinear map."""
         if self.arity != 2:
             raise ShapeError("flip needs arity 2")
-        return MultiMap(self.space, 2,
-                        {((b, a), out): value
-                         for ((a, b), out), value in self.coeffs.items()})
+        return MultiMap._of(self.space, 2,
+                            {((b, a), out): value
+                             for ((a, b), out), value in self.coeffs.items()})
 
     def coords(self) -> list[Fraction]:
         return dense_coords(self)
@@ -226,6 +234,9 @@ class AltMap(_SparseMap):
         super()._check_key(args, out)
         if any(a >= b for a, b in zip(args, args[1:])):
             raise ShapeError("AltMap keys must be strictly increasing")
+
+    def _slot_orders(self):
+        return _signed_permutations(self.arity)
 
     @staticmethod
     def zero(space: Space, arity: int) -> "AltMap":
@@ -299,13 +310,12 @@ class AltMap(_SparseMap):
 
     def to_multimap(self) -> MultiMap:
         """Expand to the full (redundant) multilinear table."""
-        d = self.space.dimension
         table = {}
         for (args, out), value in self.coeffs.items():
-            for perm in itertools.permutations(range(len(args))):
+            for perm, sign in _signed_permutations(self.arity):
                 key = tuple(args[p] for p in perm)
-                table[(key, out)] = _perm_sign(perm) * value
-        return MultiMap(self.space, self.arity, table)
+                table[(key, out)] = sign * value
+        return MultiMap._of(self.space, self.arity, table)
 
 
 def _perm_sign(perm) -> int:
@@ -317,18 +327,10 @@ def _perm_sign(perm) -> int:
     return sign
 
 
-def multimap_is_skew(m: MultiMap):
-    """First basis pair where a bilinear map fails m(x,y) = -m(y,x), or None."""
-    if m.arity != 2:
-        raise ShapeError("skew check needs arity 2")
-    d = m.space.dimension
-    for a in range(d):
-        for b in range(a, d):
-            lhs = m.eval((a, b))
-            rhs = [-x for x in m.eval((b, a))]
-            if lhs != rhs:
-                return (a, b), lhs, rhs
-    return None
+@cache
+def _signed_permutations(k: int) -> tuple:
+    """All permutations of range(k) with their signs, built once per k."""
+    return tuple((perm, _perm_sign(perm)) for perm in itertools.permutations(range(k)))
 
 
 def circle_g(f: MultiMap, g: MultiMap) -> MultiMap:
@@ -360,7 +362,7 @@ def circle_g(f: MultiMap, g: MultiMap) -> MultiMap:
                     table.pop(key, None)
                 else:
                     table[key] = total
-    return MultiMap(space, out_arity, table)
+    return MultiMap._of(space, out_arity, table)
 
 
 def circle_nr(f: AltMap, g: AltMap) -> AltMap:
@@ -372,31 +374,36 @@ def circle_nr(f: AltMap, g: AltMap) -> AltMap:
             = sum_{sigma in Sh(n+1,m)} sgn(sigma)
                   f(g(x_{sigma(1)},...,x_{sigma(n+1)}),
                     x_{sigma(n+2)},...,x_{sigma(m+n+1)}).
+
+    The sum is taken entry by entry.  An entry (fargs, j) -> c of f is filed
+    under each of its inputs k as (fargs without k, j, (-1)^pos * c), pos
+    being k's position in fargs, which is f(k, rest) by alternation.  Each
+    entry (gargs, k) of g then meets the entries filed under k: gargs and
+    rest sorted together give the output key, and the sign of that sort is
+    the sign of the one unshuffle that produces the key; a repeated index
+    contributes nothing.
     """
     if f.space != g.space:
         raise ShapeError("maps live on different spaces")
-    space = f.space
-    d = space.dimension
-    out_arity = f.arity + g.arity - 1
+    by_input = {}
+    for (fargs, fout), fvalue in f.coeffs.items():
+        for pos, k in enumerate(fargs):
+            by_input.setdefault(k, []).append(
+                (fargs[:pos] + fargs[pos + 1:], fout, -fvalue if pos % 2 else fvalue))
     table = {}
-    if out_arity > d:
-        return AltMap.zero(space, out_arity)
-    for args in itertools.combinations(range(d), out_arity):
-        acc = [ZERO] * d
-        for inner, outer, sign in unshuffles(g.arity, out_arity):
-            inner_args = tuple(args[i] for i in inner)
-            outer_args = tuple(args[i] for i in outer)
-            inner_value = g.eval(inner_args)
-            for k, c in enumerate(inner_value):
-                if c:
-                    fvalue = f.eval((k,) + outer_args)
-                    for j, fc in enumerate(fvalue):
-                        if fc:
-                            acc[j] += sign * c * fc
-        for j, c in enumerate(acc):
-            if c:
-                table[(args, j)] = c
-    return AltMap(space, out_arity, table)
+    for (gargs, k), gvalue in g.coeffs.items():
+        for rest, fout, fvalue in by_input.get(k, ()):
+            merged = sort_with_sign(gargs + rest)
+            if merged is None:
+                continue
+            args, sign = merged
+            key = (args, fout)
+            total = table.get(key, ZERO) + sign * gvalue * fvalue
+            if total == 0:
+                table.pop(key, None)
+            else:
+                table[key] = total
+    return AltMap._of(f.space, f.arity + g.arity - 1, table)
 
 
 class DerCochain:

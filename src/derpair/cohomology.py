@@ -17,16 +17,17 @@ Seven complex flavors are provided over a checked base presentation:
 * ``cad`` / ``cldp``: n-tuples of pairs for a compatible derivation pair,
   staircase differential with shadow corrections; degree-0 cochains are 0.
 
-Each coboundary matrix is assembled as sparse columns, the nonzero
+Each coboundary matrix D_n is assembled as sparse columns, the nonzero
 coordinates of the images of the basis cochains, and its rank is computed
 exactly by the sparse eliminator of ``derpair.linalg``.  Reports carry
-per-degree dimensions and a certification that d o d = 0 holds on every basis
-cochain up to the requested degree.
+per-degree dimensions and a certification that d o d = 0, checked as the
+exact sparse product D_{n+1} D_n = 0 of the assembled matrices for every
+degree below the requested one.  Since d is linear and coordinates are
+exact, that product vanishes exactly when d o d kills every basis cochain.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -34,7 +35,7 @@ from .brackets import gerstenhaber, nijenhuis_richardson
 from .cochains import (AltMap, CompatCochain, DerCochain, MultiMap, dense_coords,
                        sparse_coords)
 from .errors import DegreeBudgetError, InvalidStructureError, SchemaError, ShapeError
-from .linalg import Matrix, ZERO, nullspace, rank
+from .linalg import Matrix, compose, nullspace, rank
 from .structures import Presentation, check_structure, validate_presentation
 
 FLAVORS = ("hochschild", "chevalley-eilenberg", "assder", "lieder",
@@ -76,58 +77,19 @@ class CohomologyReport:
 # ---------------------------------------------------------------------------
 
 def der_D(delta: MultiMap, f):
-    """Derivation insertion operator: sum_i f(..., delta in slot i, ...) - delta o f."""
+    """Derivation insertion operator: sum_i f(..., delta in slot i, ...) - delta o f.
+
+    This is -[delta, f] in the bracket of f's flavor: Gerstenhaber for a
+    MultiMap, Nijenhuis-Richardson (delta read as an alternating 1-map) for
+    an AltMap.
+    """
     if delta.arity != 1:
         raise ShapeError("D needs a linear operator")
     if delta.space != f.space:
         raise ShapeError("operands live on different spaces")
     if isinstance(f, AltMap):
-        return _der_D_alt(delta, f)
-    return _der_D_multi(delta, f)
-
-
-def _der_D_multi(delta: MultiMap, f: MultiMap) -> MultiMap:
-    table = {}
-
-    def bump(key, value):
-        total = table.get(key, ZERO) + value
-        if total == 0:
-            table.pop(key, None)
-        else:
-            table[key] = total
-
-    for slot in range(f.arity):
-        for (fargs, fout), fc in f.coeffs.items():
-            for ((src,), mid), dc in delta.coeffs.items():
-                if mid == fargs[slot]:
-                    bump((fargs[:slot] + (src,) + fargs[slot + 1:], fout), fc * dc)
-    for (fargs, fout), fc in f.coeffs.items():
-        for ((src,), out), dc in delta.coeffs.items():
-            if src == fout:
-                bump((fargs, out), -fc * dc)
-    return MultiMap(f.space, f.arity, table)
-
-
-def _der_D_alt(delta: MultiMap, f: AltMap) -> AltMap:
-    d = f.space.dimension
-    table = {}
-    for args in itertools.combinations(range(d), f.arity):
-        acc = [ZERO] * d
-        for slot in range(f.arity):
-            dv = delta.eval((args[slot],))
-            for a, c in enumerate(dv):
-                if c:
-                    value = f.eval(args[:slot] + (a,) + args[slot + 1:])
-                    for j, x in enumerate(value):
-                        if x:
-                            acc[j] += c * x
-        for j, x in enumerate(delta.apply([f.eval(args)])):
-            if x:
-                acc[j] -= x
-        for j, c in enumerate(acc):
-            if c:
-                table[(args, j)] = c
-    return AltMap(f.space, f.arity, table)
+        return nijenhuis_richardson(AltMap(f.space, 1, delta.coeffs), f).scale(-1)
+    return gerstenhaber(delta, f).scale(-1)
 
 
 def _check_kind(p: Presentation, kinds, what: str) -> None:
@@ -356,6 +318,8 @@ class _Complex:
         elif flavor == "cldp":
             _check_kind(p, ("compatible-lieder",), flavor)
             _require_valid(p)
+            self._w1 = AltMap.from_multimap(p.products["bracket1"])
+            self._w2 = AltMap.from_multimap(p.products["bracket2"])
 
     # -- dimensions ---------------------------------------------------------
 
@@ -435,7 +399,10 @@ class _Complex:
             return compat_assoc_d(self.base, cochain, check=False)
         if self.flavor == "cad":
             return cad_d(self.base, cochain, check=False)
-        return cldp_d(self.base, cochain, check=False)
+        return _compat_pair_d(cochain, self._w1, self._w2,
+                              self.base.derivations["delta1"],
+                              self.base.derivations["delta2"],
+                              nijenhuis_richardson, AltMap)
 
     def _d0(self, vector):
         space = self.space
@@ -486,15 +453,11 @@ def cohomology(spec: ComplexSpec, budget: int | None = None,
             raise DegreeBudgetError(dim_n, budget)
 
     matrices = {}
-    certified = True
     for n in range(top + 1):
-        columns = []
-        for basis_cochain in cx.basis(n):
-            image = cx.d(n, basis_cochain)
-            columns.append(sparse_coords(image))
-            if certified and n < top and sparse_coords(cx.d(n + 1, image)):
-                certified = False
+        columns = [sparse_coords(cx.d(n, b)) for b in cx.basis(n)]
         matrices[n] = Matrix.from_columns(cx.dim(n + 1), columns)
+    certified = all(compose(matrices[n + 1], matrices[n]).is_zero()
+                    for n in range(top))
 
     ranks = {n: rank(matrices[n]) for n in matrices}
     degrees = []

@@ -183,16 +183,29 @@ class Matrix:
 
 
 def compose(a: Matrix, b: Matrix) -> Matrix:
-    """Exact matrix product a*b."""
+    """Exact matrix product a*b, accumulated in integers.
+
+    Row k of b is scaled to integers by the lcm s_k of its denominators, and
+    row i of a, its entries divided by the matching s_k, by the lcm r_i of
+    the resulting denominators; row i of the product is then an integer row
+    over r_i, and only its nonzero entries become fractions.
+    """
     if a.cols != b.rows:
         raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    b_rows = {}
+    for k, row in b._table.items():
+        s = lcm(*(y.denominator for y in row.values()))
+        b_rows[k] = (s, {j: y.numerator * (s // y.denominator) for j, y in row.items()})
     table = {}
     for i, row in a._table.items():
+        terms = [(x / b_rows[k][0], b_rows[k][1]) for k, x in row.items() if k in b_rows]
+        r = lcm(*(x.denominator for x, _ in terms))
         acc = {}
-        for k, x in row.items():
-            for j, y in b._table.get(k, {}).items():
-                acc[j] = acc.get(j, ZERO) + x * y
-        acc = {j: x for j, x in acc.items() if x}
+        for x, b_row in terms:
+            c = x.numerator * (r // x.denominator)
+            for j, y in b_row.items():
+                acc[j] = acc.get(j, 0) + c * y
+        acc = {j: Fraction(v, r) for j, v in acc.items() if v}
         if acc:
             table[i] = acc
     return Matrix._of(a.rows, b.cols, table)

@@ -56,6 +56,26 @@ def rand_altmap(rng, space, arity, entries=4, bound=3):
     return AltMap(space, arity, table)
 
 
+def rand_rational(rng, bound=5):
+    return Fraction(rng.randint(-bound, bound), rng.randint(1, 4))
+
+
+def rand_rational_map(rng, cls, space, arity, full):
+    """A MultiMap or AltMap with rational values on every key (full) or about
+    a fifth of them."""
+    d = space.dimension
+    if cls is MultiMap:
+        tuples = itertools.product(range(d), repeat=arity)
+    else:
+        tuples = itertools.combinations(range(d), arity)
+    table = {}
+    for args in tuples:
+        for out in range(d):
+            if full or rng.random() < 0.2:
+                table[(args, out)] = rand_rational(rng)
+    return cls(space, arity, table)
+
+
 def rand_skew_multimap(rng, space, entries=3, bound=3):
     return rand_altmap(rng, space, 2, entries, bound).to_multimap()
 

@@ -6,7 +6,9 @@ sparse composition kernels: the insertion composition is expanded position by
 position via `eval`, the alternating composition is recovered from the full
 symmetric-group antisymmetrization, and the classical coboundaries use the
 textbook face sums.  The dense Bareiss rank and the Gauss-Jordan kernel are
-the linear algebra the package used before its sparse eliminator.
+the linear algebra the package used before its sparse eliminator, and
+``apply_oracle`` and ``der_D_oracle`` are the dense evaluation and
+derivation insertion it used before its entry-driven kernels.
 """
 
 import itertools
@@ -14,6 +16,7 @@ from fractions import Fraction
 from math import factorial, gcd
 
 from derpair.cochains import AltMap, MultiMap, _perm_sign
+from derpair.errors import ShapeError
 from derpair.linalg import ONE, ZERO, Matrix
 
 
@@ -73,6 +76,77 @@ def circle_nr_oracle(f: AltMap, g: AltMap) -> AltMap:
             if value:
                 table[(args, j)] = value
     return AltMap(space, out_arity, table)
+
+
+def apply_oracle(m, vectors) -> list:
+    """Multilinear extension by summing over every basis index tuple."""
+    if len(vectors) != m.arity:
+        raise ShapeError("argument count != arity")
+    d = m.space.dimension
+    out = [ZERO] * d
+    for args in itertools.product(range(d), repeat=m.arity):
+        factor = ONE
+        for vec, i in zip(vectors, args):
+            factor *= vec[i]
+            if factor == 0:
+                break
+        if factor == 0:
+            continue
+        for j, c in zip(range(d), m.eval(args)):
+            if c:
+                out[j] += factor * c
+    return out
+
+
+def der_D_oracle(delta: MultiMap, f):
+    """sum_i f(..., delta in slot i, ...) - delta o f, written out directly.
+
+    A MultiMap f is expanded slot by slot over its stored entries; an AltMap
+    f is evaluated on every increasing index tuple.
+    """
+    if isinstance(f, AltMap):
+        return _der_D_alt_oracle(delta, f)
+    table = {}
+
+    def bump(key, value):
+        total = table.get(key, ZERO) + value
+        if total == 0:
+            table.pop(key, None)
+        else:
+            table[key] = total
+
+    for slot in range(f.arity):
+        for (fargs, fout), fc in f.coeffs.items():
+            for ((src,), mid), dc in delta.coeffs.items():
+                if mid == fargs[slot]:
+                    bump((fargs[:slot] + (src,) + fargs[slot + 1:], fout), fc * dc)
+    for (fargs, fout), fc in f.coeffs.items():
+        for ((src,), out), dc in delta.coeffs.items():
+            if src == fout:
+                bump((fargs, out), -fc * dc)
+    return MultiMap(f.space, f.arity, table)
+
+
+def _der_D_alt_oracle(delta: MultiMap, f: AltMap) -> AltMap:
+    d = f.space.dimension
+    table = {}
+    for args in itertools.combinations(range(d), f.arity):
+        acc = [ZERO] * d
+        for slot in range(f.arity):
+            dv = delta.eval((args[slot],))
+            for a, c in enumerate(dv):
+                if c:
+                    value = f.eval(args[:slot] + (a,) + args[slot + 1:])
+                    for j, x in enumerate(value):
+                        if x:
+                            acc[j] += c * x
+        for j, x in enumerate(apply_oracle(delta, [f.eval(args)])):
+            if x:
+                acc[j] -= x
+        for j, c in enumerate(acc):
+            if c:
+                table[(args, j)] = c
+    return AltMap(f.space, f.arity, table)
 
 
 def associator_defect(mu: MultiMap):
@@ -212,6 +286,13 @@ def _integer_rows(m: Matrix) -> list[list[int]]:
             scale = scale * d // gcd(scale, d)
         rows.append([int(x * scale) for x in row])
     return rows
+
+
+def compose_oracle(a: Matrix, b: Matrix) -> Matrix:
+    """Matrix product by the dense row-times-column sums over Fractions."""
+    entries = [sum((a.entry(i, k) * b.entry(k, j) for k in range(a.cols)), ZERO)
+               for i in range(a.rows) for j in range(b.cols)]
+    return Matrix(a.rows, b.cols, entries)
 
 
 def rank_oracle(m: Matrix) -> int:

@@ -10,7 +10,7 @@ from derpair.errors import ShapeError
 from derpair.linalg import Space
 
 import gen
-from oracles import circle_g_oracle, circle_nr_oracle
+from oracles import apply_oracle, circle_g_oracle, circle_nr_oracle
 
 S2 = Space.of_dim(2)
 S3 = Space.of_dim(3)
@@ -230,3 +230,56 @@ def test_der_cochain_shape_rules():
         DerCochain(top, gen.rand_altmap(random.Random(2), S2, 1))  # flavor mix
     with pytest.raises(ShapeError):
         CompatCochain([DerCochain(top, MultiMap.zero(S2, 1))] * 3)  # degree 2, 3 parts
+
+
+# -- entry-driven kernels against the dense oracles ---------------------------------
+
+def test_circle_nr_matches_oracle_all_dimensions_sparse_and_full():
+    rng = random.Random(207)
+    for d in range(1, 6):
+        space = Space.of_dim(d)
+        for full in (False, True):
+            for m, n in itertools.product(range(1, 4), repeat=2):
+                f = gen.rand_rational_map(rng, AltMap, space, m, full)
+                g = gen.rand_rational_map(rng, AltMap, space, n, full)
+                assert circle_nr(f, g) == circle_nr_oracle(f, g)
+
+
+def test_apply_matches_dense_oracle_on_vectors_with_zeros():
+    rng = random.Random(208)
+    for d in range(1, 6):
+        space = Space.of_dim(d)
+        for cls in (MultiMap, AltMap):
+            for full in (False, True):
+                for arity in range(1, 4):
+                    m = gen.rand_rational_map(rng, cls, space, arity, full)
+                    for density in (0.0, 0.3, 0.7, 1.0):
+                        vectors = [[gen.rand_rational(rng) if rng.random() < density
+                                    else 0 for _ in range(d)]
+                                   for _ in range(arity)]
+                        assert m.apply(vectors) == apply_oracle(m, vectors)
+                    basis = [space.basis_vector(rng.randrange(d))
+                             for _ in range(arity)]
+                    assert m.apply(basis) == apply_oracle(m, basis)
+
+
+def test_apply_arity_mismatch():
+    with pytest.raises(ShapeError):
+        AltMap.identity(S2).apply([S2.basis_vector(0), S2.basis_vector(1)])
+
+
+def test_public_constructors_reject_bad_keys():
+    one = Fraction(1)
+    for cls in (MultiMap, AltMap):
+        with pytest.raises(ShapeError):
+            cls(S2, 2, {((0,), 1): one})            # key arity != map arity
+        with pytest.raises(ShapeError):
+            cls(S2, 1, {((2,), 0): one})            # argument index out of range
+        with pytest.raises(ShapeError):
+            cls(S2, 1, {((0,), 2): one})            # output index out of range
+        with pytest.raises(ShapeError):
+            cls(S2, 1, {((-1,), 0): one})
+    with pytest.raises(ShapeError):
+        AltMap(S3, 2, {((1, 1), 0): one})           # repeated index
+    with pytest.raises(ShapeError):
+        AltMap(S3, 3, {((0, 2, 1), 0): one})        # not increasing

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -10,7 +11,7 @@ from derpair.linalg import Matrix, Space, rank
 from derpair.structures import Presentation, check_structure
 
 import gen
-from oracles import ce_face_d, hochschild_face_d, circle_g_oracle
+from oracles import ce_face_d, circle_g_oracle, der_D_oracle, hochschild_face_d
 
 S1 = Space.of_dim(1)
 S2 = Space.of_dim(2)
@@ -479,3 +480,30 @@ def test_cohomology_flavor_validation():
     bad = P(S2, "associative", {"mu": gen.mm(S2, 2, [(0, 0, 1, 1), (1, 0, 0, 1)])})
     with pytest.raises(InvalidStructureError):
         co.cohomology(co.ComplexSpec("hochschild", bad, 2))
+
+
+# -- entry-driven D and the matrix certification of d o d ------------------------------
+
+def test_der_D_matches_dense_oracle_both_flavors():
+    rng = random.Random(SEED + 40)
+    for d in range(1, 6):
+        space = Space.of_dim(d)
+        for full in (False, True):
+            for arity in range(1, 4):
+                delta = gen.rand_rational_map(rng, MultiMap, space, 1, full)
+                for cls in (MultiMap, AltMap):
+                    f = gen.rand_rational_map(rng, cls, space, arity, full)
+                    assert co.der_D(delta, f) == der_D_oracle(delta, f)
+
+
+def test_dd_certification_reports_the_flipped_last_shadow_sign(monkeypatch):
+    d1 = gen.mm(S2, 1, [(0, 0, 1), (0, 1, 1), (1, 1, 2)])
+    d2 = gen.mm(S2, 1, [(0, 0, 2), (0, 1, -1), (1, 1, 4)])
+    p = P(S2, "compatible-assder",
+          {"mu1": gen.NIL2, "mu2": gen.NIL2.scale(2)},
+          {"delta1": d1, "delta2": d2})
+    spec = co.ComplexSpec("cad", p, 3)
+    assert co.cohomology(spec).dd_zero_certified
+    flipped = functools.partial(co._compat_pair_d, last_shadow_sign=+1)
+    monkeypatch.setattr(co, "_compat_pair_d", flipped)
+    assert not co.cohomology(spec).dd_zero_certified

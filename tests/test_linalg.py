@@ -13,7 +13,7 @@ from derpair.linalg import (Matrix, Space, compose, format_scalar, kernel_dim,
 from derpair.structures import Presentation
 
 import gen
-from oracles import nullspace_oracle, rank_oracle
+from oracles import compose_oracle, nullspace_oracle, rank_oracle
 
 
 def test_rank_identity():
@@ -205,6 +205,24 @@ def test_sparse_rank_and_kernel_match_dense_oracles_randomized():
         m = _random_matrix(rng)
         _assert_matches_oracles(m)
         _assert_matches_oracles(m.transpose())
+
+
+def test_compose_matches_dense_oracle_randomized():
+    # random products, and products with a kernel basis, which must vanish
+    rng = random.Random(2312)
+    for _ in range(150):
+        a = _random_matrix(rng)
+        cols, density = rng.randint(1, 12), rng.uniform(0.05, 1)
+        b = Matrix.from_rows(
+            [[Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+              if rng.random() < density else 0 for _ in range(cols)]
+             for _ in range(a.cols)])
+        assert compose(a, b) == compose_oracle(a, b)
+        kernel = nullspace(a)
+        if kernel:
+            k = Matrix.from_columns(a.cols, [dict(enumerate(v)) for v in kernel])
+            assert compose(a, k).is_zero()
+            assert compose(a, k) == compose_oracle(a, k)
 
 
 def _catalog_complexes(rng):
