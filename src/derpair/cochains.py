@@ -26,6 +26,7 @@ so coboundary matrices can be assembled deterministically.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial
@@ -106,22 +107,27 @@ class _SparseMap:
         if self.arity != other.arity:
             raise ShapeError("operands have different arities")
 
-    def __add__(self, other):
+    def _plus(self, other, sign):
+        # self + sign * other in one pass over other's entries
         self._require_like(other)
+        combine = operator.add if sign > 0 else operator.sub
         table = dict(self.coeffs)
         for key, value in other.coeffs.items():
-            total = table.get(key, ZERO) + value
+            total = combine(table.get(key, ZERO), value)
             if total == 0:
                 table.pop(key, None)
             else:
                 table[key] = total
         return self._of(self.space, self.arity, table)
 
+    def __add__(self, other):
+        return self._plus(other, 1)
+
     def __neg__(self):
         return self.scale(-1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._plus(other, -1)
 
     def scale(self, factor):
         factor = as_scalar(factor)
@@ -457,17 +463,21 @@ class DerCochain:
     def __hash__(self):
         return hash((self.top, self.shadow))
 
-    def __add__(self, other):
+    def _plus(self, other, sign):
         if not isinstance(other, DerCochain):
             return NotImplemented
         if self.degree != other.degree:
             raise ShapeError("cochain degrees differ")
-        if self.shadow is None:
-            return DerCochain(self.top + other.top, None)
-        return DerCochain(self.top + other.top, self.shadow + other.shadow)
+        shadow = None
+        if self.shadow is not None:
+            shadow = self.shadow._plus(other.shadow, sign)
+        return DerCochain(self.top._plus(other.top, sign), shadow)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return self._plus(other, -1)
 
     def scale(self, factor) -> "DerCochain":
         shadow = None if self.shadow is None else self.shadow.scale(factor)

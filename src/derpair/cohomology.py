@@ -105,22 +105,17 @@ def _require_valid(p: Presentation) -> None:
             f"base fails {violation.axiom} at {violation.witness}", violation)
 
 
-def _as_presentation(space, products, derivations, kind) -> Presentation:
-    return Presentation(space, products, derivations, kind)
-
-
 def hochschild_d(mu: MultiMap, f: MultiMap, check: bool = True) -> MultiMap:
     """d^n f = (-1)^{n-1} [mu, f]; mu must be associative."""
     if check:
-        _require_valid(_as_presentation(mu.space, {"mu": mu}, {}, "associative"))
+        _require_valid(Presentation(mu.space, {"mu": mu}, {}, "associative"))
     return gerstenhaber(mu, f).scale((-1) ** (f.arity - 1))
 
 
 def ce_d(w: AltMap, f: AltMap, check: bool = True) -> AltMap:
     """d^n f = (-1)^{n-1} [w, f]; w must satisfy the Jacobi identity."""
     if check:
-        _require_valid(_as_presentation(w.space, {"bracket": w.to_multimap()},
-                                        {}, "lie"))
+        _require_valid(Presentation(w.space, {"bracket": w.to_multimap()}, {}, "lie"))
     return nijenhuis_richardson(w, f).scale((-1) ** (f.arity - 1))
 
 
@@ -183,10 +178,9 @@ def compat_assoc_d(p: Presentation, c, check: bool = True) -> tuple:
     _check_kind(p, ("compatible-associative", "compatible-assder"),
                 "compat_assoc_d")
     if check:
-        base = _as_presentation(
+        _require_valid(Presentation(
             p.space, {"mu1": p.products["mu1"], "mu2": p.products["mu2"]},
-            {}, "compatible-associative")
-        _require_valid(base)
+            {}, "compatible-associative"))
     parts = tuple(c)
     n = len(parts)
     if n == 0 or any(f.arity != n for f in parts):
@@ -286,12 +280,12 @@ class _Complex:
         if flavor == "hochschild":
             _check_kind(p, ("associative", "assder"), flavor)
             mu = p.products["mu"]
-            _require_valid(_as_presentation(space, {"mu": mu}, {}, "associative"))
+            _require_valid(Presentation(space, {"mu": mu}, {}, "associative"))
             self._mu = mu
         elif flavor == "chevalley-eilenberg":
             _check_kind(p, ("lie", "lieder"), flavor)
             br = p.products["bracket"]
-            _require_valid(_as_presentation(space, {"bracket": br}, {}, "lie"))
+            _require_valid(Presentation(space, {"bracket": br}, {}, "lie"))
             self._w = AltMap.from_multimap(br)
         elif flavor == "assder":
             _check_kind(p, ("assder",), flavor)
@@ -305,12 +299,11 @@ class _Complex:
             self._delta = p.derivations["delta"]
         elif flavor == "compatible-associative":
             _check_kind(p, ("compatible-associative", "compatible-assder"), flavor)
-            base = _as_presentation(
+            _require_valid(Presentation(
                 space, {"mu1": p.products["mu1"], "mu2": p.products["mu2"]},
-                {}, "compatible-associative")
-            _require_valid(base)
-            self._mu1 = p.products["mu1"]
-            self._mu2 = p.products["mu2"]
+                {}, "compatible-associative"))
+            # degree 0 is cut out by both adjoints; d^0 is mu1's
+            self._mu = p.products["mu1"]
             self._c0 = compat_assoc_degree0(p)
         elif flavor == "cad":
             _check_kind(p, ("compatible-assder",), flavor)
@@ -405,38 +398,26 @@ class _Complex:
                               nijenhuis_richardson, AltMap)
 
     def _d0(self, vector):
+        # d^0 y = w(., y) on the Lie side, mu(., y) - mu(y, .) otherwise
         space = self.space
-        d = space.dimension
-        if self.flavor == "hochschild":
-            mu = self._mu
-            table = {}
-            for a in range(d):
-                value = [x - y for x, y in zip(mu.apply([space.basis_vector(a), vector]),
-                                               mu.apply([vector, space.basis_vector(a)]))]
-                for j, c in enumerate(value):
-                    if c:
-                        table[((a,), j)] = c
-            return MultiMap(space, 1, table)
-        if self.flavor == "chevalley-eilenberg":
-            w = self._w
-            table = {}
-            for a in range(d):
-                value = w.apply([space.basis_vector(a), vector])
-                for j, c in enumerate(value):
-                    if c:
-                        table[((a,), j)] = c
+        alternating = self.flavor == "chevalley-eilenberg"
+        if not alternating and self.flavor not in ("hochschild", "compatible-associative"):
+            raise ShapeError("this flavor has no degree-0 cochains")
+        table = {}
+        for a in range(space.dimension):
+            e_a = space.basis_vector(a)
+            if alternating:
+                value = self._w.apply([e_a, vector])
+            else:
+                value = [x - y for x, y in zip(self._mu.apply([e_a, vector]),
+                                               self._mu.apply([vector, e_a]))]
+            for j, c in enumerate(value):
+                if c:
+                    table[((a,), j)] = c
+        if alternating:
             return AltMap(space, 1, table)
-        if self.flavor == "compatible-associative":
-            mu = self._mu1
-            table = {}
-            for a in range(d):
-                value = [x - y for x, y in zip(mu.apply([space.basis_vector(a), vector]),
-                                               mu.apply([vector, space.basis_vector(a)]))]
-                for j, c in enumerate(value):
-                    if c:
-                        table[((a,), j)] = c
-            return (MultiMap(space, 1, table),)
-        raise ShapeError("this flavor has no degree-0 cochains")
+        d0 = MultiMap(space, 1, table)
+        return (d0,) if self.flavor == "compatible-associative" else d0
 
 
 def cohomology(spec: ComplexSpec, budget: int | None = None,

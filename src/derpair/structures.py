@@ -2,9 +2,20 @@
 
 A ``Presentation`` bundles named bilinear products and linear derivations over
 one based space together with a claimed ``kind``.  ``check_structure``
-verifies every defining identity of that kind on all basis tuples (all the
-identities are multilinear, so basis verification is exhaustive) and reports
-the lexicographically first failing tuple as a ``Violation``.
+verifies every defining identity of that kind and reports the first failure
+as a ``Violation``: the axiom, the lexicographically first basis tuple on
+which it fails (all the identities are multilinear, so basis tuples are
+exhaustive), and both sides there.
+
+Every axiom is one entry of a table: a name, an arity and two signed sums of
+compositions of the structure maps, such as ``mu(mu(x0,x1),x2)`` or
+``T(P(T(x0),x1))``.  Each side is evaluated as a sparse tensor
+{(tuple, out): value} by matching the stored entries of each outer map with
+the entries of its inner maps, so the cost follows the number of nonzero
+structure constants, not d^arity.  The residual lhs - rhs is nonzero exactly
+where the two tensors differ; axioms are taken in table order, and the
+witness is the smallest tuple carrying a nonzero residual.
+``check_operator`` and ``check_morphism`` use the same table and evaluator.
 
 Supported kinds, with the product/derivation names each requires:
 
@@ -24,11 +35,12 @@ get a named violation instead of silent antisymmetrization.
 from __future__ import annotations
 
 import hashlib
-import itertools
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
-from .cochains import MultiMap
+from .cochains import AltMap, MultiMap
 from .errors import SchemaError, ShapeError, UnsupportedRoleError
 from .linalg import Matrix, Space, ZERO
 
@@ -105,12 +117,6 @@ class Presentation:
     kind: str
     provenance: dict = field(default_factory=dict)
 
-    def product(self, name: str) -> MultiMap:
-        return self.products[name]
-
-    def derivation(self, name: str) -> MultiMap:
-        return self.derivations[name]
-
 
 def validate_presentation(p: Presentation) -> None:
     """Schema-level checks: known kind, exact name sets, shared space, arities."""
@@ -149,208 +155,233 @@ def fingerprint(p: Presentation) -> str:
 
 
 # ---------------------------------------------------------------------------
-# axiom machinery
+# axioms as residual tensors
 # ---------------------------------------------------------------------------
+#
+# An axiom is (group, name, arity, lhs, rhs); the checks below take whole
+# groups, in table order.  Each side is a signed sum of terms
+# over the variables x0..x{arity-1}; a term is a tree of maps holding every
+# variable once, optionally scaled by a named scalar ("w*T(P(x0,x1))"), and
+# "0" is the empty sum.  Map and scalar names are resolved per check, and the
+# braces in a name are filled with the tags of the maps checked.
 
-def _add(*vectors):
-    out = list(vectors[0])
-    for vec in vectors[1:]:
-        for i, x in enumerate(vec):
-            out[i] += x
-    return out
+_AXIOMS = (
+    ("associative", "associativity({tag})", 3, "mu(mu(x0,x1),x2)", "mu(x0,mu(x1,x2))"),
+    ("lie", "skew-symmetry({tag})", 2, "bracket(x0,x1)", "-bracket(x1,x0)"),
+    ("lie", "jacobi({tag})", 3, "bracket(bracket(x0,x1),x2)"
+     " + bracket(bracket(x1,x2),x0) + bracket(bracket(x2,x0),x1)", "0"),
+    ("prelie", "pre-lie({tag})", 3, "circ(circ(x0,x1),x2) - circ(x0,circ(x1,x2))",
+     "circ(circ(x1,x0),x2) - circ(x1,circ(x0,x2))"),
+    ("zinbiel", "zinbiel({tag})", 3, "star(x0,star(x1,x2))",
+     "star(star(x0,x1),x2) + star(star(x1,x0),x2)"),
+    ("dendriform", "dendriform-left({tag})", 3, "prec(prec(x0,x1),x2)",
+     "prec(x0,prec(x1,x2)) + prec(x0,succ(x1,x2))"),
+    ("dendriform", "dendriform-middle({tag})", 3, "prec(succ(x0,x1),x2)",
+     "succ(x0,prec(x1,x2))"),
+    ("dendriform", "dendriform-right({tag})", 3, "succ(x0,succ(x1,x2))",
+     "succ(prec(x0,x1),x2) + succ(succ(x0,x1),x2)"),
+    ("compatible-associative", "compatible-associative", 3,
+     "mu2(mu1(x0,x1),x2) + mu1(mu2(x0,x1),x2)",
+     "mu1(x0,mu2(x1,x2)) + mu2(x0,mu1(x1,x2))"),
+    ("compatible-lie", "compatible-jacobi", 3,
+     "bracket2(bracket1(x0,x1),x2) + bracket2(bracket1(x1,x2),x0)"
+     " + bracket2(bracket1(x2,x0),x1) + bracket1(bracket2(x0,x1),x2)"
+     " + bracket1(bracket2(x1,x2),x0) + bracket1(bracket2(x2,x0),x1)", "0"),
+    ("compatible-prelie", "compatible-pre-lie", 3,
+     "circ1(x0,circ2(x1,x2)) + circ2(x0,circ1(x1,x2))"
+     " - circ1(circ2(x0,x1),x2) - circ2(circ1(x0,x1),x2)",
+     "circ1(x1,circ2(x0,x2)) + circ2(x1,circ1(x0,x2))"
+     " - circ1(circ2(x1,x0),x2) - circ2(circ1(x1,x0),x2)"),
+    ("compatible-zinbiel", "compatible-zinbiel", 3,
+     "star1(x0,star2(x1,x2)) + star2(x0,star1(x1,x2))",
+     "star1(star2(x0,x1),x2) + star2(star1(x0,x1),x2)"
+     " + star1(star2(x1,x0),x2) + star2(star1(x1,x0),x2)"),
+    ("compatible-dendriform", "compatible-dendriform-left", 3,
+     "prec2(prec1(x0,x1),x2) + prec1(prec2(x0,x1),x2)",
+     "prec2(x0,prec1(x1,x2)) + prec2(x0,succ1(x1,x2))"
+     " + prec1(x0,prec2(x1,x2)) + prec1(x0,succ2(x1,x2))"),
+    ("compatible-dendriform", "compatible-dendriform-middle", 3,
+     "prec2(succ1(x0,x1),x2) + prec1(succ2(x0,x1),x2)",
+     "succ2(x0,prec1(x1,x2)) + succ1(x0,prec2(x1,x2))"),
+    ("compatible-dendriform", "compatible-dendriform-right", 3,
+     "succ2(prec1(x0,x1),x2) + succ2(succ1(x0,x1),x2)"
+     " + succ1(prec2(x0,x1),x2) + succ1(succ2(x0,x1),x2)",
+     "succ2(x0,succ1(x1,x2)) + succ1(x0,succ2(x1,x2))"),
+    ("derivation", "derivation({D},{P})", 2, "D(P(x0,x1))",
+     "P(D(x0),x1) + P(x0,D(x1))"),
+    # delta1 acting across structure 2 plus delta2 across structure 1
+    ("cross-derivation", "cross-derivation({P})", 2, "D1(P2(x0,x1)) + D2(P1(x0,x1))",
+     "P2(D1(x0),x1) + P2(x0,D1(x1)) + P1(D2(x0),x1) + P1(x0,D2(x1))"),
+    ("rota-baxter", "rota-baxter({P})", 2, "P(T(x0),T(x1)) + w*T(P(x0,x1))",
+     "T(P(T(x0),x1)) + T(P(x0,T(x1)))"),
+    ("nijenhuis", "nijenhuis({P})", 2, "P(T(x0),T(x1))",
+     "T(P(T(x0),x1)) + T(P(x0,T(x1))) - T(T(P(x0,x1)))"),
+    ("idempotent", "idempotent", 1, "T(T(x0))", "T(x0)"),
+    # "endomorphism" is multiplicative: T(P(x,y)) = P(Tx,Ty).  Idempotency
+    # plus commutation alone does not make the induced brackets Lie.
+    ("multiplicative", "multiplicative({P})", 2, "T(P(x0,x1))", "P(T(x0),T(x1))"),
+    ("commutes", "commutes({D})", 1, "T(D(x0))", "D(T(x0))"),
+    ("morphism-product", "morphism-product({P})", 2, "phi(P(x0,x1))",
+     "Q(phi(x0),phi(x1))"),
+    ("morphism-derivation", "morphism-derivation({D})", 1, "phi(D(x0))", "E(phi(x0))"),
+)
 
-
-def _sub(a, b):
-    return [x - y for x, y in zip(a, b)]
-
-
-def _neg(a):
-    return [-x for x in a]
-
-
-class _Axioms:
-    """Collects (name, arity, fn) triples; fn maps an index tuple to (lhs, rhs)."""
-
-    def __init__(self, space: Space):
-        self.space = space
-        self.items = []
-
-    def add(self, name, arity, fn):
-        self.items.append((name, arity, fn))
-
-    def bv(self, i):
-        return self.space.basis_vector(i)
-
-    def first_violation(self):
-        d = self.space.dimension
-        for name, arity, fn in self.items:
-            for tpl in itertools.product(range(d), repeat=arity):
-                lhs, rhs = fn(tpl)
-                if lhs != rhs:
-                    return Violation(name, tpl, tuple(lhs), tuple(rhs))
-        return None
-
-
-def _ap(m, *vectors):
-    return m.apply(vectors)
-
-
-def _add_family_axioms(ax: _Axioms, family: str, prods: dict, tag: str):
-    bv = ax.bv
-    if family == "associative":
-        mu = prods["mu"]
-        ax.add(f"associativity({tag})", 3, lambda t: (
-            _ap(mu, mu.eval(t[:2]), bv(t[2])),
-            _ap(mu, bv(t[0]), mu.eval(t[1:]))))
-    elif family == "lie":
-        br = prods["bracket"]
-        ax.add(f"skew-symmetry({tag})", 2, lambda t: (
-            br.eval(t), _neg(br.eval((t[1], t[0])))))
-        ax.add(f"jacobi({tag})", 3, lambda t: (
-            _add(_ap(br, br.eval((t[0], t[1])), bv(t[2])),
-                 _ap(br, br.eval((t[1], t[2])), bv(t[0])),
-                 _ap(br, br.eval((t[2], t[0])), bv(t[1]))),
-            [ZERO] * ax.space.dimension))
-    elif family == "prelie":
-        c = prods["circ"]
-        ax.add(f"pre-lie({tag})", 3, lambda t: (
-            _sub(_ap(c, c.eval((t[0], t[1])), bv(t[2])),
-                 _ap(c, bv(t[0]), c.eval((t[1], t[2])))),
-            _sub(_ap(c, c.eval((t[1], t[0])), bv(t[2])),
-                 _ap(c, bv(t[1]), c.eval((t[0], t[2]))))))
-    elif family == "zinbiel":
-        s = prods["star"]
-        ax.add(f"zinbiel({tag})", 3, lambda t: (
-            _ap(s, bv(t[0]), s.eval((t[1], t[2]))),
-            _add(_ap(s, s.eval((t[0], t[1])), bv(t[2])),
-                 _ap(s, s.eval((t[1], t[0])), bv(t[2])))))
-    elif family == "dendriform":
-        p, s = prods["prec"], prods["succ"]
-        ax.add(f"dendriform-left({tag})", 3, lambda t: (
-            _ap(p, p.eval((t[0], t[1])), bv(t[2])),
-            _ap(p, bv(t[0]), _add(p.eval((t[1], t[2])), s.eval((t[1], t[2]))))))
-        ax.add(f"dendriform-middle({tag})", 3, lambda t: (
-            _ap(p, s.eval((t[0], t[1])), bv(t[2])),
-            _ap(s, bv(t[0]), p.eval((t[1], t[2])))))
-        ax.add(f"dendriform-right({tag})", 3, lambda t: (
-            _ap(s, bv(t[0]), s.eval((t[1], t[2]))),
-            _ap(s, _add(p.eval((t[0], t[1])), s.eval((t[0], t[1]))), bv(t[2]))))
-    else:  # pragma: no cover
-        raise SchemaError(f"unknown family {family!r}")
+_TOKEN = re.compile(r"\w+|\S")
 
 
-def _add_compat_axioms(ax: _Axioms, family: str, one: dict, two: dict):
-    bv = ax.bv
-    if family == "associative":
-        m1, m2 = one["mu"], two["mu"]
-        ax.add("compatible-associative", 3, lambda t: (
-            _add(_ap(m2, m1.eval(t[:2]), bv(t[2])),
-                 _ap(m1, m2.eval(t[:2]), bv(t[2]))),
-            _add(_ap(m1, bv(t[0]), m2.eval(t[1:])),
-                 _ap(m2, bv(t[0]), m1.eval(t[1:])))))
-    elif family == "lie":
-        b1, b2 = one["bracket"], two["bracket"]
+@cache
+def _parse(side: str) -> tuple:
+    """A side as ((sign, scalar name or None, tree, variables in leaf order), ...).
 
-        def cyclic(br_out, br_in, t):
-            x, y, z = t
-            return _add(_ap(br_out, br_in.eval((x, y)), bv(z)),
-                        _ap(br_out, br_in.eval((y, z)), bv(x)),
-                        _ap(br_out, br_in.eval((z, x)), bv(y)))
+    A tree is a variable index or (map name, child trees).
+    """
+    tokens = _TOKEN.findall(side)[::-1]
 
-        ax.add("compatible-jacobi", 3, lambda t: (
-            _add(cyclic(b2, b1, t), cyclic(b1, b2, t)),
-            [ZERO] * ax.space.dimension))
-    elif family == "prelie":
-        c1, c2 = one["circ"], two["circ"]
+    def tree():
+        name = tokens.pop()
+        if name[0] == "x":
+            return int(name[1:])
+        tokens.pop()  # "("
+        children = [tree()]
+        while tokens.pop() == ",":
+            children.append(tree())
+        return name, tuple(children)
 
-        def one_side(x, y, z):
-            return _sub(
-                _add(_ap(c1, bv(x), c2.eval((y, z))),
-                     _ap(c2, bv(x), c1.eval((y, z)))),
-                _add(_ap(c1, c2.eval((x, y)), bv(z)),
-                     _ap(c2, c1.eval((x, y)), bv(z))))
+    def leaves(node):
+        if isinstance(node, int):
+            return (node,)
+        return tuple(i for child in node[1] for i in leaves(child))
 
-        ax.add("compatible-pre-lie", 3, lambda t: (
-            one_side(t[0], t[1], t[2]), one_side(t[1], t[0], t[2])))
-    elif family == "zinbiel":
-        s1, s2 = one["star"], two["star"]
-        ax.add("compatible-zinbiel", 3, lambda t: (
-            _add(_ap(s1, bv(t[0]), s2.eval((t[1], t[2]))),
-                 _ap(s2, bv(t[0]), s1.eval((t[1], t[2])))),
-            _add(_ap(s1, s2.eval((t[0], t[1])), bv(t[2])),
-                 _ap(s2, s1.eval((t[0], t[1])), bv(t[2])),
-                 _ap(s1, s2.eval((t[1], t[0])), bv(t[2])),
-                 _ap(s2, s1.eval((t[1], t[0])), bv(t[2])))))
-    elif family == "dendriform":
-        p1, s1 = one["prec"], one["succ"]
-        p2, s2 = two["prec"], two["succ"]
-        ax.add("compatible-dendriform-left", 3, lambda t: (
-            _add(_ap(p2, p1.eval(t[:2]), bv(t[2])),
-                 _ap(p1, p2.eval(t[:2]), bv(t[2]))),
-            _add(_ap(p2, bv(t[0]), _add(p1.eval(t[1:]), s1.eval(t[1:]))),
-                 _ap(p1, bv(t[0]), _add(p2.eval(t[1:]), s2.eval(t[1:]))))))
-        ax.add("compatible-dendriform-middle", 3, lambda t: (
-            _add(_ap(p2, s1.eval(t[:2]), bv(t[2])),
-                 _ap(p1, s2.eval(t[:2]), bv(t[2]))),
-            _add(_ap(s2, bv(t[0]), p1.eval(t[1:])),
-                 _ap(s1, bv(t[0]), p2.eval(t[1:])))))
-        ax.add("compatible-dendriform-right", 3, lambda t: (
-            _add(_ap(s2, _add(p1.eval(t[:2]), s1.eval(t[:2])), bv(t[2])),
-                 _ap(s1, _add(p2.eval(t[:2]), s2.eval(t[:2])), bv(t[2]))),
-            _add(_ap(s2, bv(t[0]), s1.eval(t[1:])),
-                 _ap(s1, bv(t[0]), s2.eval(t[1:])))))
+    terms = []
+    while tokens and tokens[-1] != "0":
+        sign = -1 if tokens[-1] == "-" else 1
+        if tokens[-1] in ("+", "-"):
+            tokens.pop()
+        scalar = None
+        if tokens[-2] == "*":
+            scalar = tokens.pop()
+            tokens.pop()
+        node = tree()
+        terms.append((sign, scalar, node, leaves(node)))
+    return tuple(terms)
 
 
-def _derivation_axiom(ax: _Axioms, delta, delta_tag: str, prod, prod_tag: str):
-    bv = ax.bv
-    ax.add(f"derivation({delta_tag},{prod_tag})", 2, lambda t: (
-        _ap(delta, prod.eval(t)),
-        _add(_ap(prod, delta.eval((t[0],)), bv(t[1])),
-             _ap(prod, bv(t[0]), delta.eval((t[1],))))))
+def _tensor(tree, maps) -> dict:
+    """{(values of the tree's variables in leaf order, out): value} of a tree.
+
+    Entries of the outer map meet the entries of each inner tree whose output
+    is the outer argument, so the cost follows the stored entries.
+    """
+    name, children = tree
+    coeffs = maps[name]
+    if all(isinstance(child, int) for child in children):
+        return coeffs
+    inner = []
+    for child in children:
+        by_out = None
+        if not isinstance(child, int):
+            by_out = {}
+            for (values, out), value in _tensor(child, maps).items():
+                by_out.setdefault(out, []).append((values, value))
+        inner.append(by_out)
+    acc = {}
+    for (args, out), value in coeffs.items():
+        partial = [((), value)]
+        for a, by_out in zip(args, inner):
+            if by_out is None:
+                partial = [(values + (a,), x) for values, x in partial]
+            else:
+                partial = [(values + more, x * y) for values, x in partial
+                           for more, y in by_out.get(a, ())]
+        for values, x in partial:
+            key = (values, out)
+            acc[key] = acc.get(key, 0) + x
+    return {key: value for key, value in acc.items() if value}
 
 
-def _cross_derivation_axiom(ax: _Axioms, d1, d2, prod1, prod2, tag: str):
-    # delta1 acting across structure 2 plus delta2 across structure 1.
-    bv = ax.bv
-    ax.add(f"cross-derivation({tag})", 2, lambda t: (
-        _add(_ap(d1, prod2.eval(t)), _ap(d2, prod1.eval(t))),
-        _add(_ap(prod2, d1.eval((t[0],)), bv(t[1])),
-             _ap(prod2, bv(t[0]), d1.eval((t[1],))),
-             _ap(prod1, d2.eval((t[0],)), bv(t[1])),
-             _ap(prod1, bv(t[0]), d2.eval((t[1],))))))
+def _side(side: str, arity: int, maps) -> dict:
+    """{(tuple, out): value} of one side of an axiom; zeros are not stored."""
+    terms = _parse(side)
+    identity = tuple(range(arity))
+    if len(terms) == 1 and terms[0][:2] == (1, None) and terms[0][3] == identity:
+        return _tensor(terms[0][2], maps)
+    acc = {}
+    for sign, scalar, tree, order in terms:
+        factor = sign if scalar is None else sign * maps[scalar]
+        if factor == 0:
+            continue
+        slots = [order.index(i) for i in identity]
+        for (values, out), value in _tensor(tree, maps).items():
+            key = (tuple(values[s] for s in slots), out)
+            acc[key] = acc.get(key, 0) + factor * value
+    return {key: value for key, value in acc.items() if value}
 
 
-def _structure_axioms(p: Presentation) -> _Axioms:
+def _exact(x):
+    # integral Fractions become ints, which multiply and add far faster
+    return x.numerator if x.denominator == 1 else x
+
+
+def _axioms(group: str, maps, **tags) -> list:
+    """The axioms of one group, with maps resolved to {key: value} tables."""
+    tables = {}
+    for name, m in maps.items():
+        if isinstance(m, AltMap):
+            m = m.to_multimap()
+        tables[name] = ({k: _exact(v) for k, v in m.coeffs.items()}
+                        if isinstance(m, MultiMap) else _exact(m))
+    return [(name.format(**tags), arity, lhs, rhs, tables)
+            for key, name, arity, lhs, rhs in _AXIOMS if key == group]
+
+
+def _first_violation(space: Space, axioms):
+    """The first failing axiom, in order, as a Violation; None if all hold.
+
+    The residual lhs - rhs is nonzero exactly on the keys where the two side
+    tensors differ; the witness is the smallest tuple among them, and the
+    Violation reads both sides there as dense vectors.
+    """
+    for name, arity, lhs, rhs, maps in axioms:
+        left, right = _side(lhs, arity, maps), _side(rhs, arity, maps)
+        if left == right:
+            continue
+        witness = min(key for key in left.keys() | right.keys()
+                      if left.get(key, 0) != right.get(key, 0))[0]
+        d = space.dimension
+        return Violation(name, witness,
+                         tuple(Fraction(left.get((witness, j), 0)) for j in range(d)),
+                         tuple(Fraction(right.get((witness, j), 0)) for j in range(d)))
+    return None
+
+
+def _structure_axioms(p: Presentation) -> list:
     info = KIND_INFO[p.kind]
-    ax = _Axioms(p.space)
-    base_names = _FAMILY_PRODUCTS[info.family]
-    if not info.compatible:
-        prods = {name: p.products[name] for name in base_names}
-        _add_family_axioms(ax, info.family, prods, ",".join(base_names))
-        if info.with_derivation:
-            for name in base_names:
-                _derivation_axiom(ax, p.derivations["delta"], "delta",
-                                  p.products[name], name)
-        return ax
-    one = {name: p.products[f"{name}1"] for name in base_names}
-    two = {name: p.products[f"{name}2"] for name in base_names}
-    _add_family_axioms(ax, info.family, one, ",".join(f"{n}1" for n in base_names))
-    _add_family_axioms(ax, info.family, two, ",".join(f"{n}2" for n in base_names))
-    _add_compat_axioms(ax, info.family, one, two)
+    names = _FAMILY_PRODUCTS[info.family]
+    suffixes = ("1", "2") if info.compatible else ("",)
+    axioms = []
+    for i in suffixes:
+        axioms += _axioms(info.family, {n: p.products[n + i] for n in names},
+                          tag=",".join(n + i for n in names))
+    if info.compatible:
+        axioms += _axioms(f"compatible-{info.family}", p.products)
     if info.with_derivation:
-        d1, d2 = p.derivations["delta1"], p.derivations["delta2"]
-        for name in base_names:
-            _derivation_axiom(ax, d1, "delta1", one[name], f"{name}1")
-            _derivation_axiom(ax, d2, "delta2", two[name], f"{name}2")
-        for name in base_names:
-            _cross_derivation_axiom(ax, d1, d2, one[name], two[name], name)
-    return ax
+        for name in names:
+            for i in suffixes:
+                axioms += _axioms("derivation", {"D": p.derivations["delta" + i],
+                                                 "P": p.products[name + i]},
+                                  D="delta" + i, P=name + i)
+        for name in names if info.compatible else ():
+            axioms += _axioms("cross-derivation",
+                              {"D1": p.derivations["delta1"], "D2": p.derivations["delta2"],
+                               "P1": p.products[name + "1"], "P2": p.products[name + "2"]},
+                              P=name)
+    return axioms
 
 
 def check_structure(p: Presentation):
     """Verify every defining identity of p.kind; None on pass, else first Violation."""
     validate_presentation(p)
-    return _structure_axioms(p).first_violation()
+    return _first_violation(p.space, _structure_axioms(p))
 
 
 def check_morphism(src: Presentation, dst: Presentation, phi: MultiMap):
@@ -363,30 +394,16 @@ def check_morphism(src: Presentation, dst: Presentation, phi: MultiMap):
         raise ShapeError("a morphism is a linear map")
     if phi.space != src.space or dst.space.dimension != src.space.dimension:
         raise ShapeError("morphism must map the source space to the target space")
-    ax = _Axioms(src.space)
-    bv = ax.bv
+    axioms = []
     for name in sorted(src.products):
-        sp, dp = src.products[name], dst.products[name]
-        ax.add(f"morphism-product({name})", 2,
-               lambda t, sp=sp, dp=dp: (
-                   _ap(phi, sp.eval(t)),
-                   _ap(dp, phi.eval((t[0],)), phi.eval((t[1],)))))
+        axioms += _axioms("morphism-product",
+                          {"phi": phi, "P": src.products[name], "Q": dst.products[name]},
+                          P=name)
     for name in sorted(src.derivations):
-        sd, dd = src.derivations[name], dst.derivations[name]
-        ax.add(f"morphism-derivation({name})", 1,
-               lambda t, sd=sd, dd=dd: (
-                   _ap(phi, sd.eval(t)), _ap(dd, phi.eval(t))))
-    return ax.first_violation()
-
-
-_FAMILY_OF_PRODUCT = {
-    "mu": "associative", "bracket": "lie", "circ": "prelie",
-    "star": "zinbiel", "prec": "dendriform-prec", "succ": "dendriform-succ",
-}
-
-
-def _product_family(name: str) -> str:
-    return _FAMILY_OF_PRODUCT[name.rstrip("12")]
+        axioms += _axioms("morphism-derivation",
+                          {"phi": phi, "D": src.derivations[name],
+                           "E": dst.derivations[name]}, D=name)
+    return _first_violation(src.space, axioms)
 
 
 def check_operator(p: Presentation, op: MultiMap, role: str, weight=0):
@@ -402,81 +419,26 @@ def check_operator(p: Presentation, op: MultiMap, role: str, weight=0):
         raise ShapeError("operator must be a linear endomorphism of p.space")
     weight = Fraction(weight)
     info = KIND_INFO[p.kind]
-    ax = _Axioms(p.space)
-    bv = ax.bv
-
-    if role == "derivation":
-        for name in sorted(p.products):
-            _derivation_axiom(ax, op, "op", p.products[name], name)
-        return ax.first_violation()
-
-    if role == "rota-baxter":
-        for name in sorted(p.products):
-            family = _product_family(name)
-            prod = p.products[name]
-            if family == "associative":
-                ax.add(f"rota-baxter({name})", 2, lambda t, prod=prod: (
-                    _add(_ap(prod, op.eval((t[0],)), op.eval((t[1],))),
-                         [weight * x for x in _ap(op, prod.eval(t))]),
-                    _ap(op, _add(_ap(prod, op.eval((t[0],)), bv(t[1])),
-                                 _ap(prod, bv(t[0]), op.eval((t[1],)))))))
-            elif family == "lie":
-                ax.add(f"rota-baxter({name})", 2, lambda t, prod=prod: (
-                    _add(_ap(prod, op.eval((t[0],)), op.eval((t[1],))),
-                         [weight * x for x in _ap(op, prod.eval(t))]),
-                    _ap(op, _add(_ap(prod, op.eval((t[0],)), bv(t[1])),
-                                 _ap(prod, bv(t[0]), op.eval((t[1],)))))))
-            elif family.startswith("dendriform"):
-                if weight != 0:
-                    raise UnsupportedRoleError(
-                        "dendriform Rota-Baxter operators are weight 0 only")
-                ax.add(f"rota-baxter({name})", 2, lambda t, prod=prod: (
-                    _ap(prod, op.eval((t[0],)), op.eval((t[1],))),
-                    _ap(op, _add(_ap(prod, op.eval((t[0],)), bv(t[1])),
-                                 _ap(prod, bv(t[0]), op.eval((t[1],)))))))
-            else:
-                raise UnsupportedRoleError(
-                    f"Rota-Baxter role undefined on {info.family} structures")
-        if info.compatible:
-            _commutation_axioms(ax, op, p)
-        return ax.first_violation()
-
-    if role == "nijenhuis":
-        for name in sorted(p.products):
-            if _product_family(name) != "associative":
-                raise UnsupportedRoleError(
-                    f"Nijenhuis role undefined on {info.family} structures")
-            prod = p.products[name]
-            ax.add(f"nijenhuis({name})", 2, lambda t, prod=prod: (
-                _ap(prod, op.eval((t[0],)), op.eval((t[1],))),
-                _ap(op, _sub(_add(_ap(prod, op.eval((t[0],)), bv(t[1])),
-                                  _ap(prod, bv(t[0]), op.eval((t[1],)))),
-                             _ap(op, prod.eval(t))))))
-        if info.compatible:
-            _commutation_axioms(ax, op, p)
-        return ax.first_violation()
-
-    if role == "idempotent-endomorphism":
-        ax.add("idempotent", 1, lambda t: (
-            _ap(op, op.eval(t)), op.eval(t)))
-        # "endomorphism" is multiplicative: T(P(x,y)) = P(Tx,Ty).  Idempotency
-        # plus commutation alone does not make the induced brackets Lie.
-        for name in sorted(p.products):
-            prod = p.products[name]
-            ax.add(f"multiplicative({name})", 2, lambda t, prod=prod: (
-                _ap(op, prod.eval(t)),
-                _ap(prod, op.eval((t[0],)), op.eval((t[1],)))))
-        _commutation_axioms(ax, op, p)
-        return ax.first_violation()
-
-    raise UnsupportedRoleError(f"unknown operator role {role!r}")
-
-
-def _commutation_axioms(ax: _Axioms, op: MultiMap, p: Presentation):
-    for name in sorted(p.derivations):
-        delta = p.derivations[name]
-        ax.add(f"commutes({name})", 1, lambda t, delta=delta: (
-            _ap(op, delta.eval(t)), _ap(delta, op.eval(t))))
+    group = {"derivation": "derivation", "rota-baxter": "rota-baxter",
+             "nijenhuis": "nijenhuis",
+             "idempotent-endomorphism": "multiplicative"}.get(role)
+    if group is None:
+        raise UnsupportedRoleError(f"unknown operator role {role!r}")
+    if role == "rota-baxter" and info.family not in ("associative", "lie", "dendriform"):
+        raise UnsupportedRoleError(
+            f"Rota-Baxter role undefined on {info.family} structures")
+    if role == "rota-baxter" and info.family == "dendriform" and weight != 0:
+        raise UnsupportedRoleError("dendriform Rota-Baxter operators are weight 0 only")
+    if role == "nijenhuis" and info.family != "associative":
+        raise UnsupportedRoleError(f"Nijenhuis role undefined on {info.family} structures")
+    axioms = _axioms("idempotent", {"T": op}) if group == "multiplicative" else []
+    for name in sorted(p.products):
+        axioms += _axioms(group, {"T": op, "D": op, "P": p.products[name], "w": weight},
+                          D="op", P=name)
+    if group == "multiplicative" or (role != "derivation" and info.compatible):
+        for name in sorted(p.derivations):
+            axioms += _axioms("commutes", {"T": op, "D": p.derivations[name]}, D=name)
+    return _first_violation(p.space, axioms)
 
 
 # ---------------------------------------------------------------------------

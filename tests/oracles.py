@@ -9,6 +9,9 @@ textbook face sums.  The dense Bareiss rank and the Gauss-Jordan kernel are
 the linear algebra the package used before its sparse eliminator, and
 ``apply_oracle`` and ``der_D_oracle`` are the dense evaluation and
 derivation insertion it used before its entry-driven kernels.
+``check_structure_oracle``, ``check_operator_oracle`` and
+``check_morphism_oracle`` are its per-tuple axiom checkers from before the
+residual tensors.
 """
 
 import itertools
@@ -16,8 +19,10 @@ from fractions import Fraction
 from math import factorial, gcd
 
 from derpair.cochains import AltMap, MultiMap, _perm_sign
-from derpair.errors import ShapeError
-from derpair.linalg import ONE, ZERO, Matrix
+from derpair.errors import SchemaError, ShapeError, UnsupportedRoleError
+from derpair.linalg import ONE, ZERO, Matrix, Space
+from derpair.structures import (_FAMILY_PRODUCTS, KIND_INFO, Presentation,
+                                Violation, validate_presentation)
 
 
 def circle_g_oracle(f: MultiMap, g: MultiMap) -> MultiMap:
@@ -359,3 +364,337 @@ def nullspace_oracle(m: Matrix) -> list[tuple[Fraction, ...]]:
             v[c] = -a[r][f]
         basis.append(tuple(v))
     return basis
+
+
+# -- per-tuple axiom checks ------------------------------------------------------
+# The structure, operator and morphism checkers the package used before its
+# residual tensors: every axiom is evaluated one basis tuple at a time, each
+# side through ``apply`` on basis vectors, and the first tuple whose sides
+# differ is the witness.
+
+def _add(*vectors):
+    out = list(vectors[0])
+    for vec in vectors[1:]:
+        for i, x in enumerate(vec):
+            out[i] += x
+    return out
+
+
+def _sub(a, b):
+    return [x - y for x, y in zip(a, b)]
+
+
+def _neg(a):
+    return [-x for x in a]
+
+
+class _Axioms:
+    """Collects (name, arity, fn) triples; fn maps an index tuple to (lhs, rhs)."""
+
+    def __init__(self, space: Space):
+        self.space = space
+        self.items = []
+
+    def add(self, name, arity, fn):
+        self.items.append((name, arity, fn))
+
+    def bv(self, i):
+        return self.space.basis_vector(i)
+
+    def first_violation(self):
+        d = self.space.dimension
+        for name, arity, fn in self.items:
+            for tpl in itertools.product(range(d), repeat=arity):
+                lhs, rhs = fn(tpl)
+                if lhs != rhs:
+                    return Violation(name, tpl, tuple(lhs), tuple(rhs))
+        return None
+
+
+def _ap(m, *vectors):
+    return m.apply(vectors)
+
+
+def _add_family_axioms(ax: _Axioms, family: str, prods: dict, tag: str):
+    bv = ax.bv
+    if family == "associative":
+        mu = prods["mu"]
+        ax.add(f"associativity({tag})", 3, lambda t: (
+            _ap(mu, mu.eval(t[:2]), bv(t[2])),
+            _ap(mu, bv(t[0]), mu.eval(t[1:]))))
+    elif family == "lie":
+        br = prods["bracket"]
+        ax.add(f"skew-symmetry({tag})", 2, lambda t: (
+            br.eval(t), _neg(br.eval((t[1], t[0])))))
+        ax.add(f"jacobi({tag})", 3, lambda t: (
+            _add(_ap(br, br.eval((t[0], t[1])), bv(t[2])),
+                 _ap(br, br.eval((t[1], t[2])), bv(t[0])),
+                 _ap(br, br.eval((t[2], t[0])), bv(t[1]))),
+            [ZERO] * ax.space.dimension))
+    elif family == "prelie":
+        c = prods["circ"]
+        ax.add(f"pre-lie({tag})", 3, lambda t: (
+            _sub(_ap(c, c.eval((t[0], t[1])), bv(t[2])),
+                 _ap(c, bv(t[0]), c.eval((t[1], t[2])))),
+            _sub(_ap(c, c.eval((t[1], t[0])), bv(t[2])),
+                 _ap(c, bv(t[1]), c.eval((t[0], t[2]))))))
+    elif family == "zinbiel":
+        s = prods["star"]
+        ax.add(f"zinbiel({tag})", 3, lambda t: (
+            _ap(s, bv(t[0]), s.eval((t[1], t[2]))),
+            _add(_ap(s, s.eval((t[0], t[1])), bv(t[2])),
+                 _ap(s, s.eval((t[1], t[0])), bv(t[2])))))
+    elif family == "dendriform":
+        p, s = prods["prec"], prods["succ"]
+        ax.add(f"dendriform-left({tag})", 3, lambda t: (
+            _ap(p, p.eval((t[0], t[1])), bv(t[2])),
+            _ap(p, bv(t[0]), _add(p.eval((t[1], t[2])), s.eval((t[1], t[2]))))))
+        ax.add(f"dendriform-middle({tag})", 3, lambda t: (
+            _ap(p, s.eval((t[0], t[1])), bv(t[2])),
+            _ap(s, bv(t[0]), p.eval((t[1], t[2])))))
+        ax.add(f"dendriform-right({tag})", 3, lambda t: (
+            _ap(s, bv(t[0]), s.eval((t[1], t[2]))),
+            _ap(s, _add(p.eval((t[0], t[1])), s.eval((t[0], t[1]))), bv(t[2]))))
+    else:  # pragma: no cover
+        raise SchemaError(f"unknown family {family!r}")
+
+
+def _add_compat_axioms(ax: _Axioms, family: str, one: dict, two: dict):
+    bv = ax.bv
+    if family == "associative":
+        m1, m2 = one["mu"], two["mu"]
+        ax.add("compatible-associative", 3, lambda t: (
+            _add(_ap(m2, m1.eval(t[:2]), bv(t[2])),
+                 _ap(m1, m2.eval(t[:2]), bv(t[2]))),
+            _add(_ap(m1, bv(t[0]), m2.eval(t[1:])),
+                 _ap(m2, bv(t[0]), m1.eval(t[1:])))))
+    elif family == "lie":
+        b1, b2 = one["bracket"], two["bracket"]
+
+        def cyclic(br_out, br_in, t):
+            x, y, z = t
+            return _add(_ap(br_out, br_in.eval((x, y)), bv(z)),
+                        _ap(br_out, br_in.eval((y, z)), bv(x)),
+                        _ap(br_out, br_in.eval((z, x)), bv(y)))
+
+        ax.add("compatible-jacobi", 3, lambda t: (
+            _add(cyclic(b2, b1, t), cyclic(b1, b2, t)),
+            [ZERO] * ax.space.dimension))
+    elif family == "prelie":
+        c1, c2 = one["circ"], two["circ"]
+
+        def one_side(x, y, z):
+            return _sub(
+                _add(_ap(c1, bv(x), c2.eval((y, z))),
+                     _ap(c2, bv(x), c1.eval((y, z)))),
+                _add(_ap(c1, c2.eval((x, y)), bv(z)),
+                     _ap(c2, c1.eval((x, y)), bv(z))))
+
+        ax.add("compatible-pre-lie", 3, lambda t: (
+            one_side(t[0], t[1], t[2]), one_side(t[1], t[0], t[2])))
+    elif family == "zinbiel":
+        s1, s2 = one["star"], two["star"]
+        ax.add("compatible-zinbiel", 3, lambda t: (
+            _add(_ap(s1, bv(t[0]), s2.eval((t[1], t[2]))),
+                 _ap(s2, bv(t[0]), s1.eval((t[1], t[2])))),
+            _add(_ap(s1, s2.eval((t[0], t[1])), bv(t[2])),
+                 _ap(s2, s1.eval((t[0], t[1])), bv(t[2])),
+                 _ap(s1, s2.eval((t[1], t[0])), bv(t[2])),
+                 _ap(s2, s1.eval((t[1], t[0])), bv(t[2])))))
+    elif family == "dendriform":
+        p1, s1 = one["prec"], one["succ"]
+        p2, s2 = two["prec"], two["succ"]
+        ax.add("compatible-dendriform-left", 3, lambda t: (
+            _add(_ap(p2, p1.eval(t[:2]), bv(t[2])),
+                 _ap(p1, p2.eval(t[:2]), bv(t[2]))),
+            _add(_ap(p2, bv(t[0]), _add(p1.eval(t[1:]), s1.eval(t[1:]))),
+                 _ap(p1, bv(t[0]), _add(p2.eval(t[1:]), s2.eval(t[1:]))))))
+        ax.add("compatible-dendriform-middle", 3, lambda t: (
+            _add(_ap(p2, s1.eval(t[:2]), bv(t[2])),
+                 _ap(p1, s2.eval(t[:2]), bv(t[2]))),
+            _add(_ap(s2, bv(t[0]), p1.eval(t[1:])),
+                 _ap(s1, bv(t[0]), p2.eval(t[1:])))))
+        ax.add("compatible-dendriform-right", 3, lambda t: (
+            _add(_ap(s2, _add(p1.eval(t[:2]), s1.eval(t[:2])), bv(t[2])),
+                 _ap(s1, _add(p2.eval(t[:2]), s2.eval(t[:2])), bv(t[2]))),
+            _add(_ap(s2, bv(t[0]), s1.eval(t[1:])),
+                 _ap(s1, bv(t[0]), s2.eval(t[1:])))))
+
+
+def _derivation_axiom(ax: _Axioms, delta, delta_tag: str, prod, prod_tag: str):
+    bv = ax.bv
+    ax.add(f"derivation({delta_tag},{prod_tag})", 2, lambda t: (
+        _ap(delta, prod.eval(t)),
+        _add(_ap(prod, delta.eval((t[0],)), bv(t[1])),
+             _ap(prod, bv(t[0]), delta.eval((t[1],))))))
+
+
+def _cross_derivation_axiom(ax: _Axioms, d1, d2, prod1, prod2, tag: str):
+    # delta1 acting across structure 2 plus delta2 across structure 1.
+    bv = ax.bv
+    ax.add(f"cross-derivation({tag})", 2, lambda t: (
+        _add(_ap(d1, prod2.eval(t)), _ap(d2, prod1.eval(t))),
+        _add(_ap(prod2, d1.eval((t[0],)), bv(t[1])),
+             _ap(prod2, bv(t[0]), d1.eval((t[1],))),
+             _ap(prod1, d2.eval((t[0],)), bv(t[1])),
+             _ap(prod1, bv(t[0]), d2.eval((t[1],))))))
+
+
+def _structure_axioms(p: Presentation) -> _Axioms:
+    info = KIND_INFO[p.kind]
+    ax = _Axioms(p.space)
+    base_names = _FAMILY_PRODUCTS[info.family]
+    if not info.compatible:
+        prods = {name: p.products[name] for name in base_names}
+        _add_family_axioms(ax, info.family, prods, ",".join(base_names))
+        if info.with_derivation:
+            for name in base_names:
+                _derivation_axiom(ax, p.derivations["delta"], "delta",
+                                  p.products[name], name)
+        return ax
+    one = {name: p.products[f"{name}1"] for name in base_names}
+    two = {name: p.products[f"{name}2"] for name in base_names}
+    _add_family_axioms(ax, info.family, one, ",".join(f"{n}1" for n in base_names))
+    _add_family_axioms(ax, info.family, two, ",".join(f"{n}2" for n in base_names))
+    _add_compat_axioms(ax, info.family, one, two)
+    if info.with_derivation:
+        d1, d2 = p.derivations["delta1"], p.derivations["delta2"]
+        for name in base_names:
+            _derivation_axiom(ax, d1, "delta1", one[name], f"{name}1")
+            _derivation_axiom(ax, d2, "delta2", two[name], f"{name}2")
+        for name in base_names:
+            _cross_derivation_axiom(ax, d1, d2, one[name], two[name], name)
+    return ax
+
+
+def check_structure_oracle(p: Presentation):
+    """Verify every defining identity of p.kind; None on pass, else first Violation."""
+    validate_presentation(p)
+    return _structure_axioms(p).first_violation()
+
+
+def check_morphism_oracle(src: Presentation, dst: Presentation, phi: MultiMap):
+    """Verify phi preserves every product and intertwines every derivation."""
+    validate_presentation(src)
+    validate_presentation(dst)
+    if src.kind != dst.kind:
+        raise SchemaError("morphism endpoints must share a kind")
+    if phi.arity != 1:
+        raise ShapeError("a morphism is a linear map")
+    if phi.space != src.space or dst.space.dimension != src.space.dimension:
+        raise ShapeError("morphism must map the source space to the target space")
+    ax = _Axioms(src.space)
+    bv = ax.bv
+    for name in sorted(src.products):
+        sp, dp = src.products[name], dst.products[name]
+        ax.add(f"morphism-product({name})", 2,
+               lambda t, sp=sp, dp=dp: (
+                   _ap(phi, sp.eval(t)),
+                   _ap(dp, phi.eval((t[0],)), phi.eval((t[1],)))))
+    for name in sorted(src.derivations):
+        sd, dd = src.derivations[name], dst.derivations[name]
+        ax.add(f"morphism-derivation({name})", 1,
+               lambda t, sd=sd, dd=dd: (
+                   _ap(phi, sd.eval(t)), _ap(dd, phi.eval(t))))
+    return ax.first_violation()
+
+
+_FAMILY_OF_PRODUCT = {
+    "mu": "associative", "bracket": "lie", "circ": "prelie",
+    "star": "zinbiel", "prec": "dendriform-prec", "succ": "dendriform-succ",
+}
+
+
+def _product_family(name: str) -> str:
+    return _FAMILY_OF_PRODUCT[name.rstrip("12")]
+
+
+def check_operator_oracle(p: Presentation, op: MultiMap, role: str, weight=0):
+    """Verify op plays the given role on p; None on pass, else first Violation.
+
+    Roles: "derivation", "rota-baxter" (with weight), "nijenhuis",
+    "idempotent-endomorphism".  On compatible kinds the operator roles other
+    than derivation additionally require commutation with every derivation of
+    the presentation.
+    """
+    validate_presentation(p)
+    if op.arity != 1 or op.space != p.space:
+        raise ShapeError("operator must be a linear endomorphism of p.space")
+    weight = Fraction(weight)
+    info = KIND_INFO[p.kind]
+    ax = _Axioms(p.space)
+    bv = ax.bv
+
+    if role == "derivation":
+        for name in sorted(p.products):
+            _derivation_axiom(ax, op, "op", p.products[name], name)
+        return ax.first_violation()
+
+    if role == "rota-baxter":
+        for name in sorted(p.products):
+            family = _product_family(name)
+            prod = p.products[name]
+            if family == "associative":
+                ax.add(f"rota-baxter({name})", 2, lambda t, prod=prod: (
+                    _add(_ap(prod, op.eval((t[0],)), op.eval((t[1],))),
+                         [weight * x for x in _ap(op, prod.eval(t))]),
+                    _ap(op, _add(_ap(prod, op.eval((t[0],)), bv(t[1])),
+                                 _ap(prod, bv(t[0]), op.eval((t[1],)))))))
+            elif family == "lie":
+                ax.add(f"rota-baxter({name})", 2, lambda t, prod=prod: (
+                    _add(_ap(prod, op.eval((t[0],)), op.eval((t[1],))),
+                         [weight * x for x in _ap(op, prod.eval(t))]),
+                    _ap(op, _add(_ap(prod, op.eval((t[0],)), bv(t[1])),
+                                 _ap(prod, bv(t[0]), op.eval((t[1],)))))))
+            elif family.startswith("dendriform"):
+                if weight != 0:
+                    raise UnsupportedRoleError(
+                        "dendriform Rota-Baxter operators are weight 0 only")
+                ax.add(f"rota-baxter({name})", 2, lambda t, prod=prod: (
+                    _ap(prod, op.eval((t[0],)), op.eval((t[1],))),
+                    _ap(op, _add(_ap(prod, op.eval((t[0],)), bv(t[1])),
+                                 _ap(prod, bv(t[0]), op.eval((t[1],)))))))
+            else:
+                raise UnsupportedRoleError(
+                    f"Rota-Baxter role undefined on {info.family} structures")
+        if info.compatible:
+            _commutation_axioms(ax, op, p)
+        return ax.first_violation()
+
+    if role == "nijenhuis":
+        for name in sorted(p.products):
+            if _product_family(name) != "associative":
+                raise UnsupportedRoleError(
+                    f"Nijenhuis role undefined on {info.family} structures")
+            prod = p.products[name]
+            ax.add(f"nijenhuis({name})", 2, lambda t, prod=prod: (
+                _ap(prod, op.eval((t[0],)), op.eval((t[1],))),
+                _ap(op, _sub(_add(_ap(prod, op.eval((t[0],)), bv(t[1])),
+                                  _ap(prod, bv(t[0]), op.eval((t[1],)))),
+                             _ap(op, prod.eval(t))))))
+        if info.compatible:
+            _commutation_axioms(ax, op, p)
+        return ax.first_violation()
+
+    if role == "idempotent-endomorphism":
+        ax.add("idempotent", 1, lambda t: (
+            _ap(op, op.eval(t)), op.eval(t)))
+        # "endomorphism" is multiplicative: T(P(x,y)) = P(Tx,Ty).  Idempotency
+        # plus commutation alone does not make the induced brackets Lie.
+        for name in sorted(p.products):
+            prod = p.products[name]
+            ax.add(f"multiplicative({name})", 2, lambda t, prod=prod: (
+                _ap(op, prod.eval(t)),
+                _ap(prod, op.eval((t[0],)), op.eval((t[1],)))))
+        _commutation_axioms(ax, op, p)
+        return ax.first_violation()
+
+    raise UnsupportedRoleError(f"unknown operator role {role!r}")
+
+
+def _commutation_axioms(ax: _Axioms, op: MultiMap, p: Presentation):
+    for name in sorted(p.derivations):
+        delta = p.derivations[name]
+        ax.add(f"commutes({name})", 1, lambda t, delta=delta: (
+            _ap(op, delta.eval(t)), _ap(delta, op.eval(t))))
+

@@ -115,6 +115,35 @@ def test_check_kind_override(capsys, corpus, tmp_path):
     assert code == 0
 
 
+def _large_sparse_file(tmp_path, entries):
+    doc = {"dimension": 200, "kind": "associative",
+           "products": {"mu": entries}, "derivations": {}}
+    path = tmp_path / "large_sparse.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_check_large_sparse_file(capsys, tmp_path):
+    # 200 basis vectors and one product entry: the axiom residuals are empty
+    # tensors, so the check costs the entries, not 200^3 tuples
+    path = _large_sparse_file(tmp_path, [[3, 5, 8, "1"]])
+    code, out, _ = run_cli(capsys, "check", str(path))
+    assert code == 0
+    assert json.loads(out)["verdict"] == "pass"
+
+
+def test_check_large_sparse_file_violation(capsys, tmp_path):
+    # e8 e8 = e43 and e43 e8 = e8: (e8 e8) e8 = e8 but e8 (e8 e8) = e8 e43 = 0
+    path = _large_sparse_file(tmp_path, [[7, 7, 42, "1"], [42, 7, 7, "1"]])
+    code, out, _ = run_cli(capsys, "check", str(path))
+    assert code == 1
+    violation = json.loads(out)["violations"][0]
+    assert violation["axiom"] == "associativity(mu)"
+    assert violation["witness"] == ["e8", "e8", "e8"]
+    assert violation["lhs"] == ["1" if i == 7 else "0" for i in range(200)]
+    assert violation["rhs"] == ["0"] * 200
+
+
 def test_reports_byte_identical(capsys, corpus):
     _, first, _ = run_cli(capsys, "check", str(corpus / "compatible_lie.json"))
     _, second, _ = run_cli(capsys, "check", str(corpus / "compatible_lie.json"))

@@ -2,6 +2,7 @@ import itertools
 import random
 import zlib
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -9,12 +10,14 @@ from derpair.brackets import dc_bracket, gerstenhaber
 from derpair.cochains import AltMap, DerCochain, MultiMap
 from derpair.errors import SchemaError, UnsupportedRoleError
 from derpair.linalg import Space, nullspace
-from derpair.structures import (KINDS, Presentation, Violation,
-                                check_morphism, check_operator,
+from derpair.structures import (_FAMILY_PRODUCTS, KIND_INFO, KINDS, Presentation,
+                                Violation, check_morphism, check_operator,
                                 check_structure, derivation_system,
                                 fingerprint, kind_shape)
 
 import gen
+from oracles import (check_morphism_oracle, check_operator_oracle,
+                     check_structure_oracle)
 
 S2 = Space.of_dim(2)
 S3 = Space.of_dim(3)
@@ -416,3 +419,176 @@ def test_fingerprint_changes_with_content():
     assert fingerprint(p) != fingerprint(q)
     assert fingerprint(p) == fingerprint(
         P(S2, "associative", {"mu": gen.mm(S2, 2, [(0, 0, 1, 1)])}))
+
+
+# -- residual tensors against the per-tuple checkers ------------------------------
+
+def _graded_presentation(kind, d, rng):
+    """A valid instance of kind on d basis vectors, rescaled rationally.
+
+    e_i has degree i+1 and every product is e_i e_j = c_ij e_{i+j+1} below d:
+    the nilpotent associative algebra, the Witt pre-Lie product x^a d o x^b d
+    and its commutator, the half-shuffle zinbiel product and its dendriform
+    split.  The grading is a derivation of all of them, and a compatible pair
+    is (P, cP).  The basis is then rescaled by random rationals.
+    """
+    space = Space.of_dim(d)
+    info = KIND_INFO[kind]
+    coefficient = {
+        "associative": lambda i, j: 1,
+        "prelie": lambda i, j: j + 2,
+        "lie": lambda i, j: j - i,
+        "zinbiel": lambda i, j: comb(i + j + 1, i + 1),
+    }
+    family = "zinbiel" if info.family == "dendriform" else info.family
+
+    def graded(scale):
+        table = {((i, j), i + j + 1): scale * coefficient[family](i, j)
+                 for i in range(d) for j in range(d) if i + j + 1 < d}
+        star = MultiMap(space, 2, table)
+        if info.family == "dendriform":
+            return dict(zip(("prec", "succ"), gen.zinbiel_split(star)))
+        return {_FAMILY_PRODUCTS[info.family][0]: star}
+
+    grading = gen.mm(space, 1, [(i, i, i + 1) for i in range(d)])
+    if info.compatible:
+        c = rng.choice((-2, 3, Fraction(1, 2)))
+        products = {f"{name}{i}": m for i, scale in (("1", 1), ("2", c))
+                    for name, m in graded(scale).items()}
+        derivations = {"delta1": grading, "delta2": grading.scale(c)}
+    else:
+        products, derivations = graded(1), {"delta": grading}
+    if not info.with_derivation:
+        derivations = {}
+    scales = [rng.choice((1, -1)) * gen.rand_rational(rng, 4) or Fraction(1)
+              for _ in range(d)]
+    return _rescaled(P(space, kind, products, derivations), scales)
+
+
+def _rescaled(p, scales):
+    """Image of p under the basis change e_i -> scales[i] e_i."""
+    def move(m):
+        table = {}
+        for (args, out), value in m.coeffs.items():
+            for a in args:
+                value /= scales[a]
+            table[(args, out)] = value * scales[out]
+        return MultiMap(p.space, m.arity, table)
+    return P(p.space, p.kind, {n: move(m) for n, m in p.products.items()},
+             {n: move(m) for n, m in p.derivations.items()})
+
+
+def _perturbed(rng, p):
+    """p with one map plus a sparse random rational map (skew for brackets)."""
+    maps = {**p.products, **p.derivations}
+    target = rng.choice(sorted(maps))
+    m = maps[target]
+    if target.startswith("bracket") and rng.random() < 0.5:
+        extra = gen.rand_rational_map(rng, AltMap, p.space, 2, False).to_multimap()
+    else:
+        extra = gen.rand_rational_map(rng, MultiMap, p.space, m.arity, False)
+    group = dict(p.products if target in p.products else p.derivations)
+    group[target] = m + extra
+    if target in p.products:
+        return P(p.space, p.kind, group, p.derivations)
+    return P(p.space, p.kind, p.products, group)
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except UnsupportedRoleError as exc:
+        return f"UnsupportedRoleError: {exc}"
+
+
+def test_check_structure_matches_per_tuple_oracle_all_kinds():
+    rng = random.Random(SEED + 7)
+    failures = 0
+    for kind in KINDS:
+        for d in range(1, 6):
+            clean = _graded_presentation(kind, d, rng)
+            cases = [clean, _perturbed(rng, clean), _perturbed(rng, clean)]
+            if d <= 3:
+                cases.append(_valid_instance(rng, kind))
+            for p in cases:
+                expected = check_structure_oracle(p)
+                assert repr(check_structure(p)) == repr(expected), (kind, d)
+                failures += expected is not None
+            assert check_structure(clean) is None, (kind, d)
+    assert failures > 100
+
+
+def _operators(rng, p):
+    d = p.space.dimension
+    grading = gen.mm(p.space, 1, [(i, i, i + 1) for i in range(d)])
+    ops = [MultiMap.zero(p.space, 1), MultiMap.identity(p.space),
+           MultiMap.identity(p.space).scale(Fraction(-3, 2)), grading,
+           gen.rand_rational_map(rng, MultiMap, p.space, 1, False),
+           gen.rand_rational_map(rng, MultiMap, p.space, 1, True)]
+    ops += [op + gen.rand_rational_map(rng, MultiMap, p.space, 1, False)
+            for op in ops[1:4]]
+    return ops
+
+
+def test_check_operator_matches_per_tuple_oracle_every_role():
+    rng = random.Random(SEED + 8)
+    roles = (("derivation", 0), ("rota-baxter", 0), ("rota-baxter", Fraction(-2, 3)),
+             ("nijenhuis", 0), ("idempotent-endomorphism", 0), ("no-such-role", 0))
+    passes = failures = refusals = 0
+    for kind in KINDS:
+        for d in (1, 2, 4):
+            p = _graded_presentation(kind, d, rng)
+            for op in _operators(rng, p):
+                for role, weight in roles:
+                    expected = _outcome(check_operator_oracle, p, op, role, weight)
+                    assert _outcome(check_operator, p, op, role, weight) == expected, \
+                        (kind, d, role, weight)
+                    passes += expected == "None"
+                    refusals += expected.startswith("Unsupported")
+                    failures += expected.startswith("Violation")
+    # searched operators that satisfy their role on the catalog algebras
+    for p, r_op in gen.rb_ready_assder_instances(rng, 3) + gen.rb_ready_lieder_instances(rng, 3):
+        for op in (r_op, r_op + MultiMap.identity(p.space)):
+            expected = repr(check_operator_oracle(p, op, "rota-baxter"))
+            assert repr(check_operator(p, op, "rota-baxter")) == expected
+            passes += expected == "None"
+    for mu, n_op in gen.nijenhuis_ready_instances(rng, 4):
+        host = P(mu.space, "associative", {"mu": mu})
+        expected = repr(check_operator_oracle(host, n_op, "nijenhuis"))
+        assert expected == "None"
+        assert repr(check_operator(host, n_op, "nijenhuis")) == expected
+    for p, t_op in gen.endo_ready_instances(rng, 3):
+        for op in (t_op, t_op.scale(2)):
+            expected = repr(check_operator_oracle(p, op, "idempotent-endomorphism"))
+            assert repr(check_operator(p, op, "idempotent-endomorphism")) == expected
+    host = P(S2, "associative", {"mu": gen.NIL2})
+    for weight in (1, -1):
+        found = gen.rota_baxter_search(S2, (gen.NIL2,), weight)
+        assert found
+        for op in found[:8]:
+            expected = repr(check_operator_oracle(host, op, "rota-baxter", weight))
+            assert expected == "None"
+            assert repr(check_operator(host, op, "rota-baxter", weight)) == expected
+    assert passes > 50 and failures > 500 and refusals > 50
+    with pytest.raises(UnsupportedRoleError, match="weight 0 only"):
+        check_operator(_graded_presentation("dendriform", 3, rng),
+                       MultiMap.zero(Space.of_dim(3), 1), "rota-baxter", 1)
+
+
+def test_check_morphism_matches_per_tuple_oracle():
+    rng = random.Random(SEED + 9)
+    outcomes = set()
+    for kind in KINDS:
+        for d in (1, 3, 5):
+            src = _graded_presentation(kind, d, rng)
+            scales = [gen.rand_rational(rng, 4) or Fraction(3) for _ in range(d)]
+            dst = _rescaled(src, scales)
+            phi = MultiMap(src.space, 1, {((i,), i): s for i, s in enumerate(scales)})
+            for target, image in ((dst, phi), (_perturbed(rng, dst), phi),
+                                  (dst, phi + gen.rand_rational_map(
+                                      rng, MultiMap, src.space, 1, False))):
+                expected = check_morphism_oracle(src, target, image)
+                assert repr(check_morphism(src, target, image)) == repr(expected)
+                outcomes.add(expected is None)
+            assert check_morphism(src, dst, phi) is None
+    assert outcomes == {True, False}
