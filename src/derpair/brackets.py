@@ -12,7 +12,8 @@ has arity k sits in complex degree k.
 
 from __future__ import annotations
 
-from .cochains import AltMap, DerCochain, MultiMap, circle_g, circle_nr
+from .cochains import (AltMap, DerCochain, MultiMap, circle_g, circle_nr,
+                       linear_combination)
 from .errors import ShapeError
 
 
@@ -60,12 +61,13 @@ def dc_bracket(a: DerCochain, b: DerCochain) -> DerCochain:
     top = nijenhuis_richardson(a.top, b.top)
     if m + n == 0:
         return DerCochain(top, None)
-    shadow = AltMap.zero(a.space, m + n)
+    # m + n > 0, so at least one side has a shadow
+    shadow = []
     if b.shadow is not None:
-        shadow = shadow + nijenhuis_richardson(a.top, b.shadow).scale((-1) ** m)
+        shadow.append(((-1) ** m, nijenhuis_richardson(a.top, b.shadow)))
     if a.shadow is not None:
-        shadow = shadow - nijenhuis_richardson(b.top, a.shadow).scale((-1) ** (n * (m + 1)))
-    return DerCochain(top, shadow)
+        shadow.append((-(-1) ** (n * (m + 1)), nijenhuis_richardson(b.top, a.shadow)))
+    return DerCochain(top, linear_combination(shadow))
 
 
 def assder_bracket(a: DerCochain, b: DerCochain) -> DerCochain:
@@ -88,9 +90,10 @@ def assder_bracket(a: DerCochain, b: DerCochain) -> DerCochain:
     top = gerstenhaber(a.top, b.top)
     if m + n - 1 == 1:
         return DerCochain(top, None)
-    shadow = MultiMap.zero(a.space, m + n - 2)
+    # m + n > 2, so at least one side has a shadow
+    shadow = []
     if b.shadow is not None:
-        shadow = shadow + gerstenhaber(a.top, b.shadow).scale((-1) ** (m + 1))
+        shadow.append(((-1) ** (m + 1), gerstenhaber(a.top, b.shadow)))
     if a.shadow is not None:
-        shadow = shadow + gerstenhaber(a.shadow, b.top)
-    return DerCochain(top, shadow)
+        shadow.append((1, gerstenhaber(a.shadow, b.top)))
+    return DerCochain(top, linear_combination(shadow))

@@ -26,7 +26,6 @@ so coboundary matrices can be assembled deterministically.
 from __future__ import annotations
 
 import itertools
-import operator
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial
@@ -110,15 +109,9 @@ class _SparseMap:
     def _plus(self, other, sign):
         # self + sign * other in one pass over other's entries
         self._require_like(other)
-        combine = operator.add if sign > 0 else operator.sub
-        table = dict(self.coeffs)
-        for key, value in other.coeffs.items():
-            total = combine(table.get(key, ZERO), value)
-            if total == 0:
-                table.pop(key, None)
-            else:
-                table[key] = total
-        return self._of(self.space, self.arity, table)
+        terms = other.coeffs if sign > 0 else _scaled(-1, other.coeffs)
+        return self._of(self.space, self.arity,
+                        accumulate(dict(self.coeffs), terms.items()))
 
     def __add__(self, other):
         return self._plus(other, 1)
@@ -130,11 +123,7 @@ class _SparseMap:
         return self._plus(other, -1)
 
     def scale(self, factor):
-        factor = as_scalar(factor)
-        if factor == 0:
-            return self._of(self.space, self.arity, {})
-        return self._of(self.space, self.arity,
-                        {key: factor * value for key, value in self.coeffs.items()})
+        return self._of(self.space, self.arity, _scaled(as_scalar(factor), self.coeffs))
 
     def __rmul__(self, factor):
         return self.scale(factor)
@@ -357,18 +346,18 @@ def circle_g(f: MultiMap, g: MultiMap) -> MultiMap:
     by_output = {}
     for (args, out), value in g.coeffs.items():
         by_output.setdefault(out, []).append((args, value))
-    table = {}
+    terms = []
     for slot in range(f.arity):
-        sign = (-1) ** (slot * q)
+        negate = slot * q % 2
         for (fargs, fout), fvalue in f.coeffs.items():
-            for gargs, gvalue in by_output.get(fargs[slot], ()):
-                key = (fargs[:slot] + gargs + fargs[slot + 1:], fout)
-                total = table.get(key, ZERO) + sign * fvalue * gvalue
-                if total == 0:
-                    table.pop(key, None)
-                else:
-                    table[key] = total
-    return MultiMap._of(space, out_arity, table)
+            inner = by_output.get(fargs[slot])
+            if inner:
+                head, tail = fargs[:slot], fargs[slot + 1:]
+                if negate:
+                    fvalue = -fvalue
+                terms += [((head + gargs + tail, fout), fvalue * gvalue)
+                          for gargs, gvalue in inner]
+    return MultiMap._of(space, out_arity, accumulate({}, terms))
 
 
 def circle_nr(f: AltMap, g: AltMap) -> AltMap:
@@ -396,20 +385,57 @@ def circle_nr(f: AltMap, g: AltMap) -> AltMap:
         for pos, k in enumerate(fargs):
             by_input.setdefault(k, []).append(
                 (fargs[:pos] + fargs[pos + 1:], fout, -fvalue if pos % 2 else fvalue))
-    table = {}
+    terms = []
     for (gargs, k), gvalue in g.coeffs.items():
         for rest, fout, fvalue in by_input.get(k, ()):
             merged = sort_with_sign(gargs + rest)
-            if merged is None:
-                continue
-            args, sign = merged
-            key = (args, fout)
-            total = table.get(key, ZERO) + sign * gvalue * fvalue
-            if total == 0:
-                table.pop(key, None)
-            else:
-                table[key] = total
-    return AltMap._of(f.space, f.arity + g.arity - 1, table)
+            if merged is not None:
+                args, sign = merged
+                value = gvalue * fvalue
+                terms.append(((args, fout), value if sign > 0 else -value))
+    return AltMap._of(f.space, f.arity + g.arity - 1, accumulate({}, terms))
+
+
+def accumulate(table: dict, terms) -> dict:
+    """Add each (key, value) of terms into table, dropping keys whose total is 0.
+
+    Returns table.  Every sparse sum of the package is built by this loop:
+    the compositions, map addition, linear combinations and the operator
+    compositions of ``derpair.constructions``.
+    """
+    for key, value in terms:
+        old = table.get(key)
+        total = value if old is None else old + value
+        if total:
+            table[key] = total
+        elif old is not None:
+            del table[key]
+    return table
+
+
+def _scaled(factor, coeffs: dict) -> dict:
+    # a new table holding factor * coeffs, with no zero values
+    if factor == 1:
+        return dict(coeffs)
+    if factor == -1:
+        return {key: -value for key, value in coeffs.items()}
+    if not factor:
+        return {}
+    return {key: factor * value for key, value in coeffs.items()}
+
+
+def linear_combination(terms):
+    """The map sum of c * m over the (c, m) pairs of a nonempty list, as one table.
+
+    Every m must share the type, space and arity of the first.
+    """
+    (factor, first), *rest = terms
+    table = _scaled(factor, first.coeffs)
+    for factor, m in rest:
+        first._require_like(m)
+        accumulate(table, m.coeffs.items() if factor == 1
+                   else _scaled(factor, m.coeffs).items())
+    return first._of(first.space, first.arity, table)
 
 
 class DerCochain:

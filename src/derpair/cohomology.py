@@ -1,21 +1,28 @@
 """Coboundary operators and exact cohomology of the supported complexes.
 
-Seven complex flavors are provided over a checked base presentation:
+Every complex here has the same differential: up to sign, the graded bracket
+with the structure element.  So a flavor is one row of ``_FLAVORS``:
 
-* ``hochschild``: multilinear cochains of an associative product, with
-  d^n f = (-1)^{n-1} [mu, f] in the insertion bracket; degree 0 is the space
-  itself with d^0 y = mu(.,y) - mu(y,.).
-* ``chevalley-eilenberg``: alternating cochains of a Lie bracket, with
-  d^n f = (-1)^{n-1} [w, f] in the alternating bracket; degree 0 is the space
-  with d^0 y = w(., y).
-* ``assder`` / ``lieder``: pairs (f_n, g_{n-1}) with differential
-  (d f_n, d g_{n-1} + (-1)^n D f_n), where D is the derivation insertion
-  operator; degree-0 cochains are 0 and degree 1 is Hom(V, V).
-* ``compatible-associative``: n-tuples of multilinear cochains with the
-  staircase differential mixing the two products; degree 0 is the subspace of
-  vectors whose two adjoint maps agree.
-* ``cad`` / ``cldp``: n-tuples of pairs for a compatible derivation pair,
-  staircase differential with shadow corrections; degree-0 cochains are 0.
+* the presentation kinds it accepts, and the kind its base is validated as;
+* alternating or multilinear: ``AltMap`` cochains with the
+  Nijenhuis-Richardson bracket, or ``MultiMap`` cochains with the
+  Gerstenhaber bracket;
+* the cochain shape, which fixes the differential:
+
+  - ``map``: d^n f = (-1)^{n-1} [s, f] for the one structure map s
+    (``hochschild``, ``chevalley-eilenberg``); degree 0 is the space, with
+    d^0 y = s(., y) - s(y, .), which is s(., y) for an alternating s;
+  - ``pair``: pairs (f_n, g_{n-1}) with differential
+    (d f_n, d g_{n-1} + (-1)^n D f_n), D f = -[delta, f] the derivation
+    insertion operator (``assder``, ``lieder``); degree 0 is 0;
+  - ``tuple``: n-tuples of arity-n maps with the staircase differential
+    mixing two products (``compatible-associative``); degree 0 is the
+    subspace of vectors whose two adjoint maps agree;
+  - ``compat``: n-tuples of pairs, the staircase with shadow corrections
+    (``cad``, ``cldp``); degree 0 is 0.
+
+Each component of a differential is one linear combination of brackets,
+summed into a single table.
 
 Each coboundary matrix D_n is assembled as sparse columns, the nonzero
 coordinates of the images of the basis cochains, and its rank is computed
@@ -32,14 +39,35 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .brackets import gerstenhaber, nijenhuis_richardson
-from .cochains import (AltMap, CompatCochain, DerCochain, MultiMap, dense_coords,
-                       sparse_coords)
+from .cochains import (AltMap, CompatCochain, DerCochain, MultiMap, accumulate,
+                       dense_coords, linear_combination, sparse_coords)
 from .errors import DegreeBudgetError, InvalidStructureError, SchemaError, ShapeError
 from .linalg import Matrix, compose, nullspace, rank
-from .structures import Presentation, check_structure, validate_presentation
+from .structures import (Presentation, check_structure, kind_shape,
+                         validate_presentation)
 
-FLAVORS = ("hochschild", "chevalley-eilenberg", "assder", "lieder",
-           "compatible-associative", "cad", "cldp")
+
+@dataclass(frozen=True)
+class _Flavor:
+    kinds: tuple[str, ...]      # presentation kinds accepted
+    base: str                   # the kind the base is validated as
+    alternating: bool           # AltMap and [,]_NR, else MultiMap and [,]_G
+    shape: str                  # "map", "pair", "tuple" or "compat"
+
+
+_FLAVORS = {
+    "hochschild": _Flavor(("associative", "assder"), "associative", False, "map"),
+    "chevalley-eilenberg": _Flavor(("lie", "lieder"), "lie", True, "map"),
+    "assder": _Flavor(("assder",), "assder", False, "pair"),
+    "lieder": _Flavor(("lieder",), "lieder", True, "pair"),
+    "compatible-associative": _Flavor(
+        ("compatible-associative", "compatible-assder"), "compatible-associative",
+        False, "tuple"),
+    "cad": _Flavor(("compatible-assder",), "compatible-assder", False, "compat"),
+    "cldp": _Flavor(("compatible-lieder",), "compatible-lieder", True, "compat"),
+}
+
+FLAVORS = tuple(_FLAVORS)
 
 DEFAULT_COORD_BUDGET = 20000
 
@@ -73,7 +101,130 @@ class CohomologyReport:
 
 
 # ---------------------------------------------------------------------------
-# primitive operators
+# structure maps of a flavor
+# ---------------------------------------------------------------------------
+
+def _check_base(flavor: str, p: Presentation, what: str, check: bool) -> _Flavor:
+    """The flavor's row, once p's kind is accepted and, with check, p is valid.
+
+    p is checked against the axioms of the row's base kind.
+    """
+    row = _FLAVORS[flavor]
+    if p.kind not in row.kinds:
+        raise SchemaError(f"{what} needs a presentation of kind in "
+                          f"{sorted(row.kinds)}, got {p.kind!r}")
+    if check:
+        if p.kind != row.base:
+            # the base is the derivation-free part of p
+            products, _ = kind_shape(row.base)
+            p = Presentation(p.space, {name: p.products[name] for name in products},
+                             {}, row.base)
+        violation = check_structure(p)
+        if violation is not None:
+            raise InvalidStructureError(
+                f"base fails {violation.axiom} at {violation.witness}", violation)
+    return row
+
+
+def _structure(flavor: str, p: Presentation, what: str, check: bool) -> tuple:
+    """The structure maps of p in the cochain class of a flavor, checked as above.
+
+    Products come first, then derivations, in the order of ``kind_shape`` of
+    the flavor's base kind.
+    """
+    row = _check_base(flavor, p, what, check)
+    products, derivations = kind_shape(row.base)
+    if any(p.derivations[name].arity != 1 for name in derivations):
+        raise ShapeError("D needs a linear operator")
+    if not row.alternating:
+        return (*(p.products[name] for name in products),
+                *(p.derivations[name] for name in derivations))
+    return (*(AltMap.from_multimap(p.products[name]) for name in products),
+            *(AltMap(p.space, 1, p.derivations[name].coeffs) for name in derivations))
+
+
+# ---------------------------------------------------------------------------
+# differentials, one per cochain shape
+# ---------------------------------------------------------------------------
+
+def _adjoint(s, y):
+    """d^0 y = s(., y) - s(y, .) as a 1-map of s's class (s(., y) if s alternates)."""
+    terms = []
+    for ((i, j), out), c in s.coeffs.items():
+        if y[j]:
+            terms.append((((i,), out), c * y[j]))
+        if y[i]:
+            terms.append((((j,), out), -c * y[i]))
+    return type(s)._of(s.space, 1, accumulate({}, terms))
+
+
+def _map_d(bracket, s, f):
+    # d^n f = (-1)^{n-1} [s, f]
+    return linear_combination([((-1) ** (f.arity - 1), bracket(s, f))])
+
+
+def _der_pair_d(product, delta, c: DerCochain, bracket) -> DerCochain:
+    # (f_n, g_{n-1}) |-> (d f_n, d g_{n-1} + (-1)^n D f_n) with
+    # d h = (-1)^{arity(h)-1} [product, h] and D f = -[delta, f]; delta is
+    # in the class of the cochain
+    sign = (-1) ** (c.degree - 1)
+    top = linear_combination([(sign, bracket(product, c.top))])
+    tail = [(sign, bracket(delta, c.top))]
+    if c.shadow is not None:
+        tail.append((-sign, bracket(product, c.shadow)))
+    return DerCochain(top, linear_combination(tail))
+
+
+def _staircase_d(mu1, mu2, parts, bracket) -> tuple:
+    # component i is (-1)^{n-1} ([mu2, f^{i-1}] + [mu1, f^i]), for i = 1..n+1,
+    # boundary terms dropping off
+    parts = tuple(parts)
+    n = len(parts)
+    if n == 0 or any(f.arity != n for f in parts):
+        raise ShapeError("expected an n-tuple of arity-n cochains")
+    sign = (-1) ** (n - 1)
+    out = []
+    for i in range(1, n + 2):
+        terms = [(sign, bracket(mu2, parts[i - 2]))] if i > 1 else []
+        if i <= n:
+            terms.append((sign, bracket(mu1, parts[i - 1])))
+        out.append(linear_combination(terms))
+    return tuple(out)
+
+
+def _compat_pair_d(c: CompatCochain, w1, w2, delta1, delta2, bracket, map_cls,
+                   last_shadow_sign: int = -1) -> CompatCochain:
+    # Component i of the output couples part i-1 through w2/delta2 and part i
+    # through w1/delta1; the displayed sources flip the sign of the very last
+    # [w2, g^n] term, but only the uniform minus makes d o d vanish, which is
+    # what the `last_shadow_sign` default encodes (the flip is kept reachable
+    # for the arbitration test).  The deltas are in map_cls already, and
+    # every component has a term, so map_cls is not needed to build a zero.
+    parts = c.parts
+    n = c.degree
+    sign = (-1) ** (n - 1)
+    out = []
+    for i in range(1, n + 2):
+        top, shadow = [], []
+        if i > 1:
+            prev = parts[i - 2]
+            top.append((sign, bracket(w2, prev.top)))
+            if prev.shadow is not None:
+                coeff = last_shadow_sign if i == n + 1 else -1
+                shadow.append((sign * coeff, bracket(w2, prev.shadow)))
+            shadow.append((-sign, bracket(prev.top, delta2)))
+        if i <= n:
+            cur = parts[i - 1]
+            top.append((sign, bracket(w1, cur.top)))
+            if cur.shadow is not None:
+                shadow.append((-sign, bracket(w1, cur.shadow)))
+            shadow.append((-sign, bracket(cur.top, delta1)))
+        out.append(DerCochain(linear_combination(top), linear_combination(shadow)))
+    return CompatCochain(out)
+
+
+# ---------------------------------------------------------------------------
+# the public differentials
 # ---------------------------------------------------------------------------
 
 def der_D(delta: MultiMap, f):
@@ -92,81 +243,46 @@ def der_D(delta: MultiMap, f):
     return gerstenhaber(delta, f).scale(-1)
 
 
-def _check_kind(p: Presentation, kinds, what: str) -> None:
-    if p.kind not in kinds:
-        raise SchemaError(f"{what} needs a presentation of kind in {sorted(kinds)}, "
-                          f"got {p.kind!r}")
-
-
-def _require_valid(p: Presentation) -> None:
-    violation = check_structure(p)
-    if violation is not None:
-        raise InvalidStructureError(
-            f"base fails {violation.axiom} at {violation.witness}", violation)
-
-
 def hochschild_d(mu: MultiMap, f: MultiMap, check: bool = True) -> MultiMap:
     """d^n f = (-1)^{n-1} [mu, f]; mu must be associative."""
     if check:
-        _require_valid(Presentation(mu.space, {"mu": mu}, {}, "associative"))
-    return gerstenhaber(mu, f).scale((-1) ** (f.arity - 1))
+        _check_base("hochschild",
+                    Presentation(mu.space, {"mu": mu}, {}, "associative"),
+                    "hochschild_d", True)
+    return _map_d(gerstenhaber, mu, f)
 
 
 def ce_d(w: AltMap, f: AltMap, check: bool = True) -> AltMap:
     """d^n f = (-1)^{n-1} [w, f]; w must satisfy the Jacobi identity."""
     if check:
-        _require_valid(Presentation(w.space, {"bracket": w.to_multimap()}, {}, "lie"))
-    return nijenhuis_richardson(w, f).scale((-1) ** (f.arity - 1))
-
-
-def _lie_pair(p: Presentation, bracket_name: str, delta_name: str):
-    w = AltMap.from_multimap(p.products[bracket_name])
-    return w, p.derivations[delta_name]
+        _check_base("chevalley-eilenberg",
+                    Presentation(w.space, {"bracket": w.to_multimap()}, {}, "lie"),
+                    "ce_d", True)
+    return _map_d(nijenhuis_richardson, w, f)
 
 
 def assder_d(p: Presentation, c: DerCochain, check: bool = True) -> DerCochain:
     """Differential of the derivation-pair complex on the associative side."""
-    _check_kind(p, ("assder",), "assder_d")
-    if check:
-        _require_valid(p)
-    return _der_pair_d(p.products["mu"], p.derivations["delta"], c, gerstenhaber)
+    mu, delta = _structure("assder", p, "assder_d", check)
+    return _der_pair_d(mu, delta, c, gerstenhaber)
 
 
 def lieder_d(p: Presentation, c: DerCochain, check: bool = True) -> DerCochain:
     """Differential of the derivation-pair complex on the Lie side."""
-    _check_kind(p, ("lieder",), "lieder_d")
-    if check:
-        _require_valid(p)
-    w, delta = _lie_pair(p, "bracket", "delta")
+    w, delta = _structure("lieder", p, "lieder_d", check)
     return _der_pair_d(w, delta, c, nijenhuis_richardson)
-
-
-def _der_pair_d(product, delta, c: DerCochain, bracket) -> DerCochain:
-    # (f_n, g_{n-1}) |-> (d f_n, d g_{n-1} + (-1)^n D f_n) with
-    # d h = (-1)^{arity(h)-1} [product, h]
-    n = c.degree
-    dtop = bracket(product, c.top).scale((-1) ** (n - 1))
-    tail = der_D(delta, c.top).scale((-1) ** n)
-    if c.shadow is not None:
-        tail = tail + bracket(product, c.shadow).scale((-1) ** (n - 2))
-    return DerCochain(dtop, tail)
 
 
 def compat_assoc_degree0(p: Presentation) -> list[tuple[Fraction, ...]]:
     """Basis of the degree-0 space {y : mu1(x,y)-mu1(y,x) = mu2(x,y)-mu2(y,x)}."""
-    _check_kind(p, ("compatible-associative", "compatible-assder"),
-                "compat_assoc_degree0")
-    m1, m2 = p.products["mu1"], p.products["mu2"]
-    d = p.space.dimension
-    rows = []
-    for a in range(d):
-        for out in range(d):
-            row = []
-            for k in range(d):
-                row.append(m1.eval((a, k))[out] - m1.eval((k, a))[out]
-                           - m2.eval((a, k))[out] + m2.eval((k, a))[out])
-            rows.append(row)
-    return nullspace(Matrix.from_rows(rows))
+    mu1, mu2 = _structure("compatible-associative", p, "compat_assoc_degree0", False)
+    space = p.space
+    columns = []
+    for k in range(space.dimension):
+        e_k = space.basis_vector(k)
+        columns.append(sparse_coords(linear_combination(
+            [(1, _adjoint(mu1, e_k)), (-1, _adjoint(mu2, e_k))])))
+    return nullspace(Matrix.from_columns(space.dimension ** 2, columns))
 
 
 def compat_assoc_d(p: Presentation, c, check: bool = True) -> tuple:
@@ -175,87 +291,20 @@ def compat_assoc_d(p: Presentation, c, check: bool = True) -> tuple:
     Maps an n-tuple of arity-n cochains to the (n+1)-tuple with components
     (-1)^{n-1} ([mu2, f^{i-1}] + [mu1, f^i]), boundary terms dropping off.
     """
-    _check_kind(p, ("compatible-associative", "compatible-assder"),
-                "compat_assoc_d")
-    if check:
-        _require_valid(Presentation(
-            p.space, {"mu1": p.products["mu1"], "mu2": p.products["mu2"]},
-            {}, "compatible-associative"))
-    parts = tuple(c)
-    n = len(parts)
-    if n == 0 or any(f.arity != n for f in parts):
-        raise ShapeError("expected an n-tuple of arity-n cochains")
-    m1, m2 = p.products["mu1"], p.products["mu2"]
-    sign = (-1) ** (n - 1)
-    out = []
-    for i in range(1, n + 2):
-        term = MultiMap.zero(p.space, n + 1)
-        if 1 <= i - 1 <= n:
-            term = term + gerstenhaber(m2, parts[i - 2])
-        if 1 <= i <= n:
-            term = term + gerstenhaber(m1, parts[i - 1])
-        out.append(term.scale(sign))
-    return tuple(out)
+    mu1, mu2 = _structure("compatible-associative", p, "compat_assoc_d", check)
+    return _staircase_d(mu1, mu2, c, gerstenhaber)
 
 
 def cad_d(p: Presentation, c: CompatCochain, check: bool = True) -> CompatCochain:
     """Differential of the compatible derivation-pair complex, associative side."""
-    _check_kind(p, ("compatible-assder",), "cad_d")
-    if check:
-        _require_valid(p)
-    return _compat_pair_d(
-        c, p.products["mu1"], p.products["mu2"],
-        p.derivations["delta1"], p.derivations["delta2"],
-        gerstenhaber, MultiMap)
+    return _compat_pair_d(c, *_structure("cad", p, "cad_d", check),
+                          gerstenhaber, MultiMap)
 
 
 def cldp_d(p: Presentation, c: CompatCochain, check: bool = True) -> CompatCochain:
     """Differential of the compatible derivation-pair complex, Lie side."""
-    _check_kind(p, ("compatible-lieder",), "cldp_d")
-    if check:
-        _require_valid(p)
-    w1 = AltMap.from_multimap(p.products["bracket1"])
-    w2 = AltMap.from_multimap(p.products["bracket2"])
-    return _compat_pair_d(
-        c, w1, w2, p.derivations["delta1"], p.derivations["delta2"],
-        nijenhuis_richardson, AltMap)
-
-
-def _compat_pair_d(c: CompatCochain, w1, w2, delta1, delta2, bracket, map_cls,
-                   last_shadow_sign: int = -1) -> CompatCochain:
-    # Component i of the output couples part i-1 through w2/delta2 and part i
-    # through w1/delta1; the displayed sources flip the sign of the very last
-    # [w2, g^n] term, but only the uniform minus makes d o d vanish, which is
-    # what the `last_shadow_sign` default encodes (the flip is kept reachable
-    # for the arbitration test).
-    parts = c.parts
-    n = c.degree
-    space = c.space
-    sign = (-1) ** (n - 1)
-    if bracket is nijenhuis_richardson:
-        d1 = AltMap(space, 1, {((a,), b): v for ((a,), b), v in delta1.coeffs.items()})
-        d2 = AltMap(space, 1, {((a,), b): v for ((a,), b), v in delta2.coeffs.items()})
-    else:
-        d1, d2 = delta1, delta2
-    out = []
-    for i in range(1, n + 2):
-        top = map_cls.zero(space, n + 1)
-        shadow = map_cls.zero(space, n)
-        if 1 <= i - 1 <= n:
-            prev = parts[i - 2]
-            top = top + bracket(w2, prev.top)
-            if prev.shadow is not None:
-                coeff = last_shadow_sign if i == n + 1 else -1
-                shadow = shadow + bracket(w2, prev.shadow).scale(coeff)
-            shadow = shadow - bracket(prev.top, d2)
-        if 1 <= i <= n:
-            cur = parts[i - 1]
-            top = top + bracket(w1, cur.top)
-            if cur.shadow is not None:
-                shadow = shadow - bracket(w1, cur.shadow)
-            shadow = shadow - bracket(cur.top, d1)
-        out.append(DerCochain(top.scale(sign), shadow.scale(sign)))
-    return CompatCochain(out)
+    return _compat_pair_d(c, *_structure("cldp", p, "cldp_d", check),
+                          nijenhuis_richardson, AltMap)
 
 
 # ---------------------------------------------------------------------------
@@ -263,161 +312,76 @@ def _compat_pair_d(c: CompatCochain, w1, w2, delta1, delta2, bracket, map_cls,
 # ---------------------------------------------------------------------------
 
 class _Complex:
-    """Uniform interface over the seven flavors: dims, bases, d, coordinates."""
+    """Uniform interface over the flavors: dims, bases, d, coordinates."""
 
     def __init__(self, flavor: str, base: Presentation):
-        if flavor not in FLAVORS:
+        row = _FLAVORS.get(flavor)
+        if row is None:
             raise SchemaError(f"unknown complex flavor {flavor!r}")
         validate_presentation(base)
         self.flavor = flavor
         self.space = base.space
-        self.base = base
-        self._setup(base)
-
-    def _setup(self, p: Presentation):
-        flavor = self.flavor
-        space = self.space
-        if flavor == "hochschild":
-            _check_kind(p, ("associative", "assder"), flavor)
-            mu = p.products["mu"]
-            _require_valid(Presentation(space, {"mu": mu}, {}, "associative"))
-            self._mu = mu
-        elif flavor == "chevalley-eilenberg":
-            _check_kind(p, ("lie", "lieder"), flavor)
-            br = p.products["bracket"]
-            _require_valid(Presentation(space, {"bracket": br}, {}, "lie"))
-            self._w = AltMap.from_multimap(br)
-        elif flavor == "assder":
-            _check_kind(p, ("assder",), flavor)
-            _require_valid(p)
-            self._mu = p.products["mu"]
-            self._delta = p.derivations["delta"]
-        elif flavor == "lieder":
-            _check_kind(p, ("lieder",), flavor)
-            _require_valid(p)
-            self._w = AltMap.from_multimap(p.products["bracket"])
-            self._delta = p.derivations["delta"]
-        elif flavor == "compatible-associative":
-            _check_kind(p, ("compatible-associative", "compatible-assder"), flavor)
-            _require_valid(Presentation(
-                space, {"mu1": p.products["mu1"], "mu2": p.products["mu2"]},
-                {}, "compatible-associative"))
-            # degree 0 is cut out by both adjoints; d^0 is mu1's
-            self._mu = p.products["mu1"]
-            self._c0 = compat_assoc_degree0(p)
-        elif flavor == "cad":
-            _check_kind(p, ("compatible-assder",), flavor)
-            _require_valid(p)
-        elif flavor == "cldp":
-            _check_kind(p, ("compatible-lieder",), flavor)
-            _require_valid(p)
-            self._w1 = AltMap.from_multimap(p.products["bracket1"])
-            self._w2 = AltMap.from_multimap(p.products["bracket2"])
-
-    # -- dimensions ---------------------------------------------------------
+        self.shape = row.shape
+        self._cls = AltMap if row.alternating else MultiMap
+        self._bracket = nijenhuis_richardson if row.alternating else gerstenhaber
+        self._cochain_flavor = "alt" if row.alternating else "multi"
+        self._maps = _structure(flavor, base, flavor, True)
+        # degree 0: the space for "map", cut out by both adjoints for "tuple"
+        if self.shape == "map":
+            self._c0 = [self.space.basis_vector(i) for i in range(self.space.dimension)]
+        elif self.shape == "tuple":
+            self._c0 = compat_assoc_degree0(base)
+        else:
+            self._c0 = []
 
     def dim(self, n: int) -> int:
-        space = self.space
-        d = space.dimension
         if n == 0:
-            if self.flavor in ("hochschild", "chevalley-eilenberg"):
-                return d
-            if self.flavor == "compatible-associative":
-                return len(self._c0)
-            return 0
-        if self.flavor == "hochschild":
-            return MultiMap.coord_length(space, n)
-        if self.flavor == "chevalley-eilenberg":
-            return AltMap.coord_length(space, n)
-        if self.flavor == "assder":
-            return DerCochain.coord_length(space, n, "multi")
-        if self.flavor == "lieder":
-            return DerCochain.coord_length(space, n, "alt")
-        if self.flavor == "compatible-associative":
-            return n * MultiMap.coord_length(space, n)
-        if self.flavor == "cad":
-            return CompatCochain.coord_length(space, n, "multi")
-        return CompatCochain.coord_length(space, n, "alt")
-
-    # -- bases ----------------------------------------------------------------
+            return len(self._c0)
+        space, shape = self.space, self.shape
+        if shape == "map":
+            return self._cls.coord_length(space, n)
+        if shape == "tuple":
+            return n * self._cls.coord_length(space, n)
+        cochain = DerCochain if shape == "pair" else CompatCochain
+        return cochain.coord_length(space, n, self._cochain_flavor)
 
     def basis(self, n: int):
-        space = self.space
         if n == 0:
-            if self.flavor in ("hochschild", "chevalley-eilenberg"):
-                for i in range(space.dimension):
-                    yield space.basis_vector(i)
-            elif self.flavor == "compatible-associative":
-                yield from self._c0
+            yield from self._c0
             return
-        if self.flavor == "hochschild":
-            yield from MultiMap.basis(space, n)
-        elif self.flavor == "chevalley-eilenberg":
-            yield from AltMap.basis(space, n)
-        elif self.flavor == "assder":
-            yield from DerCochain.basis(space, n, "multi")
-        elif self.flavor == "lieder":
-            yield from DerCochain.basis(space, n, "alt")
-        elif self.flavor == "compatible-associative":
-            zero = MultiMap.zero(space, n)
+        space, shape = self.space, self.shape
+        if shape == "map":
+            yield from self._cls.basis(space, n)
+        elif shape == "tuple":
+            zero = self._cls.zero(space, n)
             for slot in range(n):
-                for b in MultiMap.basis(space, n):
+                for b in self._cls.basis(space, n):
                     yield tuple(b if i == slot else zero for i in range(n))
-        elif self.flavor == "cad":
-            yield from CompatCochain.basis(space, n, "multi")
         else:
-            yield from CompatCochain.basis(space, n, "alt")
-
-    # -- coordinates ----------------------------------------------------------
+            cochain = DerCochain if shape == "pair" else CompatCochain
+            yield from cochain.basis(space, n, self._cochain_flavor)
 
     def coords(self, n: int, cochain) -> list[Fraction]:
         return dense_coords(cochain)
 
-    # -- the differential -------------------------------------------------------
-
     def d(self, n: int, cochain):
-        space = self.space
         if n == 0:
             return self._d0(cochain)
-        if self.flavor == "hochschild":
-            return hochschild_d(self._mu, cochain, check=False)
-        if self.flavor == "chevalley-eilenberg":
-            return ce_d(self._w, cochain, check=False)
-        if self.flavor == "assder":
-            return _der_pair_d(self._mu, self._delta, cochain, gerstenhaber)
-        if self.flavor == "lieder":
-            return _der_pair_d(self._w, self._delta, cochain,
-                               nijenhuis_richardson)
-        if self.flavor == "compatible-associative":
-            return compat_assoc_d(self.base, cochain, check=False)
-        if self.flavor == "cad":
-            return cad_d(self.base, cochain, check=False)
-        return _compat_pair_d(cochain, self._w1, self._w2,
-                              self.base.derivations["delta1"],
-                              self.base.derivations["delta2"],
-                              nijenhuis_richardson, AltMap)
+        shape = self.shape
+        if shape == "map":
+            return _map_d(self._bracket, self._maps[0], cochain)
+        if shape == "pair":
+            return _der_pair_d(*self._maps, cochain, self._bracket)
+        if shape == "tuple":
+            return _staircase_d(*self._maps, cochain, self._bracket)
+        return _compat_pair_d(cochain, *self._maps, self._bracket, self._cls)
 
     def _d0(self, vector):
-        # d^0 y = w(., y) on the Lie side, mu(., y) - mu(y, .) otherwise
-        space = self.space
-        alternating = self.flavor == "chevalley-eilenberg"
-        if not alternating and self.flavor not in ("hochschild", "compatible-associative"):
+        # d^0 is the first structure map's adjoint
+        if self.shape not in ("map", "tuple"):
             raise ShapeError("this flavor has no degree-0 cochains")
-        table = {}
-        for a in range(space.dimension):
-            e_a = space.basis_vector(a)
-            if alternating:
-                value = self._w.apply([e_a, vector])
-            else:
-                value = [x - y for x, y in zip(self._mu.apply([e_a, vector]),
-                                               self._mu.apply([vector, e_a]))]
-            for j, c in enumerate(value):
-                if c:
-                    table[((a,), j)] = c
-        if alternating:
-            return AltMap(space, 1, table)
-        d0 = MultiMap(space, 1, table)
-        return (d0,) if self.flavor == "compatible-associative" else d0
+        d0 = _adjoint(self._maps[0], vector)
+        return d0 if self.shape == "map" else (d0,)
 
 
 def cohomology(spec: ComplexSpec, budget: int | None = None,

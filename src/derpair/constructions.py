@@ -19,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cochains import MultiMap
+from .cochains import MultiMap, accumulate
 from .errors import InvalidStructureError, SchemaError
-from .linalg import ZERO
 from .structures import (KIND_INFO, Presentation, check_operator,
                          check_structure, fingerprint, kind_shape,
                          validate_presentation)
@@ -36,32 +35,18 @@ class Recipe:
 
 def _precompose(m: MultiMap, slot: int, op: MultiMap) -> MultiMap:
     """m with op applied to argument `slot`: (x,y) -> m(..., op(arg), ...)."""
-    table = {}
-    for (args, out), value in m.coeffs.items():
-        for ((src,), mid), coefficient in op.coeffs.items():
-            if mid == args[slot]:
-                key = (args[:slot] + (src,) + args[slot + 1:], out)
-                total = table.get(key, ZERO) + value * coefficient
-                if total == 0:
-                    table.pop(key, None)
-                else:
-                    table[key] = total
-    return MultiMap(m.space, m.arity, table)
+    terms = [((args[:slot] + (src,) + args[slot + 1:], out), value * coefficient)
+             for (args, out), value in m.coeffs.items()
+             for ((src,), mid), coefficient in op.coeffs.items() if mid == args[slot]]
+    return MultiMap(m.space, m.arity, accumulate({}, terms))
 
 
 def _postcompose(op: MultiMap, m: MultiMap) -> MultiMap:
     """op o m."""
-    table = {}
-    for (args, out), value in m.coeffs.items():
-        for ((src,), dst), coefficient in op.coeffs.items():
-            if src == out:
-                key = (args, dst)
-                total = table.get(key, ZERO) + value * coefficient
-                if total == 0:
-                    table.pop(key, None)
-                else:
-                    table[key] = total
-    return MultiMap(m.space, m.arity, table)
+    terms = [((args, dst), value * coefficient)
+             for (args, out), value in m.coeffs.items()
+             for ((src,), dst), coefficient in op.coeffs.items() if src == out]
+    return MultiMap(m.space, m.arity, accumulate({}, terms))
 
 
 def _commutator(m: MultiMap) -> MultiMap:

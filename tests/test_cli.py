@@ -1,4 +1,6 @@
 import json
+import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -233,6 +235,26 @@ def test_cohomology_kernel_bases_report_is_frozen(capsys, corpus, monkeypatch):
     assert out == frozen.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("name, flavor, top", [
+    ("heisenberg3_lieder", "chevalley-eilenberg", 3),
+    ("heisenberg3_lieder", "lieder", 2),
+    ("nilpotent3_assder", "assder", 2),
+    ("nilpotent2_cad", "compatible-associative", 3),
+    ("nilpotent2_cad", "cad", 2),
+    ("compatible_lieder", "cldp", 3),
+])
+def test_cohomology_kernel_bases_reports_are_frozen_for_every_flavor(
+        capsys, corpus, monkeypatch, name, flavor, top):
+    # Kernel bases expose the basis order and the coordinate layout of each
+    # flavor; these reports were produced before the flavors became one table.
+    monkeypatch.chdir(corpus)
+    code, out, _ = run_cli(capsys, "cohomology", f"{name}.json", "--complex", flavor,
+                           "--max-degree", str(top), "--kernel-bases")
+    assert code == 0
+    frozen = corpus / "reports" / f"{name}_{flavor}_top{top}_kernel_bases.json"
+    assert out == frozen.read_text(encoding="utf-8")
+
+
 # -- dendrify command --------------------------------------------------------------------
 
 def test_dendrify_roundtrip(capsys, corpus, tmp_path):
@@ -350,3 +372,29 @@ def test_console_script_runs(corpus):
         capture_output=True, text=True)
     assert result.returncode == 0
     assert json.loads(result.stdout)["verdict"] == "pass"
+
+
+def test_one_process_runs_commands_like_fresh_processes(capsys, corpus, monkeypatch):
+    # main() reuses one parser; no command's options or defaults may carry
+    # over into the next call
+    commands = [
+        ["check", "assoc_violation.json"],
+        ["cohomology", "nilpotent3_assoc.json", "--complex", "hochschild",
+         "--max-degree", "1", "--kernel-bases"],
+        ["cohomology", "nilpotent3_assoc.json", "--complex", "hochschild"],
+        ["dendrify", "zinder_alpha1_beta1.json", "--recipe", "zinbiel-to-dendriform"],
+        ["cohomology", "zero_cldp.json", "--complex", "hochschild"],
+        ["check", "zin2_zinbiel.json", "--kind", "zinder"],
+        ["check", "compatible_lie.json"],
+    ]
+    monkeypatch.chdir(corpus)
+    in_process = [run_cli(capsys, *argv) for argv in commands]
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    fresh = []
+    for argv in commands:
+        result = subprocess.run([sys.executable, "-m", "derpair.cli", *argv],
+                                capture_output=True, text=True, cwd=corpus, env=env)
+        fresh.append((result.returncode, result.stdout, result.stderr))
+    assert in_process == fresh
+    assert [code for code, _, _ in fresh] == [1, 0, 0, 0, 2, 2, 0]
+    assert cli._parser() is cli._parser()

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from derpair.cochains import (AltMap, CompatCochain, DerCochain, MultiMap,
-                              circle_g, circle_nr, dense_coords, sparse_coords)
+                              circle_g, circle_nr, dense_coords, linear_combination,
+                              sparse_coords)
 from derpair.errors import ShapeError
 from derpair.linalg import Space
 
@@ -129,6 +130,34 @@ def test_circle_nr_bilinear_and_alternating():
         swapped = (1, 0, 2)
         assert out.eval(swapped) == [-x for x in out.eval(args)]
         assert out.eval((0, 0, 1)) == [0, 0, 0]
+
+
+# -- sums ---------------------------------------------------------------------------
+
+def test_linear_combination_matches_dense_sum_randomized():
+    rng = random.Random(203)
+    for _ in range(80):
+        cls = rng.choice((MultiMap, AltMap))
+        space = S2 if rng.random() < 0.5 else S3
+        arity = rng.randint(1, 3 if cls is MultiMap else space.dimension)
+        maps = [gen.rand_rational_map(rng, cls, space, arity, rng.random() < 0.5)
+                for _ in range(rng.randint(1, 4))]
+        factors = [rng.choice((1, -1, 0, Fraction(2, 3), -3)) for _ in maps]
+        maps.append(maps[0])                 # so that some totals cancel
+        factors.append(-factors[0])
+        expected = [sum(c * x for c, x in zip(factors, column))
+                    for column in zip(*map(dense_coords, maps))]
+        result = linear_combination(list(zip(factors, maps)))
+        assert type(result) is cls and result.arity == arity
+        assert dense_coords(result) == expected
+        assert all(result.coeffs.values())
+
+
+def test_linear_combination_rejects_unlike_maps():
+    f = gen.mm(S2, 2, [(0, 0, 1, 1)])
+    for other in (MultiMap.zero(S2, 1), AltMap.zero(S2, 2), MultiMap.zero(S3, 2)):
+        with pytest.raises(ShapeError):
+            linear_combination([(1, f), (1, other)])
 
 
 # -- coordinates ------------------------------------------------------------------

@@ -236,6 +236,11 @@ def _catalog_complexes(rng):
         yield "compatible-associative", gen.conjugate_presentation(
             rng, P(m1.space, {"mu1": m1, "mu2": m2}, {}, "compatible-associative"))
     yield from (("cad", p) for p in gen.compatible_assder_instances(rng, 3))
+    for br in gen.LIE_CATALOG:
+        yield "chevalley-eilenberg", P(br.space, {"bracket": br}, {}, "lie")
+    yield from (("lieder", p) for p in gen.der_pair_instances(
+        rng, 4, gen.LIE_CATALOG, "lieder", "bracket"))
+    yield from (("cldp", p) for p in gen.compatible_lieder_instances(rng, 3))
 
 
 def test_coboundary_ranks_and_kernels_match_dense_oracles():
@@ -252,4 +257,5 @@ def test_coboundary_ranks_and_kernels_match_dense_oracles():
                 column[i] for i in range(m.rows) for column in dense))
             _assert_matches_oracles(m)
         flavors.add(flavor)
-    assert flavors == {"hochschild", "assder", "compatible-associative", "cad"}
+    assert flavors == {"hochschild", "chevalley-eilenberg", "assder", "lieder",
+                       "compatible-associative", "cad", "cldp"}

@@ -1,6 +1,8 @@
 """Rules about the package source that no runtime test would notice."""
 
 import ast
+import importlib
+import importlib.util
 import pathlib
 
 import derpair
@@ -18,3 +20,28 @@ def test_no_assert_statements_in_package():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_span_targets_resolve():
+    # perfbench/spans.py times the package by replacing the functions it
+    # names; a renamed function would silently drop out of its metrics.
+    path = PACKAGE.parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for name in spans.MODULES:
+        importlib.import_module(f"derpair.{name}")
+    missing = []
+    for layer, targets in spans.TARGETS.items():
+        home = importlib.import_module(f"derpair.{layer}")
+        for attr, _ in targets:
+            owner_name, _, name = attr.rpartition(".")
+            if owner_name:
+                # spans.py replaces a method on the class that defines it
+                owner = getattr(home, owner_name, None)
+                found = owner is not None and name in vars(owner)
+            else:
+                found = hasattr(home, name)
+            if not found:
+                missing.append(f"{layer}.{attr}")
+    assert missing == []
