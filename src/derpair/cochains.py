@@ -285,23 +285,21 @@ class AltMap(_SparseMap):
 
     @staticmethod
     def from_multimap(m: MultiMap) -> "AltMap":
-        """Antisymmetrize a MultiMap: average of signed permuted values."""
-        d = m.space.dimension
-        table = {}
-        k = m.arity
-        norm = Fraction(1, factorial(k))
-        for args in itertools.combinations(range(d), k):
-            acc = [ZERO] * d
-            for perm in itertools.permutations(range(k)):
-                sign = _perm_sign(perm)
-                permuted = tuple(args[p] for p in perm)
-                for j, c in zip(range(d), m.eval(permuted)):
-                    if c:
-                        acc[j] += sign * c
-            for j, c in enumerate(acc):
-                if c:
-                    table[(args, j)] = c * norm
-        return AltMap(m.space, k, table)
+        """Antisymmetrize a MultiMap: average of signed permuted values.
+
+        Each stored entry with distinct indices adds its value, signed by the
+        sort of its key, to the sorted key; entries with a repeated index
+        cancel in the average and are skipped.
+        """
+        terms = []
+        for (args, j), value in m.coeffs.items():
+            merged = sort_with_sign(args)
+            if merged is not None:
+                key, sign = merged
+                terms.append(((key, j), value if sign > 0 else -value))
+        norm = Fraction(1, factorial(m.arity))
+        return AltMap._of(m.space, m.arity, {key: value * norm for key, value
+                                             in accumulate({}, terms).items()})
 
     def to_multimap(self) -> MultiMap:
         """Expand to the full (redundant) multilinear table."""

@@ -1,28 +1,29 @@
 """Coboundary operators and exact cohomology of the supported complexes.
 
-Every complex here has the same differential: up to sign, the graded bracket
-with the structure element.  So a flavor is one row of ``_FLAVORS``:
+Every differential here is, up to sign, the graded bracket with the
+structure's Maurer-Cartan element: the product, or the pair (product,
+derivation), applied twice in a staircase by the compatible complexes.  So a
+flavor is one row of ``_FLAVORS`` (the kinds it accepts, the kind its base is
+validated as, and whether it takes ``AltMap`` cochains and the
+Nijenhuis-Richardson bracket or ``MultiMap`` cochains and the Gerstenhaber
+bracket), and its differential follows from two facts about the base kind:
+compatible or not, with a derivation or not.
 
-* the presentation kinds it accepts, and the kind its base is validated as;
-* alternating or multilinear: ``AltMap`` cochains with the
-  Nijenhuis-Richardson bracket, or ``MultiMap`` cochains with the
-  Gerstenhaber bracket;
-* the cochain shape, which fixes the differential:
+A degree-n cochain is a flat tuple of slots, one map each: one part, or n
+parts when compatible; each part is its top map of arity n followed, when
+there is a derivation and n > 1, by its shadow of arity n-1.  This is the
+coordinate order of ``DerCochain`` and ``CompatCochain``.  ``_terms`` yields
+d^n as (out slot, coefficient, structure map, in slot) terms with
+s = (-1)^{n-1}: output part i reads input part i-r through the product P_r
+and the derivation D_r, for r = 0, and r = 1 too when compatible:
 
-  - ``map``: d^n f = (-1)^{n-1} [s, f] for the one structure map s
-    (``hochschild``, ``chevalley-eilenberg``); degree 0 is the space, with
-    d^0 y = s(., y) - s(y, .), which is s(., y) for an alternating s;
-  - ``pair``: pairs (f_n, g_{n-1}) with differential
-    (d f_n, d g_{n-1} + (-1)^n D f_n), D f = -[delta, f] the derivation
-    insertion operator (``assder``, ``lieder``); degree 0 is 0;
-  - ``tuple``: n-tuples of arity-n maps with the staircase differential
-    mixing two products (``compatible-associative``); degree 0 is the
-    subspace of vectors whose two adjoint maps agree;
-  - ``compat``: n-tuples of pairs, the staircase with shadow corrections
-    (``cad``, ``cldp``); degree 0 is 0.
+    top    <- s [P_r, top]
+    shadow <- s [D_r, top] - s [P_r, shadow]
 
-Each component of a differential is one linear combination of brackets,
-summed into a single table.
+Each output slot is one linear combination of brackets; a term whose input
+slot or structure map is empty computes none.  Only degree 0 is special: the
+space, with d^0 y = P_0(., y) - P_0(y, .); the vectors whose two adjoints
+agree (``compatible-associative``); or nothing, when there is a derivation.
 
 Each coboundary matrix D_n is assembled as sparse columns, the nonzero
 coordinates of the images of the basis cochains, and its rank is computed
@@ -37,13 +38,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from .brackets import gerstenhaber, nijenhuis_richardson
 from .cochains import (AltMap, CompatCochain, DerCochain, MultiMap, accumulate,
                        dense_coords, linear_combination, sparse_coords)
 from .errors import DegreeBudgetError, InvalidStructureError, SchemaError, ShapeError
 from .linalg import Matrix, compose, nullspace, rank
-from .structures import (Presentation, check_structure, kind_shape,
+from .structures import (KIND_INFO, Presentation, check_structure, kind_shape,
                          validate_presentation)
 
 
@@ -52,19 +54,18 @@ class _Flavor:
     kinds: tuple[str, ...]      # presentation kinds accepted
     base: str                   # the kind the base is validated as
     alternating: bool           # AltMap and [,]_NR, else MultiMap and [,]_G
-    shape: str                  # "map", "pair", "tuple" or "compat"
 
 
 _FLAVORS = {
-    "hochschild": _Flavor(("associative", "assder"), "associative", False, "map"),
-    "chevalley-eilenberg": _Flavor(("lie", "lieder"), "lie", True, "map"),
-    "assder": _Flavor(("assder",), "assder", False, "pair"),
-    "lieder": _Flavor(("lieder",), "lieder", True, "pair"),
+    "hochschild": _Flavor(("associative", "assder"), "associative", False),
+    "chevalley-eilenberg": _Flavor(("lie", "lieder"), "lie", True),
+    "assder": _Flavor(("assder",), "assder", False),
+    "lieder": _Flavor(("lieder",), "lieder", True),
     "compatible-associative": _Flavor(
         ("compatible-associative", "compatible-assder"), "compatible-associative",
-        False, "tuple"),
-    "cad": _Flavor(("compatible-assder",), "compatible-assder", False, "compat"),
-    "cldp": _Flavor(("compatible-lieder",), "compatible-lieder", True, "compat"),
+        False),
+    "cad": _Flavor(("compatible-assder",), "compatible-assder", False),
+    "cldp": _Flavor(("compatible-lieder",), "compatible-lieder", True),
 }
 
 FLAVORS = tuple(_FLAVORS)
@@ -144,8 +145,52 @@ def _structure(flavor: str, p: Presentation, what: str, check: bool) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# differentials, one per cochain shape
+# the term table
 # ---------------------------------------------------------------------------
+
+# The sign of the trailing [P_1, shadow] term, in the last output part of a
+# compatible complex with a derivation.  The displayed sources flip it, but
+# only the uniform minus makes d o d vanish; the flip stays reachable for the
+# tests that arbitrate between the two.
+_LAST_SHADOW_SIGN = -1
+
+
+@cache
+def _slot_arities(compatible: bool, with_derivation: bool, n: int) -> tuple:
+    """The arity of each slot of a degree-n cochain, n >= 1."""
+    part = (n, n - 1) if with_derivation and n > 1 else (n,)
+    return part * (n if compatible else 1)
+
+
+def _terms(compatible: bool, with_derivation: bool, n: int, last_shadow_sign: int):
+    """Yield d^n, n >= 1, as (out slot, coefficient, structure map, in slot).
+
+    Structure maps are numbered as ``_structure`` returns them: the products
+    P_0 (and P_1), then the derivations D_0 (and D_1).
+    """
+    s = (-1) ** (n - 1)
+    steps = 2 if compatible else 1
+    width = 2 if with_derivation and n > 1 else 1      # slots per input part
+    width_out = 2 if with_derivation else 1
+    for j in range(n if compatible else 1):
+        for r in range(steps):
+            top, out = j * width, (j + r) * width_out
+            yield out, s, r, top
+            if with_derivation:
+                yield out + 1, s, steps + r, top
+                if width == 2:
+                    sign = last_shadow_sign if r == 1 and j == n - 1 else -1
+                    yield out + 1, sign * s, r, top + 1
+
+
+@cache
+def _plan(compatible: bool, with_derivation: bool, n: int, last_shadow_sign: int):
+    """Per in slot, its (out slot, coefficient, map) terms; the out arities."""
+    groups = [[] for _ in _slot_arities(compatible, with_derivation, n)]
+    for out, coeff, x, slot in _terms(compatible, with_derivation, n, last_shadow_sign):
+        groups[slot].append((out, coeff, x))
+    return tuple(map(tuple, groups)), _slot_arities(compatible, with_derivation, n + 1)
+
 
 def _adjoint(s, y):
     """d^0 y = s(., y) - s(y, .) as a 1-map of s's class (s(., y) if s alternates)."""
@@ -158,69 +203,48 @@ def _adjoint(s, y):
     return type(s)._of(s.space, 1, accumulate({}, terms))
 
 
-def _map_d(bracket, s, f):
-    # d^n f = (-1)^{n-1} [s, f]
-    return linear_combination([((-1) ** (f.arity - 1), bracket(s, f))])
+class _Coboundary:
+    """The differential of one flavor on slot tuples, for given structure maps."""
 
+    def __init__(self, flavor: str, maps: tuple):
+        row = _FLAVORS[flavor]
+        info = KIND_INFO[row.base]
+        self.compatible, self.with_derivation = info.compatible, info.with_derivation
+        self.maps = maps
+        self.space = maps[0].space
+        self._cls = AltMap if row.alternating else MultiMap
+        self._bracket = nijenhuis_richardson if row.alternating else gerstenhaber
 
-def _der_pair_d(product, delta, c: DerCochain, bracket) -> DerCochain:
-    # (f_n, g_{n-1}) |-> (d f_n, d g_{n-1} + (-1)^n D f_n) with
-    # d h = (-1)^{arity(h)-1} [product, h] and D f = -[delta, f]; delta is
-    # in the class of the cochain
-    sign = (-1) ** (c.degree - 1)
-    top = linear_combination([(sign, bracket(product, c.top))])
-    tail = [(sign, bracket(delta, c.top))]
-    if c.shadow is not None:
-        tail.append((-sign, bracket(product, c.shadow)))
-    return DerCochain(top, linear_combination(tail))
+    def arities(self, n: int) -> tuple:
+        return _slot_arities(self.compatible, self.with_derivation, n)
 
+    def d(self, n: int, slots) -> tuple:
+        """d^n of a slot tuple (of a vector when n = 0) as a slot tuple."""
+        if n == 0:
+            if self.with_derivation:
+                raise ShapeError("this flavor has no degree-0 cochains")
+            return (_adjoint(self.maps[0], slots),)
+        groups, arities = _plan(self.compatible, self.with_derivation, n,
+                                _LAST_SHADOW_SIGN)
+        maps, bracket = self.maps, self._bracket
+        out = [[] for _ in arities]
+        for f, group in zip(slots, groups):
+            if f.coeffs:
+                for slot, coeff, x in group:
+                    m = maps[x]
+                    if m.coeffs:
+                        out[slot].append((coeff, bracket(m, f)))
+        result = []
+        for terms, arity in zip(out, arities):
+            result.append(linear_combination(terms) if terms
+                          else self._cls._of(self.space, arity, {}))
+        return tuple(result)
 
-def _staircase_d(mu1, mu2, parts, bracket) -> tuple:
-    # component i is (-1)^{n-1} ([mu2, f^{i-1}] + [mu1, f^i]), for i = 1..n+1,
-    # boundary terms dropping off
-    parts = tuple(parts)
-    n = len(parts)
-    if n == 0 or any(f.arity != n for f in parts):
-        raise ShapeError("expected an n-tuple of arity-n cochains")
-    sign = (-1) ** (n - 1)
-    out = []
-    for i in range(1, n + 2):
-        terms = [(sign, bracket(mu2, parts[i - 2]))] if i > 1 else []
-        if i <= n:
-            terms.append((sign, bracket(mu1, parts[i - 1])))
-        out.append(linear_combination(terms))
-    return tuple(out)
-
-
-def _compat_pair_d(c: CompatCochain, w1, w2, delta1, delta2, bracket, map_cls,
-                   last_shadow_sign: int = -1) -> CompatCochain:
-    # Component i of the output couples part i-1 through w2/delta2 and part i
-    # through w1/delta1; the displayed sources flip the sign of the very last
-    # [w2, g^n] term, but only the uniform minus makes d o d vanish, which is
-    # what the `last_shadow_sign` default encodes (the flip is kept reachable
-    # for the arbitration test).  The deltas are in map_cls already, and
-    # every component has a term, so map_cls is not needed to build a zero.
-    parts = c.parts
-    n = c.degree
-    sign = (-1) ** (n - 1)
-    out = []
-    for i in range(1, n + 2):
-        top, shadow = [], []
-        if i > 1:
-            prev = parts[i - 2]
-            top.append((sign, bracket(w2, prev.top)))
-            if prev.shadow is not None:
-                coeff = last_shadow_sign if i == n + 1 else -1
-                shadow.append((sign * coeff, bracket(w2, prev.shadow)))
-            shadow.append((-sign, bracket(prev.top, delta2)))
-        if i <= n:
-            cur = parts[i - 1]
-            top.append((sign, bracket(w1, cur.top)))
-            if cur.shadow is not None:
-                shadow.append((-sign, bracket(w1, cur.shadow)))
-            shadow.append((-sign, bracket(cur.top, delta1)))
-        out.append(DerCochain(linear_combination(top), linear_combination(shadow)))
-    return CompatCochain(out)
+    def checked(self, n: int, slots) -> tuple:
+        """d^n of slots handed in from outside, once they share the space."""
+        if any(f.space != self.space for f in slots):
+            raise ShapeError("operands live on different spaces")
+        return self.d(n, slots)
 
 
 # ---------------------------------------------------------------------------
@@ -243,13 +267,23 @@ def der_D(delta: MultiMap, f):
     return gerstenhaber(delta, f).scale(-1)
 
 
+def _pair_d(flavor: str, p: Presentation, c, what: str, check: bool):
+    """d of a flavor with a derivation, on a DerCochain or a CompatCochain."""
+    d = _Coboundary(flavor, _structure(flavor, p, what, check))
+    parts = c.parts if isinstance(c, CompatCochain) else (c,)
+    out = d.checked(c.degree, [f for part in parts for f in (part.top, part.shadow)
+                               if f is not None])
+    pairs = [DerCochain(*out[i:i + 2]) for i in range(0, len(out), 2)]
+    return CompatCochain(pairs) if isinstance(c, CompatCochain) else pairs[0]
+
+
 def hochschild_d(mu: MultiMap, f: MultiMap, check: bool = True) -> MultiMap:
     """d^n f = (-1)^{n-1} [mu, f]; mu must be associative."""
     if check:
         _check_base("hochschild",
                     Presentation(mu.space, {"mu": mu}, {}, "associative"),
                     "hochschild_d", True)
-    return _map_d(gerstenhaber, mu, f)
+    return _Coboundary("hochschild", (mu,)).checked(f.arity, (f,))[0]
 
 
 def ce_d(w: AltMap, f: AltMap, check: bool = True) -> AltMap:
@@ -258,19 +292,17 @@ def ce_d(w: AltMap, f: AltMap, check: bool = True) -> AltMap:
         _check_base("chevalley-eilenberg",
                     Presentation(w.space, {"bracket": w.to_multimap()}, {}, "lie"),
                     "ce_d", True)
-    return _map_d(nijenhuis_richardson, w, f)
+    return _Coboundary("chevalley-eilenberg", (w,)).checked(f.arity, (f,))[0]
 
 
 def assder_d(p: Presentation, c: DerCochain, check: bool = True) -> DerCochain:
     """Differential of the derivation-pair complex on the associative side."""
-    mu, delta = _structure("assder", p, "assder_d", check)
-    return _der_pair_d(mu, delta, c, gerstenhaber)
+    return _pair_d("assder", p, c, "assder_d", check)
 
 
 def lieder_d(p: Presentation, c: DerCochain, check: bool = True) -> DerCochain:
     """Differential of the derivation-pair complex on the Lie side."""
-    w, delta = _structure("lieder", p, "lieder_d", check)
-    return _der_pair_d(w, delta, c, nijenhuis_richardson)
+    return _pair_d("lieder", p, c, "lieder_d", check)
 
 
 def compat_assoc_degree0(p: Presentation) -> list[tuple[Fraction, ...]]:
@@ -291,97 +323,63 @@ def compat_assoc_d(p: Presentation, c, check: bool = True) -> tuple:
     Maps an n-tuple of arity-n cochains to the (n+1)-tuple with components
     (-1)^{n-1} ([mu2, f^{i-1}] + [mu1, f^i]), boundary terms dropping off.
     """
-    mu1, mu2 = _structure("compatible-associative", p, "compat_assoc_d", check)
-    return _staircase_d(mu1, mu2, c, gerstenhaber)
+    maps = _structure("compatible-associative", p, "compat_assoc_d", check)
+    parts = tuple(c)
+    n = len(parts)
+    if n == 0 or any(f.arity != n for f in parts):
+        raise ShapeError("expected an n-tuple of arity-n cochains")
+    return _Coboundary("compatible-associative", maps).checked(n, parts)
 
 
 def cad_d(p: Presentation, c: CompatCochain, check: bool = True) -> CompatCochain:
     """Differential of the compatible derivation-pair complex, associative side."""
-    return _compat_pair_d(c, *_structure("cad", p, "cad_d", check),
-                          gerstenhaber, MultiMap)
+    return _pair_d("cad", p, c, "cad_d", check)
 
 
 def cldp_d(p: Presentation, c: CompatCochain, check: bool = True) -> CompatCochain:
     """Differential of the compatible derivation-pair complex, Lie side."""
-    return _compat_pair_d(c, *_structure("cldp", p, "cldp_d", check),
-                          nijenhuis_richardson, AltMap)
+    return _pair_d("cldp", p, c, "cldp_d", check)
 
 
 # ---------------------------------------------------------------------------
 # complexes and reports
 # ---------------------------------------------------------------------------
 
-class _Complex:
-    """Uniform interface over the flavors: dims, bases, d, coordinates."""
+class _Complex(_Coboundary):
+    """One flavor's complex on a base: dims, slot-tuple bases, d, coordinates."""
 
     def __init__(self, flavor: str, base: Presentation):
-        row = _FLAVORS.get(flavor)
-        if row is None:
+        if flavor not in _FLAVORS:
             raise SchemaError(f"unknown complex flavor {flavor!r}")
         validate_presentation(base)
+        super().__init__(flavor, _structure(flavor, base, flavor, True))
         self.flavor = flavor
-        self.space = base.space
-        self.shape = row.shape
-        self._cls = AltMap if row.alternating else MultiMap
-        self._bracket = nijenhuis_richardson if row.alternating else gerstenhaber
-        self._cochain_flavor = "alt" if row.alternating else "multi"
-        self._maps = _structure(flavor, base, flavor, True)
-        # degree 0: the space for "map", cut out by both adjoints for "tuple"
-        if self.shape == "map":
-            self._c0 = [self.space.basis_vector(i) for i in range(self.space.dimension)]
-        elif self.shape == "tuple":
+        # degree 0: the space, the vectors whose two adjoints agree, or nothing
+        if self.with_derivation:
+            self._c0 = []
+        elif self.compatible:
             self._c0 = compat_assoc_degree0(base)
         else:
-            self._c0 = []
+            self._c0 = [self.space.basis_vector(i) for i in range(self.space.dimension)]
 
     def dim(self, n: int) -> int:
         if n == 0:
             return len(self._c0)
-        space, shape = self.space, self.shape
-        if shape == "map":
-            return self._cls.coord_length(space, n)
-        if shape == "tuple":
-            return n * self._cls.coord_length(space, n)
-        cochain = DerCochain if shape == "pair" else CompatCochain
-        return cochain.coord_length(space, n, self._cochain_flavor)
+        return sum(self._cls.coord_length(self.space, a) for a in self.arities(n))
 
     def basis(self, n: int):
+        """Basis cochains in coordinate order: slot by slot, one map each."""
         if n == 0:
             yield from self._c0
             return
-        space, shape = self.space, self.shape
-        if shape == "map":
-            yield from self._cls.basis(space, n)
-        elif shape == "tuple":
-            zero = self._cls.zero(space, n)
-            for slot in range(n):
-                for b in self._cls.basis(space, n):
-                    yield tuple(b if i == slot else zero for i in range(n))
-        else:
-            cochain = DerCochain if shape == "pair" else CompatCochain
-            yield from cochain.basis(space, n, self._cochain_flavor)
+        arities = self.arities(n)
+        zeros = tuple(self._cls.zero(self.space, a) for a in arities)
+        for k, arity in enumerate(arities):
+            for b in self._cls.basis(self.space, arity):
+                yield (*zeros[:k], b, *zeros[k + 1:])
 
     def coords(self, n: int, cochain) -> list[Fraction]:
         return dense_coords(cochain)
-
-    def d(self, n: int, cochain):
-        if n == 0:
-            return self._d0(cochain)
-        shape = self.shape
-        if shape == "map":
-            return _map_d(self._bracket, self._maps[0], cochain)
-        if shape == "pair":
-            return _der_pair_d(*self._maps, cochain, self._bracket)
-        if shape == "tuple":
-            return _staircase_d(*self._maps, cochain, self._bracket)
-        return _compat_pair_d(cochain, *self._maps, self._bracket, self._cls)
-
-    def _d0(self, vector):
-        # d^0 is the first structure map's adjoint
-        if self.shape not in ("map", "tuple"):
-            raise ShapeError("this flavor has no degree-0 cochains")
-        d0 = _adjoint(self._maps[0], vector)
-        return d0 if self.shape == "map" else (d0,)
 
 
 def cohomology(spec: ComplexSpec, budget: int | None = None,

@@ -46,7 +46,9 @@ def _load_document(text: str) -> dict:
 
 def _space_from(doc: dict) -> Space:
     dimension = doc.get("dimension")
-    _require(isinstance(dimension, int) and dimension >= 1,
+    # `type(x) is int` in this module: JSON true and false load as bools, which
+    # isinstance counts as ints
+    _require(type(dimension) is int and dimension >= 1,
              "dimension must be a positive integer")
     labels = doc.get("labels")
     if labels is None:
@@ -64,7 +66,7 @@ def _entries_to_map(space: Space, arity: int, entries, where: str) -> MultiMap:
                  f"{where}: each entry needs {arity} input indices, one output "
                  f"index, and a coefficient")
         *indices, out, coefficient = entry
-        _require(all(isinstance(i, int) for i in indices) and isinstance(out, int),
+        _require(all(type(i) is int for i in [*indices, out]),
                  f"{where}: indices must be integers")
         _require(all(0 <= i < space.dimension for i in indices)
                  and 0 <= out < space.dimension,
@@ -143,7 +145,7 @@ def cochain_from_dict(doc: dict) -> DerCochain:
     flavor = doc.get("flavor")
     _require(flavor in ("multi", "alt"), 'flavor must be "multi" or "alt"')
     arity = doc.get("arity")
-    _require(isinstance(arity, int) and arity >= 1,
+    _require(type(arity) is int and arity >= 1,
              "arity must be a positive integer")
     top_multi = _entries_to_map(space, arity, doc.get("entries", []), "entries")
     shadow_entries = doc.get("shadow")

@@ -42,7 +42,7 @@ from functools import cache
 
 from .cochains import AltMap, MultiMap
 from .errors import SchemaError, ShapeError, UnsupportedRoleError
-from .linalg import Matrix, Space, ZERO
+from .linalg import Matrix, Space
 
 _FAMILY_PRODUCTS = {
     "associative": ("mu",),
@@ -445,33 +445,47 @@ def check_operator(p: Presentation, op: MultiMap, role: str, weight=0):
 # the derivation linear system
 # ---------------------------------------------------------------------------
 
+def _derivation_columns(space: Space, blocks) -> list[dict]:
+    """Column i*d + j: the ``derivation`` residual of D = E_ij on each block.
+
+    E_ij maps e_i to e_j.  The residual of block k at ((a, b), c) sits at row
+    ((k*d + a)*d + b)*d + c; the rows of a block that is None stay empty.
+    """
+    d = space.dimension
+    (_, _, arity, lhs, rhs), = (row for row in _AXIOMS if row[0] == "derivation")
+    tables = [None if prod is None else {key: _exact(value)
+                                         for key, value in prod.coeffs.items()}
+              for prod in blocks]
+    columns = []
+    for i in range(d):
+        for j in range(d):
+            column = {}
+            for k, table in enumerate(tables):
+                if table is None:
+                    continue
+                maps = {"D": {((i,), j): 1}, "P": table}
+                left, right = _side(lhs, arity, maps), _side(rhs, arity, maps)
+                for key in left.keys() | right.keys():
+                    value = left.get(key, 0) - right.get(key, 0)
+                    if value:
+                        (a, b), c = key
+                        column[((k * d + a) * d + b) * d + c] = value
+            columns.append(column)
+    return columns
+
+
 def derivation_system(space: Space, products) -> Matrix:
     """Coefficient matrix whose kernel is the common derivations of products.
 
     Unknowns are the d*d entries of delta in row-major order, delta(e_i) =
     sum_j delta[i,j] e_j; one row per (product, input pair, output coordinate).
     """
+    products = list(products)
     d = space.dimension
-    rows = []
-    for prod in products:
-        for a in range(d):
-            for b in range(d):
-                value = prod.eval((a, b))
-                for c in range(d):
-                    row = [ZERO] * (d * d)
-                    for k in range(d):
-                        if value[k]:
-                            row[k * d + c] += value[k]
-                        pk = prod.eval((k, b))[c]
-                        if pk:
-                            row[a * d + k] -= pk
-                        pk = prod.eval((a, k))[c]
-                        if pk:
-                            row[b * d + k] -= pk
-                    rows.append(row)
-    if not rows:
+    if not products:
         return Matrix.zero(1, d * d)
-    return Matrix.from_rows(rows)
+    return Matrix.from_columns(len(products) * d ** 3,
+                               _derivation_columns(space, products))
 
 
 def cross_derivation_system(space: Space, products1, products2) -> Matrix:
@@ -482,25 +496,10 @@ def cross_derivation_system(space: Space, products1, products2) -> Matrix:
     cross-derivation identity (the summed defect of delta1 on product2 and
     delta2 on product1 vanishes).
     """
-    d = space.dimension
-    n = d * d
-    rows = []
-
-    def der_rows(prod, offset):
-        block = derivation_system(space, [prod])
-        for i in range(block.rows):
-            row = [ZERO] * (2 * n)
-            row[offset:offset + n] = list(block.row(i))
-            rows.append(row)
-
-    for prod in products1:
-        der_rows(prod, 0)
-    for prod in products2:
-        der_rows(prod, n)
-    for p1, p2 in zip(products1, products2):
-        cross1 = derivation_system(space, [p2])  # defect of delta1 on product2
-        cross2 = derivation_system(space, [p1])  # defect of delta2 on product1
-        for i in range(cross1.rows):
-            row = list(cross1.row(i)) + list(cross2.row(i))
-            rows.append(row)
-    return Matrix.from_rows(rows)
+    products1, products2 = list(products1), list(products2)
+    pairs = min(len(products1), len(products2))
+    blocks1 = products1 + [None] * len(products2) + products2[:pairs]
+    blocks2 = [None] * len(products1) + products2 + products1[:pairs]
+    return Matrix.from_columns(len(blocks1) * space.dimension ** 3,
+                               _derivation_columns(space, blocks1)
+                               + _derivation_columns(space, blocks2))

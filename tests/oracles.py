@@ -18,7 +18,8 @@ import itertools
 from fractions import Fraction
 from math import factorial, gcd
 
-from derpair.cochains import AltMap, MultiMap, _perm_sign
+from derpair.cochains import (AltMap, CompatCochain, DerCochain, MultiMap,
+                              _perm_sign, linear_combination)
 from derpair.errors import SchemaError, ShapeError, UnsupportedRoleError
 from derpair.linalg import ONE, ZERO, Matrix, Space
 from derpair.structures import (_FAMILY_PRODUCTS, KIND_INFO, Presentation,
@@ -154,6 +155,26 @@ def _der_D_alt_oracle(delta: MultiMap, f: AltMap) -> AltMap:
     return AltMap(f.space, f.arity, table)
 
 
+def alt_from_multimap_oracle(m: MultiMap) -> AltMap:
+    """Antisymmetrize by dense evaluation: average of signed permuted values."""
+    d = m.space.dimension
+    table = {}
+    k = m.arity
+    norm = Fraction(1, factorial(k))
+    for args in itertools.combinations(range(d), k):
+        acc = [ZERO] * d
+        for perm in itertools.permutations(range(k)):
+            sign = _perm_sign(perm)
+            permuted = tuple(args[p] for p in perm)
+            for j, c in zip(range(d), m.eval(permuted)):
+                if c:
+                    acc[j] += sign * c
+        for j, c in enumerate(acc):
+            if c:
+                table[(args, j)] = c * norm
+    return AltMap(m.space, k, table)
+
+
 def associator_defect(mu: MultiMap):
     """First triple where mu(mu(x,y),z) != mu(x,mu(y,z)), or None."""
     space = mu.space
@@ -278,6 +299,72 @@ def hochschild_face_d(mu: MultiMap, f: MultiMap) -> MultiMap:
             if x:
                 table[(args, j)] = x
     return MultiMap(space, n + 1, table)
+
+
+# The per-shape differentials the package used before its term table, kept
+# as the reference for it.  They build each component from the package's
+# brackets, one linear combination per component.
+
+def map_d_oracle(bracket, s, f):
+    # d^n f = (-1)^{n-1} [s, f]
+    return linear_combination([((-1) ** (f.arity - 1), bracket(s, f))])
+
+
+def der_pair_d_oracle(product, delta, c: DerCochain, bracket) -> DerCochain:
+    # (f_n, g_{n-1}) |-> (d f_n, d g_{n-1} + (-1)^n D f_n) with
+    # d h = (-1)^{arity(h)-1} [product, h] and D f = -[delta, f]; delta is
+    # in the class of the cochain
+    sign = (-1) ** (c.degree - 1)
+    top = linear_combination([(sign, bracket(product, c.top))])
+    tail = [(sign, bracket(delta, c.top))]
+    if c.shadow is not None:
+        tail.append((-sign, bracket(product, c.shadow)))
+    return DerCochain(top, linear_combination(tail))
+
+
+def staircase_d_oracle(mu1, mu2, parts, bracket) -> tuple:
+    # component i is (-1)^{n-1} ([mu2, f^{i-1}] + [mu1, f^i]), for i = 1..n+1,
+    # boundary terms dropping off
+    parts = tuple(parts)
+    n = len(parts)
+    if n == 0 or any(f.arity != n for f in parts):
+        raise ShapeError("expected an n-tuple of arity-n cochains")
+    sign = (-1) ** (n - 1)
+    out = []
+    for i in range(1, n + 2):
+        terms = [(sign, bracket(mu2, parts[i - 2]))] if i > 1 else []
+        if i <= n:
+            terms.append((sign, bracket(mu1, parts[i - 1])))
+        out.append(linear_combination(terms))
+    return tuple(out)
+
+
+def compat_pair_d_oracle(c: CompatCochain, w1, w2, delta1, delta2, bracket,
+                         last_shadow_sign: int = -1) -> CompatCochain:
+    # Component i of the output couples part i-1 through w2/delta2 and part i
+    # through w1/delta1; last_shadow_sign is the sign of the very last
+    # [w2, g^n] term.  The deltas are in the class of the cochain.
+    parts = c.parts
+    n = c.degree
+    sign = (-1) ** (n - 1)
+    out = []
+    for i in range(1, n + 2):
+        top, shadow = [], []
+        if i > 1:
+            prev = parts[i - 2]
+            top.append((sign, bracket(w2, prev.top)))
+            if prev.shadow is not None:
+                coeff = last_shadow_sign if i == n + 1 else -1
+                shadow.append((sign * coeff, bracket(w2, prev.shadow)))
+            shadow.append((-sign, bracket(prev.top, delta2)))
+        if i <= n:
+            cur = parts[i - 1]
+            top.append((sign, bracket(w1, cur.top)))
+            if cur.shadow is not None:
+                shadow.append((-sign, bracket(w1, cur.shadow)))
+            shadow.append((-sign, bracket(cur.top, delta1)))
+        out.append(DerCochain(linear_combination(top), linear_combination(shadow)))
+    return CompatCochain(out)
 
 
 def _integer_rows(m: Matrix) -> list[list[int]]:
@@ -698,3 +785,61 @@ def _commutation_axioms(ax: _Axioms, op: MultiMap, p: Presentation):
         ax.add(f"commutes({name})", 1, lambda t, delta=delta: (
             _ap(op, delta.eval(t)), _ap(delta, op.eval(t))))
 
+
+
+def derivation_system_oracle(space: Space, products) -> Matrix:
+    """The derivation linear system built densely, row by row, with ``eval``.
+
+    Unknowns are the d*d entries of delta in row-major order; one row per
+    (product, input pair, output coordinate).
+    """
+    d = space.dimension
+    rows = []
+    for prod in products:
+        for a in range(d):
+            for b in range(d):
+                value = prod.eval((a, b))
+                for c in range(d):
+                    row = [ZERO] * (d * d)
+                    for k in range(d):
+                        if value[k]:
+                            row[k * d + c] += value[k]
+                        pk = prod.eval((k, b))[c]
+                        if pk:
+                            row[a * d + k] -= pk
+                        pk = prod.eval((a, k))[c]
+                        if pk:
+                            row[b * d + k] -= pk
+                    rows.append(row)
+    if not rows:
+        return Matrix.zero(1, d * d)
+    return Matrix.from_rows(rows)
+
+
+def cross_derivation_system_oracle(space: Space, products1, products2) -> Matrix:
+    """The compatible Der-pair system over (delta1, delta2), stacked densely.
+
+    Blocks of rows: delta1 on every product of products1, delta2 on every
+    product of products2, then for each aligned pair the cross identity.
+    """
+    d = space.dimension
+    n = d * d
+    rows = []
+
+    def der_rows(prod, offset):
+        block = derivation_system_oracle(space, [prod])
+        for i in range(block.rows):
+            row = [ZERO] * (2 * n)
+            row[offset:offset + n] = list(block.row(i))
+            rows.append(row)
+
+    for prod in products1:
+        der_rows(prod, 0)
+    for prod in products2:
+        der_rows(prod, n)
+    for p1, p2 in zip(products1, products2):
+        cross1 = derivation_system_oracle(space, [p2])  # defect of delta1 on product2
+        cross2 = derivation_system_oracle(space, [p1])  # defect of delta2 on product1
+        for i in range(cross1.rows):
+            rows.append(list(cross1.row(i)) + list(cross2.row(i)))
+    return Matrix.from_rows(rows)

@@ -363,6 +363,36 @@ def test_bracket_rejects_non_alternating_alt_table(capsys, tmp_path):
     assert "alternating" in err
 
 
+def _assert_schema_exit(code, err, message):
+    assert code == 2
+    assert f"derpair: {message}" in err
+    assert "Traceback" not in err
+
+
+def test_boolean_dimension_is_rejected(capsys, tmp_path):
+    doc = {"dimension": True, "kind": "associative",
+           "products": {"mu": [[0, 0, 0, "1"]]}, "derivations": {}}
+    path = _cochain_file(tmp_path, "bool_dimension.json", doc)
+    code, _, err = run_cli(capsys, "check", path)
+    _assert_schema_exit(code, err, "dimension must be a positive integer")
+
+
+def test_boolean_entry_indices_are_rejected(capsys, tmp_path):
+    doc = {"dimension": 2, "kind": "associative",
+           "products": {"mu": [[True, False, 0, "1"]]}, "derivations": {}}
+    path = _cochain_file(tmp_path, "bool_indices.json", doc)
+    code, _, err = run_cli(capsys, "check", path)
+    _assert_schema_exit(code, err, "products.mu: indices must be integers")
+
+
+def test_boolean_cochain_arity_is_rejected(capsys, tmp_path):
+    doc = {"dimension": 2, "flavor": "multi", "arity": True,
+           "entries": [[0, 1, "1"]]}
+    path = _cochain_file(tmp_path, "bool_arity.json", doc)
+    code, _, err = run_cli(capsys, "bracket", "--kind", "g", path, path)
+    _assert_schema_exit(code, err, "arity must be a positive integer")
+
+
 # -- console entry point -------------------------------------------------------------------
 
 def test_console_script_runs(corpus):

@@ -11,7 +11,8 @@ from derpair.errors import ShapeError
 from derpair.linalg import Space
 
 import gen
-from oracles import apply_oracle, circle_g_oracle, circle_nr_oracle
+from oracles import (alt_from_multimap_oracle, apply_oracle, circle_g_oracle,
+                     circle_nr_oracle)
 
 S2 = Space.of_dim(2)
 S3 = Space.of_dim(3)
@@ -161,6 +162,20 @@ def test_linear_combination_rejects_unlike_maps():
 
 
 # -- coordinates ------------------------------------------------------------------
+
+def test_from_multimap_matches_dense_oracle_randomized():
+    # rational tables on every key (repeated indices included) or a fifth of
+    # them, which are not alternating, and genuinely alternating tables
+    rng = random.Random(1711)
+    for space in (S2, S3):
+        for arity in (1, 2, 3):
+            tables = [gen.rand_rational_map(rng, MultiMap, space, arity, full)
+                      for full in (False, True) for _ in range(4)]
+            tables += [gen.rand_rational_map(rng, AltMap, space, arity, False)
+                       .to_multimap() for _ in range(2)]
+            for m in tables:
+                assert AltMap.from_multimap(m) == alt_from_multimap_oracle(m)
+
 
 def test_coord_lengths():
     assert MultiMap.coord_length(S2, 1) == 4

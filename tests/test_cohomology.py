@@ -1,4 +1,3 @@
-import functools
 import random
 
 import pytest
@@ -11,7 +10,9 @@ from derpair.linalg import Matrix, Space, rank
 from derpair.structures import Presentation, check_structure
 
 import gen
-from oracles import ce_face_d, circle_g_oracle, der_D_oracle, hochschild_face_d
+from oracles import (ce_face_d, circle_g_oracle, compat_pair_d_oracle, der_D_oracle,
+                     der_pair_d_oracle, hochschild_face_d, map_d_oracle,
+                     staircase_d_oracle)
 
 S1 = Space.of_dim(1)
 S2 = Space.of_dim(2)
@@ -247,7 +248,7 @@ def test_cad_d_squares_to_zero():
         assert _dd_zero(p, co.cad_d, "multi", 3)
 
 
-def test_cad_last_shadow_sign_is_forced():
+def test_cad_last_shadow_sign_is_forced(monkeypatch):
     # The alternative sign on the trailing [w2, g^n] term breaks d o d = 0, so
     # only the uniform minus is implemented.
     d1 = gen.mm(S2, 1, [(0, 0, 1), (0, 1, 1), (1, 1, 2)])
@@ -256,15 +257,12 @@ def test_cad_last_shadow_sign_is_forced():
           {"mu1": gen.NIL2, "mu2": gen.NIL2.scale(2)},
           {"delta1": d1, "delta2": d2})
     assert check_structure(p) is None
-    m1, m2 = p.products["mu1"], p.products["mu2"]
 
     def dd_with(sign):
+        monkeypatch.setattr(co, "_LAST_SHADOW_SIGN", sign)
         for degree in (1, 2, 3):
             for b in CompatCochain.basis(S2, degree, "multi"):
-                first = co._compat_pair_d(b, m1, m2, d1, d2, gerstenhaber,
-                                          MultiMap, last_shadow_sign=sign)
-                second = co._compat_pair_d(first, m1, m2, d1, d2, gerstenhaber,
-                                           MultiMap, last_shadow_sign=sign)
+                second = co.cad_d(p, co.cad_d(p, b, check=False), check=False)
                 if not second.is_zero():
                     return False
         return True
@@ -504,6 +502,99 @@ def test_dd_certification_reports_the_flipped_last_shadow_sign(monkeypatch):
           {"delta1": d1, "delta2": d2})
     spec = co.ComplexSpec("cad", p, 3)
     assert co.cohomology(spec).dd_zero_certified
-    flipped = functools.partial(co._compat_pair_d, last_shadow_sign=+1)
-    monkeypatch.setattr(co, "_compat_pair_d", flipped)
+    monkeypatch.setattr(co, "_LAST_SHADOW_SIGN", +1)
     assert not co.cohomology(spec).dd_zero_certified
+
+
+# -- the term table against the per-shape differentials ------------------------------
+
+def _term_table_instances(rng):
+    for mu in gen.ASSOCIATIVE_CATALOG[:4]:
+        yield "hochschild", P(mu.space, "associative", {"mu": mu})
+    yield from (("assder", p) for p in gen.der_pair_instances(
+        rng, 3, gen.ASSOCIATIVE_CATALOG, "assder", "mu"))
+    for _ in range(2):
+        m1, m2 = gen.compatible_assoc_products(rng)
+        yield "compatible-associative", P(m1.space, "compatible-associative",
+                                          {"mu1": m1, "mu2": m2})
+    yield from (("cad", p) for p in gen.compatible_assder_instances(rng, 3))
+    for br in gen.LIE_CATALOG[:4]:
+        yield "chevalley-eilenberg", P(br.space, "lie", {"bracket": br})
+    yield from (("lieder", p) for p in gen.der_pair_instances(
+        rng, 3, gen.LIE_CATALOG, "lieder", "bracket"))
+    yield from (("cldp", p) for p in gen.compatible_lieder_instances(rng, 3))
+
+
+def _flat(cochain) -> tuple:
+    """The slots of a map, a tuple of maps, a DerCochain or a CompatCochain."""
+    if isinstance(cochain, CompatCochain):
+        return tuple(f for part in cochain.parts for f in _flat(part))
+    if isinstance(cochain, DerCochain):
+        return _flat(cochain.top) + _flat(cochain.shadow)
+    if cochain is None:
+        return ()
+    return tuple(cochain) if isinstance(cochain, tuple) else (cochain,)
+
+
+def _public_and_oracle(flavor, p, cx, n, slots):
+    """(public *_d of the slots, old per-shape differential of them)."""
+    maps = cx.maps
+    if flavor in ("hochschild", "chevalley-eilenberg"):
+        bracket = gerstenhaber if flavor == "hochschild" else nijenhuis_richardson
+        public = co.hochschild_d if flavor == "hochschild" else co.ce_d
+        (f,) = slots
+        return public(maps[0], f), map_d_oracle(bracket, maps[0], f)
+    if flavor == "compatible-associative":
+        return (co.compat_assoc_d(p, slots),
+                staircase_d_oracle(*maps, slots, gerstenhaber))
+    bracket = nijenhuis_richardson if flavor in ("lieder", "cldp") else gerstenhaber
+    width = len(slots) // (n if flavor in ("cad", "cldp") else 1)
+    parts = [DerCochain(*slots[i:i + width]) for i in range(0, len(slots), width)]
+    if flavor in ("assder", "lieder"):
+        public = co.assder_d if flavor == "assder" else co.lieder_d
+        return public(p, parts[0]), der_pair_d_oracle(*maps, parts[0], bracket)
+    public = co.cad_d if flavor == "cad" else co.cldp_d
+    c = CompatCochain(parts)
+    return public(p, c), compat_pair_d_oracle(c, *maps, bracket)
+
+
+def test_term_table_matches_per_shape_differentials():
+    rng = random.Random(SEED + 31)
+    flavors = set()
+    for flavor, p in _term_table_instances(rng):
+        cx = co._Complex(flavor, p)
+        cls = AltMap if flavor in ("chevalley-eilenberg", "lieder", "cldp") else MultiMap
+        for n in (1, 2, 3):
+            for trial in range(3):
+                # every third slot, shifted by the trial, is left empty
+                slots = tuple(cls.zero(p.space, arity) if (k + trial) % 3 == 0
+                              else gen.rand_rational_map(rng, cls, p.space, arity, False)
+                              for k, arity in enumerate(cx.arities(n)))
+                image = cx.d(n, slots)
+                public, oracle = _public_and_oracle(flavor, p, cx, n, slots)
+                assert image == _flat(oracle), (flavor, n, trial)
+                assert public == oracle, (flavor, n, trial)
+        flavors.add(flavor)
+    assert flavors == set(co.FLAVORS)
+
+
+def test_no_bracket_is_computed_on_an_empty_operand(monkeypatch):
+    calls = []
+
+    def counting(bracket):
+        def wrapper(f, g):
+            assert f.coeffs and g.coeffs
+            calls.append(bracket)
+            return bracket(f, g)
+        return wrapper
+
+    monkeypatch.setattr(co, "gerstenhaber", counting(gerstenhaber))
+    monkeypatch.setattr(co, "nijenhuis_richardson", counting(nijenhuis_richardson))
+    rng = random.Random(SEED + 32)
+    flavors = set()
+    for flavor, p in _term_table_instances(rng):
+        if flavor not in flavors:
+            flavors.add(flavor)
+            co.cohomology(co.ComplexSpec(flavor, p, 2))
+    assert flavors == set(co.FLAVORS)
+    assert gerstenhaber in calls and nijenhuis_richardson in calls

@@ -12,12 +12,13 @@ from derpair.errors import SchemaError, UnsupportedRoleError
 from derpair.linalg import Space, nullspace
 from derpair.structures import (_FAMILY_PRODUCTS, KIND_INFO, KINDS, Presentation,
                                 Violation, check_morphism, check_operator,
-                                check_structure, derivation_system,
-                                fingerprint, kind_shape)
+                                check_structure, cross_derivation_system,
+                                derivation_system, fingerprint, kind_shape)
 
 import gen
 from oracles import (check_morphism_oracle, check_operator_oracle,
-                     check_structure_oracle)
+                     check_structure_oracle, cross_derivation_system_oracle,
+                     derivation_system_oracle)
 
 S2 = Space.of_dim(2)
 S3 = Space.of_dim(3)
@@ -411,6 +412,33 @@ def test_zinder_derivation_family_matches_parameter_count():
     # the linear system
     basis = nullspace(derivation_system(S2, [gen.ZIN2]))
     assert len(basis) == 2
+
+
+def test_derivation_systems_match_dense_oracles():
+    rng = random.Random(SEED + 14)
+    catalog = (gen.ASSOCIATIVE_CATALOG + gen.LIE_CATALOG + gen.ZINBIEL_CATALOG
+               + tuple(prod for pair in gen.DENDRIFORM_CATALOG for prod in pair))
+    checked = 0
+    for space in (S2, S3):
+        products = [prod for prod in catalog if prod.space == space]
+        products += [gen.rand_rational_map(rng, MultiMap, space, 2, False)
+                     for _ in range(3)]
+        for _ in range(6):
+            first = rng.sample(products, rng.randint(1, 2))
+            second = rng.sample(products, rng.randint(1, 2))
+            assert derivation_system(space, first) == \
+                derivation_system_oracle(space, first)
+            assert cross_derivation_system(space, first, second) == \
+                cross_derivation_system_oracle(space, first, second)
+            checked += 1
+    assert checked == 12
+
+
+def test_cross_derivation_system_without_products():
+    # no products impose nothing: every pair (delta1, delta2) is a solution
+    m = cross_derivation_system(S3, [], [])
+    assert (m.rows, m.cols) == (0, 18)
+    assert len(nullspace(m)) == 18
 
 
 def test_fingerprint_changes_with_content():
