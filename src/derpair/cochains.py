@@ -336,6 +336,8 @@ def circle_g(f: MultiMap, g: MultiMap) -> MultiMap:
                                               g(x_i,...,x_{i+q}),
                                               x_{i+q+1},...,x_{p+q+1}).
     """
+    if not (isinstance(f, MultiMap) and isinstance(g, MultiMap)):
+        raise ShapeError("circle_g needs two MultiMaps")
     if f.space != g.space:
         raise ShapeError("maps live on different spaces")
     space = f.space
@@ -376,6 +378,8 @@ def circle_nr(f: AltMap, g: AltMap) -> AltMap:
     the sign of the one unshuffle that produces the key; a repeated index
     contributes nothing.
     """
+    if not (isinstance(f, AltMap) and isinstance(g, AltMap)):
+        raise ShapeError("circle_nr needs two AltMaps")
     if f.space != g.space:
         raise ShapeError("maps live on different spaces")
     by_input = {}

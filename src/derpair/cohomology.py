@@ -20,18 +20,23 @@ and the derivation D_r, for r = 0, and r = 1 too when compatible:
     top    <- s [P_r, top]
     shadow <- s [D_r, top] - s [P_r, shadow]
 
-Each output slot is one linear combination of brackets; a term whose input
-slot or structure map is empty computes none.  Only degree 0 is special: the
-space, with d^0 y = P_0(., y) - P_0(y, .); the vectors whose two adjoints
-agree (``compatible-associative``); or nothing, when there is a derivation.
+On cochains, ``d`` computes each output slot as one linear combination of
+brackets; a term whose input slot or structure map is empty computes none.
+Only degree 0 is special: the space, with d^0 y = P_0(., y) - P_0(y, .); the
+vectors whose two adjoints agree (``compatible-associative``); or nothing,
+when there is a derivation.
 
-Each coboundary matrix D_n is assembled as sparse columns, the nonzero
-coordinates of the images of the basis cochains, and its rank is computed
-exactly by the sparse eliminator of ``derpair.linalg``.  Reports carry
-per-degree dimensions and a certification that d o d = 0, checked as the
-exact sparse product D_{n+1} D_n = 0 of the assembled matrices for every
-degree below the requested one.  Since d is linear and coordinates are
-exact, that product vanishes exactly when d o d kills every basis cochain.
+Each coboundary matrix D_n, n >= 1, is assembled from blocks: ``_ad_block``
+builds ad_x = [x, .] on the basis maps of one arity as sparse columns, once
+per (structure map, arity) of a report and none for an empty map, and
+``_Complex.matrix`` places each term of the plan as its block, signed and
+shifted to the term's output slot.  D_0 maps the degree-0 basis through
+``d``.  The rank of each D_n is computed exactly by the sparse eliminator of
+``derpair.linalg``.  Reports carry per-degree dimensions and a certification
+that d o d = 0, checked as the exact sparse product D_{n+1} D_n = 0 of the
+assembled matrices for every degree below the requested one.  Since D_n is
+the matrix of d and coordinates are exact, that product vanishes exactly
+when d o d kills every basis cochain.
 """
 
 from __future__ import annotations
@@ -39,10 +44,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
 
 from .brackets import gerstenhaber, nijenhuis_richardson
 from .cochains import (AltMap, CompatCochain, DerCochain, MultiMap, accumulate,
-                       dense_coords, linear_combination, sparse_coords)
+                       dense_coords, linear_combination, sort_with_sign,
+                       sparse_coords)
 from .errors import DegreeBudgetError, InvalidStructureError, SchemaError, ShapeError
 from .linalg import Matrix, compose, nullspace, rank
 from .structures import (KIND_INFO, Presentation, check_structure, kind_shape,
@@ -165,8 +172,9 @@ def _slot_arities(compatible: bool, with_derivation: bool, n: int) -> tuple:
 def _terms(compatible: bool, with_derivation: bool, n: int, last_shadow_sign: int):
     """Yield d^n, n >= 1, as (out slot, coefficient, structure map, in slot).
 
-    Structure maps are numbered as ``_structure`` returns them: the products
-    P_0 (and P_1), then the derivations D_0 (and D_1).
+    Every coefficient is +1 or -1.  Structure maps are numbered as
+    ``_structure`` returns them: the products P_0 (and P_1), then the
+    derivations D_0 (and D_1).
     """
     s = (-1) ** (n - 1)
     steps = 2 if compatible else 1
@@ -190,6 +198,104 @@ def _plan(compatible: bool, with_derivation: bool, n: int, last_shadow_sign: int
     for out, coeff, x, slot in _terms(compatible, with_derivation, n, last_shadow_sign):
         groups[slot].append((out, coeff, x))
     return tuple(map(tuple, groups)), _slot_arities(compatible, with_derivation, n + 1)
+
+
+# ---------------------------------------------------------------------------
+# ad_x blocks: the bracket with one structure map, as sparse columns
+# ---------------------------------------------------------------------------
+
+def _ad_block(x, k: int) -> list:
+    """ad_x = [x, .] on the arity-k maps of x's class, as sparse columns.
+
+    Column c is {row: value}, the coordinates of [x, b] for the c-th basis
+    map b of arity k, both in the coordinate order of ``sparse_coords``.
+    With p and q the arities of x and b less one, [x, b] = x o b - (-1)^{pq}
+    b o x for the composition o of the class (``circle_g`` or ``circle_nr``).
+    Each entry of x is visited once as an input-taker (x o b, where b's
+    output fills one of x's inputs) and once as an output (b o x); the rows
+    are computed directly from the index tuples.
+    """
+    d, a = x.space.dimension, x.arity
+    twist = 1 if (a - 1) * (k - 1) % 2 else -1      # [x, b] = x o b + twist b o x
+    if isinstance(x, AltMap):
+        terms = _alt_terms(x, k, d, a, twist)
+    else:
+        terms = _multi_terms(x, k, d, a, twist)
+    return [accumulate({}, column) for column in terms]
+
+
+def _radix(args, d: int) -> int:
+    """The rank of an index tuple among all tuples of its length."""
+    position = 0
+    for i in args:
+        position = position * d + i
+    return position
+
+
+def _multi_terms(x: MultiMap, k: int, d: int, a: int, twist: int) -> list:
+    # column P*d + o is the basis map (args, o) with P = _radix(args); a row
+    # is _radix(key) * d + out, so each (entry, slot) of x contributes to a
+    # family of columns at rows that are affine in the column's digits
+    width = d ** k
+    terms = [[] for _ in range(width * d)]
+    for (xargs, xout), v in x.coeffs.items():
+        for s, j in enumerate(xargs):
+            # x o b: b's output j fills slot s of x; key xargs[:s] + args + xargs[s+1:]
+            t = a - 1 - s
+            value = -v if s * (k - 1) % 2 else v
+            scale = d ** (t + 1)
+            base = (_radix(xargs[:s], d) * d ** (k + t)
+                    + _radix(xargs[s + 1:], d)) * d + xout
+            for P in range(width):
+                terms[P * d + j].append((P * scale + base, value))
+        position = _radix(xargs, d)
+        for s in range(k):
+            # b o x: xout fills slot s of b, args = (head, xout, tail); the
+            # columns and rows share head H and the low digits L = (tail, o)
+            lo = d ** (k - s)
+            value = twist * v if s * (a - 1) % 2 == 0 else -twist * v
+            col, row = xout * lo, position * lo
+            col_step, row_step = d * lo, d ** a * lo
+            for H in range(d ** s):
+                first, row_first = H * col_step + col, H * row_step + row
+                for L in range(lo):
+                    terms[first + L].append((row_first + L, value))
+    return terms
+
+
+def _alt_terms(x: AltMap, k: int, d: int, a: int, twist: int) -> list:
+    # column c*d + o is the basis map (keys[c], o); a row is the rank of the
+    # sorted key among increasing tuples, times d, plus the output
+    keys = list(combinations(range(d), k))
+    place = {key: i * d for i, key in enumerate(combinations(range(d), a + k - 1))}
+    terms = [[] for _ in range(len(keys) * d)]
+    holding = [[] for _ in range(d)]    # j -> (column base, pos, rest) per key holding j
+    for c, args in enumerate(keys):
+        for pos, j in enumerate(args):
+            holding[j].append((c * d, pos, args[:pos] + args[pos + 1:]))
+    merges = {}                         # rest -> (column base, row base, sign) per key
+    for (xargs, xout), v in x.coeffs.items():
+        for pos, j in enumerate(xargs):
+            # x o b: b's output j fills input pos of x; its key merges with the rest
+            rest = xargs[:pos] + xargs[pos + 1:]
+            if rest not in merges:
+                merges[rest] = []
+                for c, args in enumerate(keys):
+                    m = sort_with_sign(args + rest)
+                    if m is not None:
+                        merges[rest].append((c * d, place[m[0]], m[1]))
+            value = -v if pos % 2 else v
+            for col, row, sign in merges[rest]:
+                terms[col + j].append((row + xout, value if sign > 0 else -value))
+        for col, pos, rest in holding[xout]:
+            # b o x: xout is input pos of b; x's inputs merge with b's others
+            m = sort_with_sign(xargs + rest)
+            if m is not None:
+                row = place[m[0]]
+                value = twist * v if (m[1] > 0) == (pos % 2 == 0) else -twist * v
+                for o in range(d):
+                    terms[col + o].append((row + o, value))
+    return terms
 
 
 def _adjoint(s, y):
@@ -241,7 +347,9 @@ class _Coboundary:
         return tuple(result)
 
     def checked(self, n: int, slots) -> tuple:
-        """d^n of slots handed in from outside, once they share the space."""
+        """d^n of slots handed in from outside, once they share the class and space."""
+        if any(type(f) is not self._cls for f in slots):
+            raise ShapeError(f"this complex takes {self._cls.__name__} cochains")
         if any(f.space != self.space for f in slots):
             raise ShapeError("operands live on different spaces")
         return self.d(n, slots)
@@ -381,6 +489,39 @@ class _Complex(_Coboundary):
     def coords(self, n: int, cochain) -> list[Fraction]:
         return dense_coords(cochain)
 
+    def matrix(self, n: int, blocks: dict) -> Matrix:
+        """D_n, placed block by block from the plan of degree n.
+
+        The column of an input slot's basis map is the sum of its terms'
+        ``_ad_block`` columns, each signed by the term's coefficient and
+        shifted to its output slot; a slot reaches each output slot through
+        at most one term, so the pieces do not overlap.  ``blocks`` holds the
+        blocks by (map index, arity), built on first use and shared by every
+        part and degree; an empty map has none.  Degree 0 maps the basis.
+        """
+        if n == 0:
+            return Matrix.from_columns(self.dim(1), [sparse_coords(self.d(0, b))
+                                                     for b in self.basis(0)])
+        groups, out_arities = _plan(self.compatible, self.with_derivation, n,
+                                    _LAST_SHADOW_SIGN)
+        offsets, rows = [], 0
+        for arity in out_arities:
+            offsets.append(rows)
+            rows += self._cls.coord_length(self.space, arity)
+        table, start = {}, 0
+        for arity, group in zip(self.arities(n), groups):
+            for out, coeff, x in group:
+                if not self.maps[x].coeffs:
+                    continue
+                if (x, arity) not in blocks:
+                    blocks[x, arity] = _ad_block(self.maps[x], arity)
+                offset = offsets[out]
+                for col, column in enumerate(blocks[x, arity], start):
+                    for r, v in column.items():
+                        table.setdefault(offset + r, {})[col] = v if coeff > 0 else -v
+            start += self._cls.coord_length(self.space, arity)
+        return Matrix._of(rows, start, table)
+
 
 def cohomology(spec: ComplexSpec, budget: int | None = None,
                include_kernel_bases: bool = False) -> CohomologyReport:
@@ -395,10 +536,9 @@ def cohomology(spec: ComplexSpec, budget: int | None = None,
         if dim_n > budget:
             raise DegreeBudgetError(dim_n, budget)
 
-    matrices = {}
-    for n in range(top + 1):
-        columns = [sparse_coords(cx.d(n, b)) for b in cx.basis(n)]
-        matrices[n] = Matrix.from_columns(cx.dim(n + 1), columns)
+    blocks = {}
+    matrices = {n: cx.matrix(n, blocks) for n in range(top + 1)}
+    del blocks      # not needed past assembly; freed before the eliminations
     certified = all(compose(matrices[n + 1], matrices[n]).is_zero()
                     for n in range(top))
 

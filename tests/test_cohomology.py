@@ -1,11 +1,14 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from derpair import cohomology as co
 from derpair.brackets import gerstenhaber, nijenhuis_richardson
-from derpair.cochains import AltMap, CompatCochain, DerCochain, MultiMap
-from derpair.errors import DegreeBudgetError, InvalidStructureError, SchemaError
+from derpair.cochains import (AltMap, CompatCochain, DerCochain, MultiMap, circle_g,
+                              circle_nr, sparse_coords)
+from derpair.errors import (DegreeBudgetError, InvalidStructureError, SchemaError,
+                            ShapeError)
 from derpair.linalg import Matrix, Space, rank
 from derpair.structures import Presentation, check_structure
 
@@ -13,6 +16,7 @@ import gen
 from oracles import (ce_face_d, circle_g_oracle, compat_pair_d_oracle, der_D_oracle,
                      der_pair_d_oracle, hochschild_face_d, map_d_oracle,
                      staircase_d_oracle)
+from test_linalg import _catalog_complexes
 
 S1 = Space.of_dim(1)
 S2 = Space.of_dim(2)
@@ -595,6 +599,106 @@ def test_no_bracket_is_computed_on_an_empty_operand(monkeypatch):
     for flavor, p in _term_table_instances(rng):
         if flavor not in flavors:
             flavors.add(flavor)
-            co.cohomology(co.ComplexSpec(flavor, p, 2))
+            cx = co._Complex(flavor, p)
+            for n in range(3):
+                for b in cx.basis(n):
+                    cx.d(n, b)
     assert flavors == set(co.FLAVORS)
     assert gerstenhaber in calls and nijenhuis_richardson in calls
+
+
+# -- block assembly against the images of the basis cochains ---------------------------
+
+def _rescaled(rng, p):
+    """p in a random integer basis, its products and derivations each times a rational."""
+    q = gen.conjugate_presentation(rng, p)
+    c, e = (rng.choice((Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)))
+            for _ in range(2))
+    return Presentation(q.space, {name: m.scale(c) for name, m in q.products.items()},
+                        {name: m.scale(e) for name, m in q.derivations.items()}, q.kind)
+
+
+@pytest.mark.parametrize("last_shadow_sign", [-1, +1])
+def test_block_assembly_matches_the_basis_images(monkeypatch, last_shadow_sign):
+    monkeypatch.setattr(co, "_LAST_SHADOW_SIGN", last_shadow_sign)
+    rng = random.Random(SEED + 33)
+    catalog = list(_catalog_complexes(rng))
+    rescaled = [(flavor, _rescaled(rng, p)) for flavor, p in catalog]
+    assert all(check_structure(p) is None for _, p in rescaled)
+    flavors = set()
+    for flavor, p in catalog + rescaled:
+        cx = co._Complex(flavor, p)
+        blocks = {}
+        for n in range(4 if p.space.dimension == 2 else 3):
+            images = [sparse_coords(cx.d(n, b)) for b in cx.basis(n)]
+            assert cx.matrix(n, blocks) == Matrix.from_columns(cx.dim(n + 1), images), \
+                (flavor, n)
+        flavors.add(flavor)
+    assert flavors == set(co.FLAVORS)
+
+
+def test_no_block_is_built_for_an_empty_structure_map(monkeypatch):
+    built = []
+
+    def counting(x, k):
+        assert x.coeffs
+        built.append((x, k))
+        return ad_block(x, k)
+
+    ad_block = co._ad_block
+    monkeypatch.setattr(co, "_ad_block", counting)
+    zero_delta = P(S3, "lieder", {"bracket": gen.HEIS3}, {"delta": MultiMap.zero(S3, 1)})
+    co.cohomology(co.ComplexSpec("lieder", zero_delta, 3))
+    w = AltMap.from_multimap(gen.HEIS3)
+    assert built == [(w, 1), (w, 2), (w, 3)]
+
+    grading = gen.mm(S3, 1, [(0, 0, 1), (1, 1, 1), (2, 2, 2)])
+    d1 = gen.mm(S2, 1, [(0, 0, 1), (0, 1, 1), (1, 1, 2)])
+    d2 = gen.mm(S2, 1, [(0, 0, 2), (0, 1, -1), (1, 1, 4)])
+    for flavor, p in (
+            ("cad", P(S2, "compatible-assder", {"mu1": gen.NIL2, "mu2": gen.NIL2.scale(2)},
+                      {"delta1": d1, "delta2": d2})),
+            ("cldp", P(S3, "compatible-lieder",
+                       {"bracket1": gen.HEIS3, "bracket2": gen.HEIS3.scale(2)},
+                       {"delta1": grading, "delta2": grading.scale(-1)}))):
+        assert check_structure(p) is None
+        cx = co._Complex(flavor, p)
+        built.clear()
+        cx.matrix(3, {})
+        # three parts, but each product block once per arity, each derivation's once
+        products, derivations = cx.maps[:2], cx.maps[2:]
+        expected = [(x, k) for x in products for k in (3, 2)] + [(x, 3) for x in derivations]
+        assert len(built) == len(expected) and set(built) == set(expected), flavor
+
+
+# -- operands of the wrong class ---------------------------------------------------------
+
+def test_differentials_reject_a_cochain_of_the_wrong_class():
+    alt2 = AltMap(S2, 2, {((0, 1), 0): 1})
+    alt1, multi1 = AltMap.identity(S2), MultiMap.identity(S2)
+    w = AltMap.from_multimap(gen.AFF2A)
+    zero = MultiMap.zero(S2, 1)
+    assder = P(S2, "assder", {"mu": gen.NIL2}, {"delta": zero})
+    lieder = P(S2, "lieder", {"bracket": gen.AFF2A}, {"delta": zero})
+    compat = P(S2, "compatible-associative", {"mu1": gen.NIL2, "mu2": gen.NIL2.scale(2)})
+    cad = P(S2, "compatible-assder", {"mu1": gen.NIL2, "mu2": gen.NIL2.scale(2)},
+            {"delta1": zero, "delta2": zero})
+    cldp = P(S2, "compatible-lieder", {"bracket1": gen.AFF2A, "bracket2": gen.AFF2B},
+             {"delta1": zero, "delta2": zero})
+    calls = [
+        lambda: co.hochschild_d(gen.NIL2, alt2),
+        lambda: co.hochschild_d(gen.NIL2, AltMap.zero(S2, 1)),
+        lambda: co.ce_d(w, gen.NIL2),
+        lambda: co.assder_d(assder, DerCochain(alt2, alt1)),
+        lambda: co.lieder_d(lieder, DerCochain(gen.NIL2, multi1)),
+        lambda: co.compat_assoc_d(compat, (alt1,)),
+        lambda: co.cad_d(cad, CompatCochain([DerCochain(alt1)])),
+        lambda: co.cldp_d(cldp, CompatCochain([DerCochain(multi1)])),
+        lambda: circle_g(gen.NIL2, alt2),
+        lambda: circle_g(alt2, gen.NIL2),
+        lambda: circle_nr(w, gen.NIL2),
+        lambda: circle_nr(gen.NIL2, w),
+    ]
+    for call in calls:
+        with pytest.raises(ShapeError):
+            call()
