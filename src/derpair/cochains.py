@@ -18,9 +18,15 @@ compositions live in ``derpair.brackets``.
 
 ``DerCochain`` pairs a top map of arity n with a shadow map of arity n-1 (the
 shadow is absent at n = 1); ``CompatCochain`` is an n-tuple of degree-n
-``DerCochain`` values.  Coordinates of every cochain flavor are taken in
-lexicographic order of index tuples, top before shadow, parts left to right,
-so coboundary matrices can be assembled deterministically.
+``DerCochain`` values.
+
+The coordinate order of every cochain flavor is defined here and nowhere
+else: lexicographic order of index tuples, top before shadow, parts left to
+right (``_layout``).  ``_ad_block`` builds ad_x = [x, .], the graded bracket
+with one map x, on all basis maps of one arity as sparse columns in that
+order.  The coboundary matrices of ``derpair.cohomology``, degree 0
+included, and the derivation systems of ``derpair.structures`` are stacks of
+these blocks, placed at offsets.
 """
 
 from __future__ import annotations
@@ -640,25 +646,31 @@ class CompatCochain:
 
 
 # ---------------------------------------------------------------------------
-# coordinates
+# coordinates: the one coordinate order of every cochain
 # ---------------------------------------------------------------------------
+
+def _radix(args, d: int) -> int:
+    """The rank of an index tuple among all tuples of its length."""
+    position = 0
+    for i in args:
+        position = position * d + i
+    return position
+
 
 def _layout(cochain, offset: int, out: dict) -> int:
     """Write the nonzero coordinates of cochain, shifted by offset, into out.
 
     Returns the offset just past the cochain.  A map's coordinate of key
     (args, j) sits at position(args) * d + j, where position is the rank of
-    args among all index tuples (MultiMap) or increasing ones (AltMap) in
-    lexicographic order; a DerCochain puts its top before its shadow, and a
-    CompatCochain or a tuple of maps puts its parts left to right.
+    args among all index tuples (MultiMap, ``_radix``) or increasing ones
+    (AltMap) in lexicographic order; a DerCochain puts its top before its
+    shadow, and a CompatCochain or a tuple of maps puts its parts left to
+    right.
     """
     if isinstance(cochain, MultiMap):
         d = cochain.space.dimension
         for (args, j), value in cochain.coeffs.items():
-            position = 0
-            for a in args:
-                position = position * d + a
-            out[offset + position * d + j] = value
+            out[offset + _radix(args, d) * d + j] = value
         return offset + MultiMap.coord_length(cochain.space, cochain.arity)
     if isinstance(cochain, AltMap):
         d, k = cochain.space.dimension, cochain.arity
@@ -694,3 +706,95 @@ def dense_coords(cochain) -> list[Fraction]:
     values = {}
     length = _layout(cochain, 0, values)
     return [values.get(i, ZERO) for i in range(length)]
+
+
+# ---------------------------------------------------------------------------
+# ad_x blocks: the bracket with one map, as sparse columns in coordinate order
+# ---------------------------------------------------------------------------
+
+def _ad_block(x, k: int) -> list:
+    """ad_x = [x, .] on the arity-k maps of x's class, as sparse columns.
+
+    Column c is {row: value}, the coordinates of [x, b] for the c-th basis
+    map b of arity k, both in the coordinate order of ``sparse_coords``; at
+    k = 0 the basis maps are the vectors e_o, maps of no input.
+    With p and q the arities of x and b less one, [x, b] = x o b - (-1)^{pq}
+    b o x for the composition o of the class (``circle_g`` or ``circle_nr``).
+    Each entry of x is visited once as an input-taker (x o b, where b's
+    output fills one of x's inputs) and once as an output (b o x); the rows
+    are computed directly from the index tuples.
+    """
+    d, a = x.space.dimension, x.arity
+    twist = 1 if (a - 1) * (k - 1) % 2 else -1      # [x, b] = x o b + twist b o x
+    if isinstance(x, AltMap):
+        terms = _alt_terms(x, k, d, a, twist)
+    else:
+        terms = _multi_terms(x, k, d, a, twist)
+    return [accumulate({}, column) for column in terms]
+
+
+def _multi_terms(x: MultiMap, k: int, d: int, a: int, twist: int) -> list:
+    # column P*d + o is the basis map (args, o) with P = _radix(args); a row
+    # is _radix(key) * d + out, so each (entry, slot) of x contributes to a
+    # family of columns at rows that are affine in the column's digits
+    width = d ** k
+    terms = [[] for _ in range(width * d)]
+    for (xargs, xout), v in x.coeffs.items():
+        for s, j in enumerate(xargs):
+            # x o b: b's output j fills slot s of x; key xargs[:s] + args + xargs[s+1:]
+            t = a - 1 - s
+            value = -v if s * (k - 1) % 2 else v
+            scale = d ** (t + 1)
+            base = (_radix(xargs[:s], d) * d ** (k + t)
+                    + _radix(xargs[s + 1:], d)) * d + xout
+            for P in range(width):
+                terms[P * d + j].append((P * scale + base, value))
+        position = _radix(xargs, d)
+        for s in range(k):
+            # b o x: xout fills slot s of b, args = (head, xout, tail); the
+            # columns and rows share head H and the low digits L = (tail, o)
+            lo = d ** (k - s)
+            value = twist * v if s * (a - 1) % 2 == 0 else -twist * v
+            col, row = xout * lo, position * lo
+            col_step, row_step = d * lo, d ** a * lo
+            for H in range(d ** s):
+                first, row_first = H * col_step + col, H * row_step + row
+                for L in range(lo):
+                    terms[first + L].append((row_first + L, value))
+    return terms
+
+
+def _alt_terms(x: AltMap, k: int, d: int, a: int, twist: int) -> list:
+    # column c*d + o is the basis map (keys[c], o); a row is the rank of the
+    # sorted key among increasing tuples, times d, plus the output
+    keys = list(itertools.combinations(range(d), k))
+    place = {key: i * d
+             for i, key in enumerate(itertools.combinations(range(d), a + k - 1))}
+    terms = [[] for _ in range(len(keys) * d)]
+    holding = [[] for _ in range(d)]    # j -> (column base, pos, rest) per key holding j
+    for c, args in enumerate(keys):
+        for pos, j in enumerate(args):
+            holding[j].append((c * d, pos, args[:pos] + args[pos + 1:]))
+    merges = {}                         # rest -> (column base, row base, sign) per key
+    for (xargs, xout), v in x.coeffs.items():
+        for pos, j in enumerate(xargs):
+            # x o b: b's output j fills input pos of x; its key merges with the rest
+            rest = xargs[:pos] + xargs[pos + 1:]
+            if rest not in merges:
+                merges[rest] = []
+                for c, args in enumerate(keys):
+                    m = sort_with_sign(args + rest)
+                    if m is not None:
+                        merges[rest].append((c * d, place[m[0]], m[1]))
+            value = -v if pos % 2 else v
+            for col, row, sign in merges[rest]:
+                terms[col + j].append((row + xout, value if sign > 0 else -value))
+        for col, pos, rest in holding[xout]:
+            # b o x: xout is input pos of b; x's inputs merge with b's others
+            m = sort_with_sign(xargs + rest)
+            if m is not None:
+                row = place[m[0]]
+                value = twist * v if (m[1] > 0) == (pos % 2 == 0) else -twist * v
+                for o in range(d):
+                    terms[col + o].append((row + o, value))
+    return terms

@@ -11,8 +11,8 @@ compatible or not, with a derivation or not.
 
 A degree-n cochain is a flat tuple of slots, one map each: one part, or n
 parts when compatible; each part is its top map of arity n followed, when
-there is a derivation and n > 1, by its shadow of arity n-1.  This is the
-coordinate order of ``DerCochain`` and ``CompatCochain``.  ``_terms`` yields
+there is a derivation and n > 1, by its shadow of arity n-1, as in the
+coordinate order of ``derpair.cochains``.  ``_terms`` yields
 d^n as (out slot, coefficient, structure map, in slot) terms with
 s = (-1)^{n-1}: output part i reads input part i-r through the product P_r
 and the derivation D_r, for r = 0, and r = 1 too when compatible:
@@ -20,18 +20,21 @@ and the derivation D_r, for r = 0, and r = 1 too when compatible:
     top    <- s [P_r, top]
     shadow <- s [D_r, top] - s [P_r, shadow]
 
-On cochains, ``d`` computes each output slot as one linear combination of
-brackets; a term whose input slot or structure map is empty computes none.
-Only degree 0 is special: the space, with d^0 y = P_0(., y) - P_0(y, .); the
-vectors whose two adjoints agree (``compatible-associative``); or nothing,
-when there is a derivation.
+Degree 0 is one vector y, a map of no input, with the one term
+d^0 y = -[P_0, y]: P_0(., y) - P_0(y, .) on the associative side, P_0(., y)
+on the Lie side.  There is none when there is a derivation, and the
+compatible complex keeps only the vectors on which it equals -[P_1, y],
+the kernel of ad_{P_0} - ad_{P_1} (``compat_assoc_degree0``).
 
-Each coboundary matrix D_n, n >= 1, is assembled from blocks: ``_ad_block``
-builds ad_x = [x, .] on the basis maps of one arity as sparse columns, once
-per (structure map, arity) of a report and none for an empty map, and
-``_Complex.matrix`` places each term of the plan as its block, signed and
-shifted to the term's output slot.  D_0 maps the degree-0 basis through
-``d``.  The rank of each D_n is computed exactly by the sparse eliminator of
+On cochains, ``d`` computes each output slot of degree n >= 1 as one linear
+combination of brackets; a term whose input slot or structure map is empty
+computes none.  Each coboundary matrix D_n, degree 0 included, is assembled
+from blocks instead: ``cochains._ad_block`` builds ad_x = [x, .] on the
+basis maps of one arity as sparse columns, once per (structure map, arity)
+of a report and none for an empty map, and ``_Complex.matrix`` places each
+term of the plan as its block, signed and shifted to the term's output
+slot; the compatible D_0 is then taken on the basis of the kernel.  The
+rank of each D_n is computed exactly by the sparse eliminator of
 ``derpair.linalg``.  Reports carry per-degree dimensions and a certification
 that d o d = 0, checked as the exact sparse product D_{n+1} D_n = 0 of the
 assembled matrices for every degree below the requested one.  Since D_n is
@@ -44,12 +47,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
 
 from .brackets import gerstenhaber, nijenhuis_richardson
-from .cochains import (AltMap, CompatCochain, DerCochain, MultiMap, accumulate,
-                       dense_coords, linear_combination, sort_with_sign,
-                       sparse_coords)
+from .cochains import (AltMap, CompatCochain, DerCochain, MultiMap, _ad_block,
+                       dense_coords, linear_combination)
 from .errors import DegreeBudgetError, InvalidStructureError, SchemaError, ShapeError
 from .linalg import Matrix, compose, nullspace, rank
 from .structures import (KIND_INFO, Presentation, check_structure, kind_shape,
@@ -164,19 +165,28 @@ _LAST_SHADOW_SIGN = -1
 
 @cache
 def _slot_arities(compatible: bool, with_derivation: bool, n: int) -> tuple:
-    """The arity of each slot of a degree-n cochain, n >= 1."""
+    """The arity of each slot of a degree-n cochain.
+
+    Degree 0 is one vector, a map of arity 0, or nothing with a derivation.
+    """
+    if n == 0:
+        return () if with_derivation else (0,)
     part = (n, n - 1) if with_derivation and n > 1 else (n,)
     return part * (n if compatible else 1)
 
 
 def _terms(compatible: bool, with_derivation: bool, n: int, last_shadow_sign: int):
-    """Yield d^n, n >= 1, as (out slot, coefficient, structure map, in slot).
+    """Yield d^n as (out slot, coefficient, structure map, in slot).
 
     Every coefficient is +1 or -1.  Structure maps are numbered as
     ``_structure`` returns them: the products P_0 (and P_1), then the
-    derivations D_0 (and D_1).
+    derivations D_0 (and D_1).  Degree 0 has the one term d^0 y = -[P_0, y].
     """
-    s = (-1) ** (n - 1)
+    s = 1 if n % 2 else -1      # (-1)^{n-1}, an int at n = 0 too
+    if n == 0:
+        if not with_derivation:
+            yield 0, s, 0, 0
+        return
     steps = 2 if compatible else 1
     width = 2 if with_derivation and n > 1 else 1      # slots per input part
     width_out = 2 if with_derivation else 1
@@ -200,115 +210,6 @@ def _plan(compatible: bool, with_derivation: bool, n: int, last_shadow_sign: int
     return tuple(map(tuple, groups)), _slot_arities(compatible, with_derivation, n + 1)
 
 
-# ---------------------------------------------------------------------------
-# ad_x blocks: the bracket with one structure map, as sparse columns
-# ---------------------------------------------------------------------------
-
-def _ad_block(x, k: int) -> list:
-    """ad_x = [x, .] on the arity-k maps of x's class, as sparse columns.
-
-    Column c is {row: value}, the coordinates of [x, b] for the c-th basis
-    map b of arity k, both in the coordinate order of ``sparse_coords``.
-    With p and q the arities of x and b less one, [x, b] = x o b - (-1)^{pq}
-    b o x for the composition o of the class (``circle_g`` or ``circle_nr``).
-    Each entry of x is visited once as an input-taker (x o b, where b's
-    output fills one of x's inputs) and once as an output (b o x); the rows
-    are computed directly from the index tuples.
-    """
-    d, a = x.space.dimension, x.arity
-    twist = 1 if (a - 1) * (k - 1) % 2 else -1      # [x, b] = x o b + twist b o x
-    if isinstance(x, AltMap):
-        terms = _alt_terms(x, k, d, a, twist)
-    else:
-        terms = _multi_terms(x, k, d, a, twist)
-    return [accumulate({}, column) for column in terms]
-
-
-def _radix(args, d: int) -> int:
-    """The rank of an index tuple among all tuples of its length."""
-    position = 0
-    for i in args:
-        position = position * d + i
-    return position
-
-
-def _multi_terms(x: MultiMap, k: int, d: int, a: int, twist: int) -> list:
-    # column P*d + o is the basis map (args, o) with P = _radix(args); a row
-    # is _radix(key) * d + out, so each (entry, slot) of x contributes to a
-    # family of columns at rows that are affine in the column's digits
-    width = d ** k
-    terms = [[] for _ in range(width * d)]
-    for (xargs, xout), v in x.coeffs.items():
-        for s, j in enumerate(xargs):
-            # x o b: b's output j fills slot s of x; key xargs[:s] + args + xargs[s+1:]
-            t = a - 1 - s
-            value = -v if s * (k - 1) % 2 else v
-            scale = d ** (t + 1)
-            base = (_radix(xargs[:s], d) * d ** (k + t)
-                    + _radix(xargs[s + 1:], d)) * d + xout
-            for P in range(width):
-                terms[P * d + j].append((P * scale + base, value))
-        position = _radix(xargs, d)
-        for s in range(k):
-            # b o x: xout fills slot s of b, args = (head, xout, tail); the
-            # columns and rows share head H and the low digits L = (tail, o)
-            lo = d ** (k - s)
-            value = twist * v if s * (a - 1) % 2 == 0 else -twist * v
-            col, row = xout * lo, position * lo
-            col_step, row_step = d * lo, d ** a * lo
-            for H in range(d ** s):
-                first, row_first = H * col_step + col, H * row_step + row
-                for L in range(lo):
-                    terms[first + L].append((row_first + L, value))
-    return terms
-
-
-def _alt_terms(x: AltMap, k: int, d: int, a: int, twist: int) -> list:
-    # column c*d + o is the basis map (keys[c], o); a row is the rank of the
-    # sorted key among increasing tuples, times d, plus the output
-    keys = list(combinations(range(d), k))
-    place = {key: i * d for i, key in enumerate(combinations(range(d), a + k - 1))}
-    terms = [[] for _ in range(len(keys) * d)]
-    holding = [[] for _ in range(d)]    # j -> (column base, pos, rest) per key holding j
-    for c, args in enumerate(keys):
-        for pos, j in enumerate(args):
-            holding[j].append((c * d, pos, args[:pos] + args[pos + 1:]))
-    merges = {}                         # rest -> (column base, row base, sign) per key
-    for (xargs, xout), v in x.coeffs.items():
-        for pos, j in enumerate(xargs):
-            # x o b: b's output j fills input pos of x; its key merges with the rest
-            rest = xargs[:pos] + xargs[pos + 1:]
-            if rest not in merges:
-                merges[rest] = []
-                for c, args in enumerate(keys):
-                    m = sort_with_sign(args + rest)
-                    if m is not None:
-                        merges[rest].append((c * d, place[m[0]], m[1]))
-            value = -v if pos % 2 else v
-            for col, row, sign in merges[rest]:
-                terms[col + j].append((row + xout, value if sign > 0 else -value))
-        for col, pos, rest in holding[xout]:
-            # b o x: xout is input pos of b; x's inputs merge with b's others
-            m = sort_with_sign(xargs + rest)
-            if m is not None:
-                row = place[m[0]]
-                value = twist * v if (m[1] > 0) == (pos % 2 == 0) else -twist * v
-                for o in range(d):
-                    terms[col + o].append((row + o, value))
-    return terms
-
-
-def _adjoint(s, y):
-    """d^0 y = s(., y) - s(y, .) as a 1-map of s's class (s(., y) if s alternates)."""
-    terms = []
-    for ((i, j), out), c in s.coeffs.items():
-        if y[j]:
-            terms.append((((i,), out), c * y[j]))
-        if y[i]:
-            terms.append((((j,), out), -c * y[i]))
-    return type(s)._of(s.space, 1, accumulate({}, terms))
-
-
 class _Coboundary:
     """The differential of one flavor on slot tuples, for given structure maps."""
 
@@ -325,11 +226,7 @@ class _Coboundary:
         return _slot_arities(self.compatible, self.with_derivation, n)
 
     def d(self, n: int, slots) -> tuple:
-        """d^n of a slot tuple (of a vector when n = 0) as a slot tuple."""
-        if n == 0:
-            if self.with_derivation:
-                raise ShapeError("this flavor has no degree-0 cochains")
-            return (_adjoint(self.maps[0], slots),)
+        """d^n of a slot tuple, n >= 1, as a slot tuple, one bracket per term."""
         groups, arities = _plan(self.compatible, self.with_derivation, n,
                                 _LAST_SHADOW_SIGN)
         maps, bracket = self.maps, self._bracket
@@ -414,15 +311,13 @@ def lieder_d(p: Presentation, c: DerCochain, check: bool = True) -> DerCochain:
 
 
 def compat_assoc_degree0(p: Presentation) -> list[tuple[Fraction, ...]]:
-    """Basis of the degree-0 space {y : mu1(x,y)-mu1(y,x) = mu2(x,y)-mu2(y,x)}."""
+    """Basis of the degree-0 space {y : mu1(x,y)-mu1(y,x) = mu2(x,y)-mu2(y,x)}.
+
+    That is the kernel of ad_mu1 - ad_mu2 = ad_{mu1-mu2} on vectors.
+    """
     mu1, mu2 = _structure("compatible-associative", p, "compat_assoc_degree0", False)
-    space = p.space
-    columns = []
-    for k in range(space.dimension):
-        e_k = space.basis_vector(k)
-        columns.append(sparse_coords(linear_combination(
-            [(1, _adjoint(mu1, e_k)), (-1, _adjoint(mu2, e_k))])))
-    return nullspace(Matrix.from_columns(space.dimension ** 2, columns))
+    return nullspace(Matrix.from_columns(p.space.dimension ** 2,
+                                         _ad_block(mu1 - mu2, 0)))
 
 
 def compat_assoc_d(p: Presentation, c, check: bool = True) -> tuple:
@@ -462,24 +357,20 @@ class _Complex(_Coboundary):
         validate_presentation(base)
         super().__init__(flavor, _structure(flavor, base, flavor, True))
         self.flavor = flavor
-        # degree 0: the space, the vectors whose two adjoints agree, or nothing
-        if self.with_derivation:
-            self._c0 = []
-        elif self.compatible:
-            self._c0 = compat_assoc_degree0(base)
-        else:
-            self._c0 = [self.space.basis_vector(i) for i in range(self.space.dimension)]
+        # the compatible degree 0 is not the space but the vectors on which
+        # both products' d^0 agree: this basis of them, as columns
+        self._c0 = None
+        if self.compatible and not self.with_derivation:
+            self._c0 = Matrix.from_columns(self.space.dimension, [
+                dict(enumerate(y)) for y in compat_assoc_degree0(base)])
 
     def dim(self, n: int) -> int:
-        if n == 0:
-            return len(self._c0)
+        if n == 0 and self._c0 is not None:
+            return self._c0.cols
         return sum(self._cls.coord_length(self.space, a) for a in self.arities(n))
 
     def basis(self, n: int):
-        """Basis cochains in coordinate order: slot by slot, one map each."""
-        if n == 0:
-            yield from self._c0
-            return
+        """Basis cochains of degree n >= 1 in coordinate order: slot by slot."""
         arities = self.arities(n)
         zeros = tuple(self._cls.zero(self.space, a) for a in arities)
         for k, arity in enumerate(arities):
@@ -497,11 +388,9 @@ class _Complex(_Coboundary):
         shifted to its output slot; a slot reaches each output slot through
         at most one term, so the pieces do not overlap.  ``blocks`` holds the
         blocks by (map index, arity), built on first use and shared by every
-        part and degree; an empty map has none.  Degree 0 maps the basis.
+        part and degree; an empty map has none.  The compatible D_0 is
+        -ad_mu1 on the basis of its degree-0 space.
         """
-        if n == 0:
-            return Matrix.from_columns(self.dim(1), [sparse_coords(self.d(0, b))
-                                                     for b in self.basis(0)])
         groups, out_arities = _plan(self.compatible, self.with_derivation, n,
                                     _LAST_SHADOW_SIGN)
         offsets, rows = [], 0
@@ -520,7 +409,8 @@ class _Complex(_Coboundary):
                     for r, v in column.items():
                         table.setdefault(offset + r, {})[col] = v if coeff > 0 else -v
             start += self._cls.coord_length(self.space, arity)
-        return Matrix._of(rows, start, table)
+        d_n = Matrix._of(rows, start, table)
+        return d_n if n or self._c0 is None else compose(d_n, self._c0)
 
 
 def cohomology(spec: ComplexSpec, budget: int | None = None,

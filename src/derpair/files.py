@@ -23,8 +23,9 @@ parse followed by emit is the identity on anything this module emitted.
 from __future__ import annotations
 
 import json
+from math import factorial
 
-from .cochains import AltMap, DerCochain, MultiMap
+from .cochains import AltMap, DerCochain, MultiMap, sort_with_sign
 from .errors import SchemaError
 from .linalg import Space, format_scalar, parse_scalar
 from .structures import Presentation, Violation, validate_presentation
@@ -130,13 +131,22 @@ def emit_presentation(p: Presentation) -> str:
 
 def _as_alternating(m: MultiMap, where: str) -> AltMap:
     # reject tables that are not genuinely alternating rather than silently
-    # projecting them (which would rescale lone entries)
-    alt = AltMap.from_multimap(m)
-    if alt.to_multimap() != m:
+    # projecting them (which would rescale lone entries): grouped by (sorted
+    # key, out), each group must hold all k! orderings of its key, each equal
+    # to sign * c for one c, which becomes the AltMap's entry.  A key with a
+    # repeated index is a group of one, never complete for k >= 2.
+    groups = {}
+    for (args, out), value in m.coeffs.items():
+        key, sign = sort_with_sign(args) or (args, 0)
+        groups.setdefault((key, out), []).append(sign * value)
+    # k! orderings; when k exceeds the entry count no group can hold them
+    # all, and k! is not computed (a file with k <= entries has >= k^2 indices)
+    orderings = factorial(m.arity) if m.arity <= len(m.coeffs) else 0
+    if not all(cs.count(cs[0]) == orderings for cs in groups.values()):
         raise SchemaError(
             f"{where}: an 'alt' cochain table must be alternating (every "
             "permutation of an entry present with its sign)")
-    return alt
+    return AltMap._of(m.space, m.arity, {key: cs[0] for key, cs in groups.items()})
 
 
 def cochain_from_dict(doc: dict) -> DerCochain:

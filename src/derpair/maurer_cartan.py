@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .brackets import assder_bracket, dc_bracket, gerstenhaber, nijenhuis_richardson
+from .brackets import assder_bracket, dc_bracket
 from .cochains import AltMap, DerCochain, MultiMap
 from .errors import InvalidStructureError, SchemaError, ShapeError
 
@@ -51,61 +51,59 @@ def ass_pair(mu: MultiMap, delta: MultiMap) -> DerCochain:
     return DerCochain(mu, delta)
 
 
+def _square_zero(bracket, pair, names) -> McVerdict:
+    square = bracket(pair, pair)
+    return _verdict(zip(names, (square.top, square.shadow)))
+
+
 def mc_lieder(w: AltMap, delta: MultiMap) -> McVerdict:
-    """(w, delta) squares to zero iff w is Lie and delta is a derivation of it."""
+    """(w, delta) squares to zero iff w is Lie and delta is a derivation of it.
+
+    {P, P} = ([w, w], -2[w, delta]) for P = (w, delta).
+    """
     if w.arity != 2:
         raise ShapeError("expected an alternating bilinear map")
     if delta.space != w.space:
         raise ShapeError("operands live on different spaces")
-    return _verdict([
-        ("[w,w]_NR", nijenhuis_richardson(w, w)),
-        ("-2[w,delta]_NR",
-         nijenhuis_richardson(w, _delta_alt(delta)).scale(-2)),
-    ])
+    return _square_zero(dc_bracket, lie_pair(w, delta),
+                        ("[w,w]_NR", "-2[w,delta]_NR"))
 
 
 def mc_assder(mu: MultiMap, delta: MultiMap) -> McVerdict:
-    """(mu, delta) squares to zero iff mu is associative with derivation delta."""
+    """(mu, delta) squares to zero iff mu is associative with derivation delta.
+
+    [[P, P]] = ([mu, mu], -2[mu, delta]) for P = (mu, delta).
+    """
     if mu.arity != 2:
         raise ShapeError("expected a bilinear map")
     if delta.space != mu.space:
         raise ShapeError("operands live on different spaces")
-    return _verdict([
-        ("[mu,mu]_G", gerstenhaber(mu, mu)),
-        ("-2[mu,delta]_G", gerstenhaber(mu, delta).scale(-2)),
-    ])
+    return _square_zero(assder_bracket, ass_pair(mu, delta),
+                        ("[mu,mu]_G", "-2[mu,delta]_G"))
+
+
+def _mc_pair(single, pack, bracket, names, pair1, pair2) -> McVerdict:
+    """Both pairs square to zero (single) and their mixed bracket vanishes."""
+    residuals = [(f"{name}[pair{i}]", value) for i, pair in ((1, pair1), (2, pair2))
+                 for name, value in single(*pair).residuals]
+    mixed = bracket(pack(*pair1), pack(*pair2))
+    return _verdict(residuals + list(zip(names, (mixed.top, mixed.shadow))))
 
 
 def mc_pair_lieder(w1: AltMap, delta1: MultiMap,
                    w2: AltMap, delta2: MultiMap) -> McVerdict:
     """Both pairs square to zero and their mixed bracket vanishes."""
-    first = mc_lieder(w1, delta1)
-    second = mc_lieder(w2, delta2)
-    residuals = [(f"{name}[pair1]", value) for name, value in first.residuals]
-    residuals += [(f"{name}[pair2]", value) for name, value in second.residuals]
-    mixed_top = nijenhuis_richardson(w1, w2)
-    mixed_shadow = (nijenhuis_richardson(w1, _delta_alt(delta2))
-                    + nijenhuis_richardson(w2, _delta_alt(delta1))).scale(-1)
-    if not mixed_top.is_zero():
-        residuals.append(("[w1,w2]_NR", mixed_top))
-    if not mixed_shadow.is_zero():
-        residuals.append(("-[w1,delta2]_NR-[w2,delta1]_NR", mixed_shadow))
-    return McVerdict(not residuals, residuals)
+    return _mc_pair(mc_lieder, lie_pair, dc_bracket,
+                    ("[w1,w2]_NR", "-[w1,delta2]_NR-[w2,delta1]_NR"),
+                    (w1, delta1), (w2, delta2))
 
 
 def mc_pair_assder(mu1: MultiMap, delta1: MultiMap,
                    mu2: MultiMap, delta2: MultiMap) -> McVerdict:
     """Associative-side compatible pair condition."""
-    first = mc_assder(mu1, delta1)
-    second = mc_assder(mu2, delta2)
-    residuals = [(f"{name}[pair1]", value) for name, value in first.residuals]
-    residuals += [(f"{name}[pair2]", value) for name, value in second.residuals]
-    mixed = assder_bracket(ass_pair(mu1, delta1), ass_pair(mu2, delta2))
-    if not mixed.top.is_zero():
-        residuals.append(("[mu1,mu2]_G", mixed.top))
-    if mixed.shadow is not None and not mixed.shadow.is_zero():
-        residuals.append(("-[mu1,delta2]_G+[delta1,mu2]_G", mixed.shadow))
-    return McVerdict(not residuals, residuals)
+    return _mc_pair(mc_assder, ass_pair, assder_bracket,
+                    ("[mu1,mu2]_G", "-[mu1,delta2]_G+[delta1,mu2]_G"),
+                    (mu1, delta1), (mu2, delta2))
 
 
 def deformation_check(w: AltMap, delta: MultiMap,

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 
-from .cochains import AltMap, MultiMap
+from .cochains import AltMap, MultiMap, _ad_block
 from .errors import SchemaError, ShapeError, UnsupportedRoleError
 from .linalg import Matrix, Space
 
@@ -448,29 +448,17 @@ def check_operator(p: Presentation, op: MultiMap, role: str, weight=0):
 def _derivation_columns(space: Space, blocks) -> list[dict]:
     """Column i*d + j: the ``derivation`` residual of D = E_ij on each block.
 
-    E_ij maps e_i to e_j.  The residual of block k at ((a, b), c) sits at row
-    ((k*d + a)*d + b)*d + c; the rows of a block that is None stay empty.
+    E_ij maps e_i to e_j.  The residual D(P(x,y)) - P(D x, y) - P(x, D y) is
+    -[P, D], so the columns are those of -ad_P on the arity-1 maps, whose
+    basis is E_ij in this order; block k holds the rows after those of the
+    blocks before it, and the rows of a block that is None stay empty.
     """
-    d = space.dimension
-    (_, _, arity, lhs, rhs), = (row for row in _AXIOMS if row[0] == "derivation")
-    tables = [None if prod is None else {key: _exact(value)
-                                         for key, value in prod.coeffs.items()}
-              for prod in blocks]
-    columns = []
-    for i in range(d):
-        for j in range(d):
-            column = {}
-            for k, table in enumerate(tables):
-                if table is None:
-                    continue
-                maps = {"D": {((i,), j): 1}, "P": table}
-                left, right = _side(lhs, arity, maps), _side(rhs, arity, maps)
-                for key in left.keys() | right.keys():
-                    value = left.get(key, 0) - right.get(key, 0)
-                    if value:
-                        (a, b), c = key
-                        column[((k * d + a) * d + b) * d + c] = value
-            columns.append(column)
+    rows = MultiMap.coord_length(space, 2)
+    columns = [{} for _ in range(space.dimension ** 2)]
+    for k, prod in enumerate(blocks):
+        if prod is not None:
+            for column, ad in zip(columns, _ad_block(prod, 1)):
+                column.update((k * rows + r, -v) for r, v in ad.items())
     return columns
 
 
@@ -479,6 +467,7 @@ def derivation_system(space: Space, products) -> Matrix:
 
     Unknowns are the d*d entries of delta in row-major order, delta(e_i) =
     sum_j delta[i,j] e_j; one row per (product, input pair, output coordinate).
+    It is the stack of the blocks -ad_P on linear maps, one per product P.
     """
     products = list(products)
     d = space.dimension
@@ -494,7 +483,8 @@ def cross_derivation_system(space: Space, products1, products2) -> Matrix:
     Rows impose: delta1 is a derivation of every product in products1, delta2
     of every product in products2, and for each aligned product pair the
     cross-derivation identity (the summed defect of delta1 on product2 and
-    delta2 on product1 vanishes).
+    delta2 on product1 vanishes).  Each block of rows is -ad_P on linear maps
+    under the unknowns it involves, as in ``derivation_system``.
     """
     products1, products2 = list(products1), list(products2)
     pairs = min(len(products1), len(products2))

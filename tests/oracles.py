@@ -8,7 +8,8 @@ symmetric-group antisymmetrization, and the classical coboundaries use the
 textbook face sums.  The dense Bareiss rank and the Gauss-Jordan kernel are
 the linear algebra the package used before its sparse eliminator, and
 ``apply_oracle`` and ``der_D_oracle`` are the dense evaluation and
-derivation insertion it used before its entry-driven kernels.
+derivation insertion it used before its entry-driven kernels;
+``degree0_oracle`` writes the degree-0 coboundary out with the former.
 ``check_structure_oracle``, ``check_operator_oracle`` and
 ``check_morphism_oracle`` are its per-tuple axiom checkers from before the
 residual tensors.
@@ -102,6 +103,22 @@ def apply_oracle(m, vectors) -> list:
             if c:
                 out[j] += factor * c
     return out
+
+
+def degree0_oracle(P, y) -> list:
+    """d^0 y = P(., y) - P(y, .), as the dense coordinates of a linear map.
+
+    Coordinate i*d + j is the e_j coefficient of P(e_i, y) - P(y, e_i).  An
+    AltMap, whose value is already skew, counts once: it gives P(e_i, y).
+    """
+    d = P.space.dimension
+    half = Fraction(1, 2) if isinstance(P, AltMap) else ONE
+    coords = []
+    for i in range(d):
+        e_i = [ONE if k == i else ZERO for k in range(d)]
+        coords += [half * (a - b) for a, b in zip(apply_oracle(P, [e_i, y]),
+                                                  apply_oracle(P, [y, e_i]))]
+    return coords
 
 
 def der_D_oracle(delta: MultiMap, f):

@@ -354,13 +354,46 @@ def test_bracket_flavor_mismatch(capsys, tmp_path):
 
 
 def test_bracket_rejects_non_alternating_alt_table(capsys, tmp_path):
-    # a lone (0,1) entry without its mirror is not an alternating table
-    half_doc = {"dimension": 2, "flavor": "alt", "arity": 2,
-                "entries": [[0, 1, 0, "1"]]}
-    path = _cochain_file(tmp_path, "half.json", half_doc)
+    # a lone (0,1) entry without its mirror is not an alternating table, nor
+    # is one whose mirror has the wrong sign or size, one with a repeated
+    # index, or an arity-3 key with one of its six orderings missing
+    orderings = [[*key, 0, str(sign)] for key, sign in (
+        ((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1), ((1, 0, 2), -1), ((0, 2, 1), -1))]
+    for arity, entries in ((2, [[0, 1, 0, "1"]]),
+                           (2, [[0, 1, 0, "1"], [1, 0, 0, "1"]]),
+                           (2, [[0, 1, 0, "1"], [1, 0, 0, "-2"]]),
+                           (2, [[0, 1, 0, "1"], [1, 0, 0, "-1"], [1, 1, 0, "1"]]),
+                           (3, orderings)):
+        half_doc = {"dimension": 3, "flavor": "alt", "arity": arity, "entries": entries}
+        path = _cochain_file(tmp_path, "half.json", half_doc)
+        code, _, err = run_cli(capsys, "bracket", "--kind", "nr", path, path)
+        assert code == 2, entries
+        assert "alternating" in err
+    full = orderings + [[2, 1, 0, 0, "-1"]]
+    path = _cochain_file(tmp_path, "full.json", {"dimension": 3, "flavor": "alt",
+                                                 "arity": 3, "entries": full})
+    assert run_cli(capsys, "bracket", "--kind", "nr", path, path)[0] == 0
+
+
+def test_bracket_refuses_a_lone_arity_12_alt_entry(capsys, tmp_path):
+    # alternation is decided from the entries, so the 12! orderings a complete
+    # table would need are never formed
+    lone_doc = {"dimension": 12, "flavor": "alt", "arity": 12,
+                "entries": [[*range(12), 0, "1"]]}
+    path = _cochain_file(tmp_path, "lone.json", lone_doc)
     code, _, err = run_cli(capsys, "bracket", "--kind", "nr", path, path)
     assert code == 2
     assert "alternating" in err
+
+
+def test_bracket_accepts_an_empty_alt_table_of_large_arity(capsys, tmp_path):
+    empty_doc = {"dimension": 2, "flavor": "alt", "arity": 200000, "entries": []}
+    path = _cochain_file(tmp_path, "empty.json", empty_doc)
+    code, out, _ = run_cli(capsys, "bracket", "--kind", "nr", path, path)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["arity"] == 399999
+    assert doc["entries"] == []
 
 
 def _assert_schema_exit(code, err, message):

@@ -5,8 +5,8 @@ import pytest
 
 from derpair import cohomology as co
 from derpair.brackets import gerstenhaber, nijenhuis_richardson
-from derpair.cochains import (AltMap, CompatCochain, DerCochain, MultiMap, circle_g,
-                              circle_nr, sparse_coords)
+from derpair.cochains import (AltMap, CompatCochain, DerCochain, MultiMap, _ad_block,
+                              circle_g, circle_nr, sparse_coords)
 from derpair.errors import (DegreeBudgetError, InvalidStructureError, SchemaError,
                             ShapeError)
 from derpair.linalg import Matrix, Space, rank
@@ -16,7 +16,7 @@ import gen
 from oracles import (ce_face_d, circle_g_oracle, compat_pair_d_oracle, der_D_oracle,
                      der_pair_d_oracle, hochschild_face_d, map_d_oracle,
                      staircase_d_oracle)
-from test_linalg import _catalog_complexes
+from test_linalg import _catalog_complexes, _degree0_images
 
 S1 = Space.of_dim(1)
 S2 = Space.of_dim(2)
@@ -406,13 +406,17 @@ def test_cad_report_matches_dense_oracle():
 
 
 def test_compatible_associative_degree_zero():
-    p = P(S2, "compatible-associative",
-          {"mu1": gen.NIL2, "mu2": gen.NIL2.scale(2)})
-    report = co.cohomology(co.ComplexSpec("compatible-associative", p, 2))
-    assert report.dd_zero_certified
-    # the product is commutative, so both adjoint maps vanish on everything
-    assert report.degrees[0].dim_cochains == 2
-    assert report.degrees[0].rank_d == 0
+    # NIL2 is commutative, so both adjoint maps vanish on everything; IDEM2
+    # has a zero center, so its adjoint is injective: with mu2 = mu1 every
+    # vector is a 0-cochain, and with mu2 = -mu1 none is
+    for mu1, mu2, dim0, rank0 in ((gen.NIL2, gen.NIL2.scale(2), 2, 0),
+                                  (gen.IDEM2, gen.IDEM2, 2, 2),
+                                  (gen.IDEM2, gen.IDEM2.scale(-1), 0, 0)):
+        p = P(S2, "compatible-associative", {"mu1": mu1, "mu2": mu2})
+        report = co.cohomology(co.ComplexSpec("compatible-associative", p, 2))
+        assert report.dd_zero_certified
+        assert report.degrees[0].dim_cochains == dim0
+        assert report.degrees[0].rank_d == rank0
 
 
 def test_hochschild_report_dims_match_face_formula_assembly():
@@ -600,7 +604,7 @@ def test_no_bracket_is_computed_on_an_empty_operand(monkeypatch):
         if flavor not in flavors:
             flavors.add(flavor)
             cx = co._Complex(flavor, p)
-            for n in range(3):
+            for n in (1, 2):
                 for b in cx.basis(n):
                     cx.d(n, b)
     assert flavors == set(co.FLAVORS)
@@ -630,7 +634,10 @@ def test_block_assembly_matches_the_basis_images(monkeypatch, last_shadow_sign):
         cx = co._Complex(flavor, p)
         blocks = {}
         for n in range(4 if p.space.dimension == 2 else 3):
-            images = [sparse_coords(cx.d(n, b)) for b in cx.basis(n)]
+            if n == 0:
+                images = [dict(enumerate(column)) for column in _degree0_images(cx)]
+            else:
+                images = [sparse_coords(cx.d(n, b)) for b in cx.basis(n)]
             assert cx.matrix(n, blocks) == Matrix.from_columns(cx.dim(n + 1), images), \
                 (flavor, n)
         flavors.add(flavor)
@@ -643,9 +650,9 @@ def test_no_block_is_built_for_an_empty_structure_map(monkeypatch):
     def counting(x, k):
         assert x.coeffs
         built.append((x, k))
-        return ad_block(x, k)
+        return _ad_block(x, k)
 
-    ad_block = co._ad_block
+    # the builder lives in cochains; cohomology assembles the matrices with it
     monkeypatch.setattr(co, "_ad_block", counting)
     zero_delta = P(S3, "lieder", {"bracket": gen.HEIS3}, {"delta": MultiMap.zero(S3, 1)})
     co.cohomology(co.ComplexSpec("lieder", zero_delta, 3))

@@ -13,7 +13,7 @@ from derpair.linalg import (Matrix, Space, compose, format_scalar, kernel_dim,
 from derpair.structures import Presentation
 
 import gen
-from oracles import compose_oracle, nullspace_oracle, rank_oracle
+from oracles import compose_oracle, degree0_oracle, nullspace_oracle, rank_oracle
 
 
 def test_rank_identity():
@@ -243,16 +243,47 @@ def _catalog_complexes(rng):
     yield from (("cldp", p) for p in gen.compatible_lieder_instances(rng, 3))
 
 
+def _degree0_basis(cx):
+    """The degree-0 basis of a complex, by the dense oracles.
+
+    Every basis vector; with a derivation, none; for the compatible complex,
+    the kernel of the difference of the two products' d^0.
+    """
+    space = cx.space
+    d = space.dimension
+    if cx.with_derivation:
+        return []
+    vectors = [space.basis_vector(k) for k in range(d)]
+    if not cx.compatible:
+        return vectors
+    mu1, mu2 = cx.maps
+    columns = [[a - b for a, b in zip(degree0_oracle(mu1, e), degree0_oracle(mu2, e))]
+               for e in vectors]
+    return nullspace_oracle(Matrix(d * d, d, tuple(
+        column[i] for i in range(d * d) for column in columns)))
+
+
+def _degree0_images(cx):
+    """The columns of D_0, dense, by the oracles: d^0 with the first product."""
+    return [degree0_oracle(cx.maps[0], y) for y in _degree0_basis(cx)]
+
+
 def test_coboundary_ranks_and_kernels_match_dense_oracles():
     rng = random.Random(2312)
     flavors = set()
     for flavor, p in _catalog_complexes(rng):
         cx = co._Complex(flavor, p)
         top = 3 if p.space.dimension == 2 else 2
+        if flavor == "compatible-associative":
+            assert co.compat_assoc_degree0(p) == _degree0_basis(cx)
         for n in range(top + 1):
-            images = [cx.d(n, b) for b in cx.basis(n)]
-            m = Matrix.from_columns(cx.dim(n + 1), map(sparse_coords, images))
-            dense = [cx.coords(n + 1, image) for image in images]
+            if n == 0:
+                # D_0 as assembled, against d^0 written out densely
+                m, dense = cx.matrix(0, {}), _degree0_images(cx)
+            else:
+                images = [cx.d(n, b) for b in cx.basis(n)]
+                m = Matrix.from_columns(cx.dim(n + 1), map(sparse_coords, images))
+                dense = [cx.coords(n + 1, image) for image in images]
             assert m == Matrix(m.rows, m.cols, tuple(
                 column[i] for i in range(m.rows) for column in dense))
             _assert_matches_oracles(m)
