@@ -62,6 +62,10 @@ def dc_bracket(a: DerCochain, b: DerCochain) -> DerCochain:
     if m + n == 0:
         return DerCochain(top, None)
     # m + n > 0, so at least one side has a shadow
+    if a is b:
+        # both shadow terms are [f_{m+1}, g_m], and m(m+1) is even
+        return DerCochain(top, nijenhuis_richardson(a.top, a.shadow)
+                          .scale((-1) ** m - 1))
     shadow = []
     if b.shadow is not None:
         shadow.append(((-1) ** m, nijenhuis_richardson(a.top, b.shadow)))
@@ -91,6 +95,10 @@ def assder_bracket(a: DerCochain, b: DerCochain) -> DerCochain:
     if m + n - 1 == 1:
         return DerCochain(top, None)
     # m + n > 2, so at least one side has a shadow
+    if a is b:
+        # [f_{m-1}, f_m] = -[f_m, f_{m-1}], as (m-1)(m-2) is even
+        return DerCochain(top, gerstenhaber(a.top, a.shadow)
+                          .scale((-1) ** (m + 1) - 1))
     shadow = []
     if b.shadow is not None:
         shadow.append(((-1) ** (m + 1), gerstenhaber(a.top, b.shadow)))

@@ -204,14 +204,6 @@ class MultiMap(_SparseMap):
                 out[j] = value
         return out
 
-    def flip(self) -> "MultiMap":
-        """Swap the two arguments of a bilinear map."""
-        if self.arity != 2:
-            raise ShapeError("flip needs arity 2")
-        return MultiMap._of(self.space, 2,
-                            {((b, a), out): value
-                             for ((a, b), out), value in self.coeffs.items()})
-
     def coords(self) -> list[Fraction]:
         return dense_coords(self)
 
@@ -408,8 +400,7 @@ def accumulate(table: dict, terms) -> dict:
     """Add each (key, value) of terms into table, dropping keys whose total is 0.
 
     Returns table.  Every sparse sum of the package is built by this loop:
-    the compositions, map addition, linear combinations and the operator
-    compositions of ``derpair.constructions``.
+    the compositions, map addition and linear combinations.
     """
     for key, value in terms:
         old = table.get(key)

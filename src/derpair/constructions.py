@@ -9,6 +9,12 @@ endomorphism, Rota-Baxter operators of weight zero, and the deformed product
 of an integrable endomorphism) are exposed as separate operations because
 they take the extra operator argument.
 
+Every transfer and operator construction is one formula per output map in
+the term language of the axiom table, such as ``succ(x0,x1) - prec(x1,x0)``,
+which ``structures.evaluate`` computes from the stored entries of the maps
+it names; a compatible recipe applies its single-structure row to each
+structure of the pair.
+
 Inputs are always validated against their claimed kind first; outputs carry
 provenance (recipe name and input fingerprint) and never share state with
 their inputs.
@@ -19,11 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cochains import MultiMap, accumulate
+from .cochains import MultiMap
 from .errors import InvalidStructureError, SchemaError
 from .structures import (KIND_INFO, Presentation, check_operator,
-                         check_structure, fingerprint, kind_shape,
-                         validate_presentation)
+                         check_structure, evaluate, fingerprint, kind_shape)
 
 
 @dataclass(frozen=True)
@@ -33,149 +38,121 @@ class Recipe:
     output_kind: str
 
 
-def _precompose(m: MultiMap, slot: int, op: MultiMap) -> MultiMap:
-    """m with op applied to argument `slot`: (x,y) -> m(..., op(arg), ...)."""
-    terms = [((args[:slot] + (src,) + args[slot + 1:], out), value * coefficient)
-             for (args, out), value in m.coeffs.items()
-             for ((src,), mid), coefficient in op.coeffs.items() if mid == args[slot]]
-    return MultiMap(m.space, m.arity, accumulate({}, terms))
+# (recipe, input family, output family, {output product: formula}, whether
+# the recipe also runs on compatible pairs, one structure at a time)
+_TRANSFERS = (
+    ("dendriform-to-associative", "dendriform", "associative",
+     {"mu": "prec(x0,x1) + succ(x0,x1)"}, True),
+    ("dendriform-to-prelie", "dendriform", "prelie",
+     {"circ": "succ(x0,x1) - prec(x1,x0)"}, True),
+    # x < y = y * x and x > y = x * y is the splitting matching the zinbiel
+    # orientation x*(y*z) = (x*y)*z + (y*x)*z; the symmetric choice fails the
+    # middle dendriform axiom whenever triple products survive.
+    ("zinbiel-to-dendriform", "zinbiel", "dendriform",
+     {"prec": "star(x1,x0)", "succ": "star(x0,x1)"}, False),
+    ("zinbiel-to-associative", "zinbiel", "associative",
+     {"mu": "star(x0,x1) + star(x1,x0)"}, True),
+    ("associative-to-lie", "associative", "lie",
+     {"bracket": "mu(x0,x1) - mu(x1,x0)"}, True),
+    ("prelie-to-lie", "prelie", "lie",
+     {"bracket": "circ(x0,x1) - circ(x1,x0)"}, True),
+)
+
+# derivations pass through every transfer but linear-combine unchanged
+_CARRIED = {"delta": "delta(x0)"}
+
+# construction -> (function, input kind, output kind, operator role,
+# {output product: formula}); the operator is T, applied to each structure
+_OPERATORS = {
+    "rb-deform": ("rb_deform_assder", "compatible-assder", "compatible-assder",
+                  "rota-baxter", {"mu": "mu(T(x0),x1) + mu(x0,T(x1))"}),
+    "endo-brackets": ("endo_brackets", "compatible-assder", "compatible-lieder",
+                      "idempotent-endomorphism",
+                      {"bracket": "mu(T(x0),x1) - mu(T(x1),x0)"}),
+    "rb-to-prelie": ("rb_lie_to_prelie", "compatible-lieder",
+                     "compatible-prelieder", "rota-baxter",
+                     {"circ": "bracket(T(x0),x1)"}),
+}
+
+_NIJENHUIS = "mu(N(x0),x1) + mu(x0,N(x1)) - N(mu(x0,x1))"
 
 
-def _postcompose(op: MultiMap, m: MultiMap) -> MultiMap:
-    """op o m."""
-    terms = [((args, dst), value * coefficient)
-             for (args, out), value in m.coeffs.items()
-             for ((src,), dst), coefficient in op.coeffs.items() if src == out]
-    return MultiMap(m.space, m.arity, accumulate({}, terms))
+def _build_recipe_table():
+    """recipe -> {input kind: (output kind, suffixes, products, derivations)}.
+
+    The formulas are applied once per suffix, to the maps whose names end in
+    it with the suffix dropped.
+    """
+    kind = {(info.family, info.compatible, info.with_derivation): name
+            for name, info in KIND_INFO.items()}
+    table = {}
+    for recipe, source, target, formulas, per_structure in _TRANSFERS:
+        compatible = (f"compatible-{kind[source, False, True]}-to-"
+                      f"compatible-{kind[target, False, True]}")
+        for der in (False, True):
+            carried = _CARRIED if der else {}
+            table.setdefault(recipe, {})[kind[source, False, der]] = (
+                kind[target, False, der], ("",), formulas, carried)
+            if per_structure:
+                table.setdefault(compatible, {})[kind[source, True, der]] = (
+                    kind[target, True, der], ("1", "2"), formulas, carried)
+    for name, info in KIND_INFO.items():
+        if info.compatible:
+            combined = {product: f"k1*{product}1(x0,x1) + k2*{product}2(x0,x1)"
+                        for product in kind_shape(info.family)[0]}
+            derivations = ({"delta": "p1*delta1(x0) + p2*delta2(x0)"}
+                           if info.with_derivation else {})
+            table.setdefault("linear-combine", {})[name] = (
+                kind[info.family, False, info.with_derivation], ("",),
+                combined, derivations)
+    return table
 
 
-def _commutator(m: MultiMap) -> MultiMap:
-    return m - m.flip()
-
+_RECIPE_TABLE = _build_recipe_table()
 
 # recipe name -> {accepted input kind: output kind}
-RECIPE_KINDS = {
-    "dendriform-to-associative": {"dendriform": "associative",
-                                  "dendrider": "assder"},
-    "dendriform-to-prelie": {"dendriform": "prelie", "dendrider": "prelieder"},
-    "zinbiel-to-dendriform": {"zinbiel": "dendriform", "zinder": "dendrider"},
-    "zinbiel-to-associative": {"zinbiel": "associative", "zinder": "assder"},
-    "associative-to-lie": {"associative": "lie", "assder": "lieder"},
-    "prelie-to-lie": {"prelie": "lie", "prelieder": "lieder"},
-    "compatible-assder-to-compatible-lieder": {
-        "compatible-assder": "compatible-lieder",
-        "compatible-associative": "compatible-lie"},
-    "compatible-dendrider-to-compatible-assder": {
-        "compatible-dendrider": "compatible-assder",
-        "compatible-dendriform": "compatible-associative"},
-    "compatible-dendrider-to-compatible-prelieder": {
-        "compatible-dendrider": "compatible-prelieder",
-        "compatible-dendriform": "compatible-prelie"},
-    "compatible-prelieder-to-compatible-lieder": {
-        "compatible-prelieder": "compatible-lieder",
-        "compatible-prelie": "compatible-lie"},
-    "compatible-zinder-to-compatible-assder": {
-        "compatible-zinder": "compatible-assder",
-        "compatible-zinbiel": "compatible-associative"},
-    "linear-combine": {kind: kind.removeprefix("compatible-")
-                       for kind in KIND_INFO if kind.startswith("compatible-")},
-}
+RECIPE_KINDS = {recipe: {source: row[0] for source, row in rows.items()}
+                for recipe, rows in _RECIPE_TABLE.items()}
 
 RECIPES = tuple(Recipe(name, input_kind, output_kind)
                 for name in sorted(RECIPE_KINDS)
                 for input_kind, output_kind in sorted(RECIPE_KINDS[name].items()))
 
 
-def _checked(p: Presentation) -> Presentation:
-    validate_presentation(p)
-    violation = check_structure(p)
+def _require(violation, what: str) -> None:
     if violation is not None:
         raise InvalidStructureError(
-            f"input fails {violation.axiom} at {violation.witness}", violation)
-    return p
+            f"{what} fails {violation.axiom} at {violation.witness}", violation)
 
 
-def _fresh(space, products, derivations, kind, name, source) -> Presentation:
-    return Presentation(space, products, derivations, kind,
-                        provenance={"recipe": name, "input": fingerprint(source)})
-
-
-def _zinbiel_split(star: MultiMap) -> tuple[MultiMap, MultiMap]:
-    # x < y = y * x and x > y = x * y is the splitting matching the zinbiel
-    # orientation x*(y*z) = (x*y)*z + (y*x)*z; the symmetric choice fails the
-    # middle dendriform axiom whenever triple products survive.
-    return star.flip(), star
+def _transfer(p: Presentation, name: str, out_kind: str, suffixes,
+              products, derivations, extra) -> Presentation:
+    """The presentation whose maps are the formulas on p's maps and extra."""
+    maps = {**p.products, **p.derivations}
+    out = ({}, {})
+    for s in suffixes:
+        named = {key[:len(key) - len(s)]: m for key, m in maps.items()
+                 if key.endswith(s)}
+        named.update(extra)
+        for group, arity, formulas in zip(out, (2, 1), (products, derivations)):
+            for key, formula in formulas.items():
+                group[key + s] = evaluate(p.space, formula, arity, named)
+    return Presentation(p.space, *out, out_kind,
+                        provenance={"recipe": name, "input": fingerprint(p)})
 
 
 def dendrify(p: Presentation, recipe: str, coefficients=None) -> Presentation:
     """Apply a named transfer recipe; `coefficients` only feeds linear-combine."""
-    table = RECIPE_KINDS.get(recipe)
+    table = _RECIPE_TABLE.get(recipe)
     if table is None:
         raise SchemaError(f"unknown recipe {recipe!r}")
     if p.kind not in table:
         raise SchemaError(f"recipe {recipe!r} does not accept kind {p.kind!r}")
-    _checked(p)
-    out_kind = table[p.kind]
-    der = KIND_INFO[p.kind].with_derivation
-    space = p.space
-
-    if recipe == "linear-combine":
-        k1, k2, p1, p2 = (Fraction(1), Fraction(1), Fraction(1), Fraction(1)) \
-            if coefficients is None else tuple(map(Fraction, coefficients))
-        base_names, _ = kind_shape(out_kind)
-        products = {name: p.products[f"{name}1"].scale(k1)
-                    + p.products[f"{name}2"].scale(k2)
-                    for name in base_names}
-        derivations = {}
-        if der:
-            derivations["delta"] = (p.derivations["delta1"].scale(p1)
-                                    + p.derivations["delta2"].scale(p2))
-        return _fresh(space, products, derivations, out_kind, recipe, p)
-
-    def carried():
-        return {name: m for name, m in p.derivations.items()}
-
-    if recipe == "dendriform-to-associative":
-        products = {"mu": p.products["prec"] + p.products["succ"]}
-    elif recipe == "dendriform-to-prelie":
-        products = {"circ": p.products["succ"] - p.products["prec"].flip()}
-    elif recipe == "zinbiel-to-dendriform":
-        prec, succ = _zinbiel_split(p.products["star"])
-        products = {"prec": prec, "succ": succ}
-    elif recipe == "zinbiel-to-associative":
-        star = p.products["star"]
-        products = {"mu": star + star.flip()}
-    elif recipe == "associative-to-lie":
-        products = {"bracket": _commutator(p.products["mu"])}
-    elif recipe == "prelie-to-lie":
-        products = {"bracket": _commutator(p.products["circ"])}
-    elif recipe == "compatible-assder-to-compatible-lieder":
-        products = {f"bracket{i}": _commutator(p.products[f"mu{i}"])
-                    for i in (1, 2)}
-    elif recipe == "compatible-dendrider-to-compatible-assder":
-        products = {f"mu{i}": p.products[f"prec{i}"] + p.products[f"succ{i}"]
-                    for i in (1, 2)}
-    elif recipe == "compatible-dendrider-to-compatible-prelieder":
-        products = {f"circ{i}": p.products[f"succ{i}"]
-                    - p.products[f"prec{i}"].flip()
-                    for i in (1, 2)}
-    elif recipe == "compatible-prelieder-to-compatible-lieder":
-        products = {f"bracket{i}": _commutator(p.products[f"circ{i}"])
-                    for i in (1, 2)}
-    elif recipe == "compatible-zinder-to-compatible-assder":
-        products = {f"mu{i}": p.products[f"star{i}"]
-                    + p.products[f"star{i}"].flip()
-                    for i in (1, 2)}
-    else:  # pragma: no cover
-        raise SchemaError(f"unhandled recipe {recipe!r}")
-    return _fresh(space, products, carried(), out_kind, recipe, p)
-
-
-def _require_operator(p: Presentation, op: MultiMap, role: str, weight=0):
-    violation = check_operator(p, op, role, weight)
-    if violation is not None:
-        raise InvalidStructureError(
-            f"operator fails {violation.axiom} at {violation.witness}", violation)
+    _require(check_structure(p), "input")
+    k1, k2, p1, p2 = ((1, 1, 1, 1) if coefficients is None
+                      else map(Fraction, coefficients))
+    return _transfer(p, recipe, *table[p.kind],
+                     {"k1": k1, "k2": k2, "p1": p1, "p2": p2})
 
 
 def nijenhuis_product(mu: MultiMap, n_op: MultiMap, check: bool = True) -> MultiMap:
@@ -187,28 +164,24 @@ def nijenhuis_product(mu: MultiMap, n_op: MultiMap, check: bool = True) -> Multi
     """
     if check:
         host = Presentation(mu.space, {"mu": mu}, {}, "associative")
-        violation = check_structure(host)
-        if violation is not None:
-            raise InvalidStructureError(
-                f"product fails {violation.axiom} at {violation.witness}",
-                violation)
-        _require_operator(host, n_op, "nijenhuis")
-    return (_precompose(mu, 0, n_op) + _precompose(mu, 1, n_op)
-            - _postcompose(n_op, mu))
+        _require(check_structure(host), "product")
+        _require(check_operator(host, n_op, "nijenhuis"), "operator")
+    return evaluate(mu.space, _NIJENHUIS, 2, {"mu": mu, "N": n_op})
+
+
+def _construct(name: str, p: Presentation, op: MultiMap) -> Presentation:
+    function, in_kind, out_kind, role, products = _OPERATORS[name]
+    if p.kind != in_kind:
+        raise SchemaError(f"{function} needs a {in_kind} presentation")
+    _require(check_structure(p), "input")
+    _require(check_operator(p, op, role), "operator")
+    return _transfer(p, name, out_kind, ("1", "2"), products, _CARRIED,
+                     {"T": op})
 
 
 def rb_deform_assder(p: Presentation, r_op: MultiMap) -> Presentation:
     """Deform both products of a compatible pair by a weight-0 Rota-Baxter map."""
-    if p.kind != "compatible-assder":
-        raise SchemaError("rb_deform_assder needs a compatible-assder presentation")
-    _checked(p)
-    _require_operator(p, r_op, "rota-baxter", 0)
-    products = {}
-    for i in (1, 2):
-        mu = p.products[f"mu{i}"]
-        products[f"mu{i}"] = _precompose(mu, 0, r_op) + _precompose(mu, 1, r_op)
-    return _fresh(p.space, products, dict(p.derivations), "compatible-assder",
-                  "rb-deform", p)
+    return _construct("rb-deform", p, r_op)
 
 
 def endo_brackets(p: Presentation, t_op: MultiMap) -> Presentation:
@@ -217,25 +190,9 @@ def endo_brackets(p: Presentation, t_op: MultiMap) -> Presentation:
     T must be idempotent and commute with both derivations; the result is a
     compatible Lie pair carrying the same derivations.
     """
-    if p.kind != "compatible-assder":
-        raise SchemaError("endo_brackets needs a compatible-assder presentation")
-    _checked(p)
-    _require_operator(p, t_op, "idempotent-endomorphism")
-    products = {}
-    for i in (1, 2):
-        twisted = _precompose(p.products[f"mu{i}"], 0, t_op)
-        products[f"bracket{i}"] = twisted - twisted.flip()
-    return _fresh(p.space, products, dict(p.derivations), "compatible-lieder",
-                  "endo-brackets", p)
+    return _construct("endo-brackets", p, t_op)
 
 
 def rb_lie_to_prelie(p: Presentation, r_op: MultiMap) -> Presentation:
     """Products x o_i y = [Rx, y]_i for a weight-0 Rota-Baxter map R."""
-    if p.kind != "compatible-lieder":
-        raise SchemaError("rb_lie_to_prelie needs a compatible-lieder presentation")
-    _checked(p)
-    _require_operator(p, r_op, "rota-baxter", 0)
-    products = {f"circ{i}": _precompose(p.products[f"bracket{i}"], 0, r_op)
-                for i in (1, 2)}
-    return _fresh(p.space, products, dict(p.derivations), "compatible-prelieder",
-                  "rb-to-prelie", p)
+    return _construct("rb-to-prelie", p, r_op)

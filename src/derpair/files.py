@@ -13,8 +13,9 @@ A product entry [i, j, k, "p/q"] says the product of basis elements i and j
 has coefficient p/q on basis element k; a derivation entry [i, j, "p/q"] says
 delta(e_i) has coefficient p/q on e_j.  Indices are 0-based in files even
 though reports print 1-based labels e1..en.  Rationals are strings "p/q", or
-"p" when the denominator is 1.  Duplicate index keys and unknown kinds are
-rejected; zero coefficients are dropped on input and never emitted.
+"p" when the denominator is 1.  Duplicate index keys, unknown kinds and
+dimensions above MAX_DIMENSION are rejected; zero coefficients are dropped on
+input and never emitted.
 
 Emission is canonical (sorted entries, fixed key order, two-space indent), so
 parse followed by emit is the identity on anything this module emitted.
@@ -45,12 +46,18 @@ def _load_document(text: str) -> dict:
     return doc
 
 
+# checked first: Space.of_dim builds one label per basis element
+MAX_DIMENSION = 100_000
+
+
 def _space_from(doc: dict) -> Space:
     dimension = doc.get("dimension")
     # `type(x) is int` in this module: JSON true and false load as bools, which
     # isinstance counts as ints
     _require(type(dimension) is int and dimension >= 1,
              "dimension must be a positive integer")
+    _require(dimension <= MAX_DIMENSION,
+             f"dimension {dimension} exceeds the limit of {MAX_DIMENSION}")
     labels = doc.get("labels")
     if labels is None:
         return Space.of_dim(dimension)

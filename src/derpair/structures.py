@@ -16,6 +16,8 @@ structure constants, not d^arity.  The residual lhs - rhs is nonzero exactly
 where the two tensors differ; axioms are taken in table order, and the
 witness is the smallest tuple carrying a nonzero residual.
 ``check_operator`` and ``check_morphism`` use the same table and evaluator.
+``evaluate`` returns one such sum as a map, so the transfers and operator
+constructions of ``derpair.constructions`` are written in the same terms.
 
 Supported kinds, with the product/derivation names each requires:
 
@@ -322,16 +324,33 @@ def _exact(x):
     return x.numerator if x.denominator == 1 else x
 
 
-def _axioms(group: str, maps, **tags) -> list:
-    """The axioms of one group, with maps resolved to {key: value} tables."""
+def _tables(maps) -> dict:
+    """Maps resolved to {key: value} tables and scalars to exact numbers."""
     tables = {}
     for name, m in maps.items():
         if isinstance(m, AltMap):
             m = m.to_multimap()
         tables[name] = ({k: _exact(v) for k, v in m.coeffs.items()}
                         if isinstance(m, MultiMap) else _exact(m))
+    return tables
+
+
+def _axioms(group: str, maps, **tags) -> list:
+    """The axioms of one group, with maps resolved to {key: value} tables."""
+    tables = _tables(maps)
     return [(name.format(**tags), arity, lhs, rhs, tables)
             for key, name, arity, lhs, rhs in _AXIOMS if key == group]
+
+
+def evaluate(space: Space, formula: str, arity: int, maps) -> MultiMap:
+    """The map (x0, ..., x{arity-1}) -> formula, one side in the table's syntax.
+
+    Only the maps the formula names are resolved; the result's keys come from
+    their stored entries, so they are not checked again.
+    """
+    named = {name: maps[name] for name in maps.keys() & _TOKEN.findall(formula)}
+    table = _side(formula, arity, _tables(named))
+    return MultiMap._of(space, arity, {k: Fraction(v) for k, v in table.items()})
 
 
 def _first_violation(space: Space, axioms):

@@ -15,8 +15,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from derpair.cochains import AltMap, MultiMap
-from derpair.constructions import _postcompose, _precompose
+from derpair.cochains import AltMap, MultiMap, accumulate
 from derpair.linalg import Matrix, Space, nullspace
 from derpair.structures import (Presentation, check_structure,
                                 cross_derivation_system, derivation_system)
@@ -83,6 +82,28 @@ def rand_skew_multimap(rng, space, entries=3, bound=3):
 def rand_vector(rng, space, bound=3):
     return tuple(Fraction(rng.randint(-bound, bound))
                  for _ in range(space.dimension))
+
+
+def _precompose(m: MultiMap, slot: int, op: MultiMap) -> MultiMap:
+    """m with op applied to argument `slot`: (x,y) -> m(..., op(arg), ...)."""
+    terms = [((args[:slot] + (src,) + args[slot + 1:], out), value * coefficient)
+             for (args, out), value in m.coeffs.items()
+             for ((src,), mid), coefficient in op.coeffs.items() if mid == args[slot]]
+    return MultiMap(m.space, m.arity, accumulate({}, terms))
+
+
+def _postcompose(op: MultiMap, m: MultiMap) -> MultiMap:
+    """op o m."""
+    terms = [((args, dst), value * coefficient)
+             for (args, out), value in m.coeffs.items()
+             for ((src,), dst), coefficient in op.coeffs.items() if src == out]
+    return MultiMap(m.space, m.arity, accumulate({}, terms))
+
+
+def swapped(m):
+    """A bilinear map with its two arguments exchanged."""
+    return MultiMap(m.space, 2, {((b, a), out): value
+                                 for ((a, b), out), value in m.coeffs.items()})
 
 
 # -- unimodular basis changes -------------------------------------------------
@@ -217,7 +238,7 @@ PRELIE_CATALOG = ASSOCIATIVE_CATALOG
 
 
 def zinbiel_split(star):
-    return star.flip(), star    # (prec, succ)
+    return swapped(star), star    # (prec, succ)
 
 
 def _dendriform_catalog():
@@ -622,8 +643,8 @@ def compatible_prelieder_instances(rng, count):
             p = conjugate_presentation(rng, p)
         else:
             source = compatible_dendrider_instances(rng, 1)[0]
-            c1 = source.products["succ1"] - source.products["prec1"].flip()
-            c2 = source.products["succ2"] - source.products["prec2"].flip()
+            c1 = source.products["succ1"] - swapped(source.products["prec1"])
+            c2 = source.products["succ2"] - swapped(source.products["prec2"])
             p = Presentation(source.space, {"circ1": c1, "circ2": c2},
                              dict(source.derivations), "compatible-prelieder")
         if check_structure(p) is None:

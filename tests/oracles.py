@@ -12,7 +12,9 @@ derivation insertion it used before its entry-driven kernels;
 ``degree0_oracle`` writes the degree-0 coboundary out with the former.
 ``check_structure_oracle``, ``check_operator_oracle`` and
 ``check_morphism_oracle`` are its per-tuple axiom checkers from before the
-residual tensors.
+residual tensors.  ``transfer_oracle`` writes every transfer recipe and
+operator construction out from its displayed formula, basis pair by basis
+pair.
 """
 
 import itertools
@@ -860,3 +862,97 @@ def cross_derivation_system_oracle(space: Space, products1, products2) -> Matrix
         for i in range(cross1.rows):
             rows.append(list(cross1.row(i)) + list(cross2.row(i)))
     return Matrix.from_rows(rows)
+
+
+# -- transfers ------------------------------------------------------------------
+# Every recipe and operator construction written out from its displayed
+# formula, one basis pair at a time through ``apply_oracle``, without the
+# package's term evaluator.
+
+# recipe or construction -> {output product: its value on vectors (x, y)},
+# from e(input product, u, v) and the operator T
+_TRANSFER_FORMULAS = {
+    "dendriform-to-associative": {
+        "mu": lambda e, T, x, y: _add(e("prec", x, y), e("succ", x, y))},
+    "dendriform-to-prelie": {
+        "circ": lambda e, T, x, y: _sub(e("succ", x, y), e("prec", y, x))},
+    "zinbiel-to-dendriform": {
+        "prec": lambda e, T, x, y: e("star", y, x),
+        "succ": lambda e, T, x, y: e("star", x, y)},
+    "zinbiel-to-associative": {
+        "mu": lambda e, T, x, y: _add(e("star", x, y), e("star", y, x))},
+    "associative-to-lie": {
+        "bracket": lambda e, T, x, y: _sub(e("mu", x, y), e("mu", y, x))},
+    "prelie-to-lie": {
+        "bracket": lambda e, T, x, y: _sub(e("circ", x, y), e("circ", y, x))},
+    "nijenhuis": {
+        "mu": lambda e, T, x, y: _sub(_add(e("mu", T(x), y), e("mu", x, T(y))),
+                                      T(e("mu", x, y)))},
+    "rb-deform": {
+        "mu": lambda e, T, x, y: _add(e("mu", T(x), y), e("mu", x, T(y)))},
+    "endo-brackets": {
+        "bracket": lambda e, T, x, y: _sub(e("mu", T(x), y), e("mu", T(y), x))},
+    "rb-to-prelie": {
+        "circ": lambda e, T, x, y: e("bracket", T(x), y)},
+}
+
+# names that act on each structure of a compatible pair -> their formulas
+_PER_STRUCTURE = {
+    "compatible-assder-to-compatible-lieder": "associative-to-lie",
+    "compatible-dendrider-to-compatible-assder": "dendriform-to-associative",
+    "compatible-dendrider-to-compatible-prelieder": "dendriform-to-prelie",
+    "compatible-prelieder-to-compatible-lieder": "prelie-to-lie",
+    "compatible-zinder-to-compatible-assder": "zinbiel-to-associative",
+    "rb-deform": "rb-deform",
+    "endo-brackets": "endo-brackets",
+    "rb-to-prelie": "rb-to-prelie",
+}
+
+
+def _pointwise(space: Space, arity: int, value) -> MultiMap:
+    """The map whose value on each basis tuple t is the vector value(t)."""
+    d = space.dimension
+    return MultiMap(space, arity, {(t, j): x
+                                   for t in itertools.product(range(d), repeat=arity)
+                                   for j, x in enumerate(value(t)) if x})
+
+
+def transfer_oracle(p: Presentation, name: str, op: MultiMap = None,
+                    coefficients=(1, 1, 1, 1)):
+    """(products, derivations) that recipe or construction `name` makes of p.
+
+    ``name`` is a recipe, or one of "nijenhuis" (on an associative p),
+    "rb-deform", "endo-brackets" and "rb-to-prelie", which take the operator
+    op.  Nothing is checked: this is only each output's formula, evaluated
+    densely.
+    """
+    space = p.space
+    if name == "linear-combine":
+        k1, k2, p1, p2 = map(Fraction, coefficients)
+
+        def combine(m1, m2, c1, c2):
+            return lambda t: _add([c1 * x for x in m1.eval(t)],
+                                  [c2 * x for x in m2.eval(t)])
+        products = {n[:-1]: _pointwise(space, 2, combine(
+                        p.products[n], p.products[n[:-1] + "2"], k1, k2))
+                    for n in p.products if n.endswith("1")}
+        derivations = {}
+        if p.derivations:
+            derivations["delta"] = _pointwise(space, 1, combine(
+                p.derivations["delta1"], p.derivations["delta2"], p1, p2))
+        return products, derivations
+
+    def T(v):
+        return apply_oracle(op, [v])
+
+    def output(formula, s):
+        def e(n, u, v):
+            return apply_oracle(p.products[n + s], [u, v])
+        bv = space.basis_vector
+        return _pointwise(space, 2, lambda t: formula(e, T, bv(t[0]), bv(t[1])))
+
+    suffixes = ("1", "2") if name in _PER_STRUCTURE else ("",)
+    formulas = _TRANSFER_FORMULAS[_PER_STRUCTURE.get(name, name)]
+    products = {out + s: output(formula, s)
+                for s in suffixes for out, formula in formulas.items()}
+    return products, dict(p.derivations)

@@ -4,6 +4,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -408,6 +409,23 @@ def test_boolean_dimension_is_rejected(capsys, tmp_path):
     path = _cochain_file(tmp_path, "bool_dimension.json", doc)
     code, _, err = run_cli(capsys, "check", path)
     _assert_schema_exit(code, err, "dimension must be a positive integer")
+
+
+def test_oversized_dimension_is_refused_before_any_label(capsys, tmp_path):
+    # one label per basis element of 10^9 would take about 100 GB
+    message = f"exceeds the limit of {files.MAX_DIMENSION}"
+    presentation = {"dimension": 10 ** 9, "kind": "associative",
+                    "products": {"mu": []}, "derivations": {}}
+    cochain = {"dimension": files.MAX_DIMENSION + 1, "flavor": "multi",
+               "arity": 1, "entries": []}
+    for argv in (["check", _cochain_file(tmp_path, "huge.json", presentation)],
+                 ["bracket", "--kind", "g",
+                  *[_cochain_file(tmp_path, "wide.json", cochain)] * 2]):
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 5.0
+        _assert_schema_exit(code, err, "dimension")
+        assert message in err
 
 
 def test_boolean_entry_indices_are_rejected(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import zlib
 from fractions import Fraction
@@ -7,13 +8,14 @@ import pytest
 from derpair.cochains import MultiMap
 from derpair.constructions import (RECIPE_KINDS, RECIPES, dendrify,
                                    endo_brackets, nijenhuis_product,
-                                   rb_deform_assder, rb_lie_to_prelie,
-                                   _precompose, _postcompose)
+                                   rb_deform_assder, rb_lie_to_prelie)
 from derpair.errors import InvalidStructureError, SchemaError
 from derpair.linalg import Space
-from derpair.structures import Presentation, check_operator, check_structure
+from derpair.structures import (KIND_INFO, Presentation, check_operator,
+                                check_structure)
 
 import gen
+import oracles
 
 S2 = Space.of_dim(2)
 S3 = Space.of_dim(3)
@@ -112,6 +114,118 @@ def test_transfer_soundness(recipe):
         assert out.provenance["recipe"] == recipe
 
 
+# -- cross-check against the dense transfer oracle ------------------------------------
+
+RATIONALS = (Fraction(-3, 2), Fraction(2, 3), Fraction(5, 4))
+
+
+def _rational(rng, p):
+    """p with every product scaled by one rational and every derivation by
+    another; every identity in play is homogeneous in each, so p stays valid."""
+    c, c_der = rng.choice(RATIONALS), rng.choice(RATIONALS)
+    return Presentation(p.space, {n: m.scale(c) for n, m in p.products.items()},
+                        {n: m.scale(c_der) for n, m in p.derivations.items()},
+                        p.kind)
+
+
+def _without_derivations(p):
+    info = dataclasses.replace(KIND_INFO[p.kind], with_derivation=False)
+    kind = next(k for k, i in KIND_INFO.items() if i == info)
+    return Presentation(p.space, dict(p.products), {}, kind)
+
+
+def _sheared(rng, p, op):
+    """p and op under one random unimodular basis change."""
+    g, g_inv = gen.random_unimodular(rng, p.space)
+    return (Presentation(
+        p.space,
+        {n: gen.conjugate_map(g, g_inv, m) for n, m in p.products.items()},
+        {n: gen.conjugate_map(g, g_inv, m) for n, m in p.derivations.items()},
+        p.kind), gen.conjugate_map(g, g_inv, op))
+
+
+# a product with no symmetry per family, so that no swapped argument goes
+# unnoticed; the catalogs draw mostly symmetric ones
+ANCHORS = {
+    "associative": {"mu": gen.IDEM2},
+    "prelie": {"circ": gen.IDEM2},
+    "lie": {"bracket": gen.AFF2A},
+    "zinbiel": {"star": gen.ZIN3},
+    "dendriform": dict(zip(("prec", "succ"), gen.zinbiel_split(gen.ZIN3))),
+}
+
+
+def _anchor(rng, kind):
+    """The family's anchor as a presentation of kind (no derivations), sheared."""
+    info = KIND_INFO[kind]
+    products = ANCHORS[info.family]
+    if info.compatible:
+        products = {name + i: m.scale(c) for name, m in products.items()
+                    for i, c in (("1", 1), ("2", 2))}
+    space = next(iter(products.values())).space
+    return gen.conjugate_presentation(rng, Presentation(space, products, {}, kind))
+
+
+def _oracle_sources(rng, recipe):
+    if recipe == "linear-combine":
+        sources = [p for make in (gen.compatible_lieder_instances,
+                                  gen.compatible_assder_instances,
+                                  gen.compatible_zinder_instances,
+                                  gen.compatible_dendrider_instances,
+                                  gen.compatible_prelieder_instances)
+                   for p in make(rng, 1)]
+    else:
+        sources = _sources(rng, recipe, 3)
+    sources += [_anchor(rng, kind) for kind in RECIPE_KINDS[recipe]
+                if not KIND_INFO[kind].with_derivation]
+    sources += [_rational(rng, p) for p in sources]
+    return sources + [_without_derivations(p) for p in sources
+                      if KIND_INFO[p.kind].with_derivation]
+
+
+@pytest.mark.parametrize("recipe", sorted(RECIPE_KINDS))
+def test_recipes_match_transfer_oracle(recipe):
+    rng = random.Random(SEED + 10 + zlib.crc32(recipe.encode()) % 997)
+    for p in _oracle_sources(rng, recipe):
+        coefficients = tuple(gen.rand_rational(rng) for _ in range(4))
+        out = dendrify(p, recipe, coefficients)
+        assert out.kind == RECIPE_KINDS[recipe][p.kind]
+        assert (out.products, out.derivations) == oracles.transfer_oracle(
+            p, recipe, coefficients=coefficients), (recipe, p.kind)
+
+
+def test_operator_constructions_match_transfer_oracle():
+    rng = random.Random(SEED + 11)
+    cases = [("rb-deform", rb_deform_assder, p, op)
+             for p, op in gen.rb_ready_assder_instances(rng, 3)]
+    cases += [("endo-brackets", endo_brackets, p, op)
+              for p, op in gen.endo_ready_instances(rng, 3)]
+    cases += [("rb-to-prelie", rb_lie_to_prelie, p, op)
+              for p, op in gen.rb_ready_lieder_instances(rng, 3)]
+    # anchors on products with no symmetry; the searches draw few of them
+    zero = MultiMap.zero(S2, 1)
+    for name, construct, kind, product, base, op in (
+            ("rb-deform", rb_deform_assder, "compatible-assder", "mu", gen.IDEM2,
+             gen.mm(S2, 1, [(0, 1, -1)])),
+            ("endo-brackets", endo_brackets, "compatible-assder", "mu", gen.IDEM2,
+             gen.mm(S2, 1, [(0, 0, 1), (0, 1, -1)])),
+            ("rb-to-prelie", rb_lie_to_prelie, "compatible-lieder", "bracket",
+             gen.AFF2A, gen.mm(S2, 1, [(0, 1, -1)]))):
+        cases.append((name, construct, P(S2, kind, {product + "1": base,
+                                                     product + "2": base.scale(2)},
+                                         {"delta1": zero, "delta2": zero}), op))
+    for name, construct, p, op in cases:
+        for q, q_op in ((p, op), _sheared(rng, _rational(rng, p), op)):
+            out = construct(q, q_op)
+            assert (out.products, out.derivations) == oracles.transfer_oracle(
+                q, name, op=q_op), name
+    for mu, n_op in gen.nijenhuis_ready_instances(rng, 6):
+        for nu in (mu, mu.scale(rng.choice(RATIONALS))):
+            host = Presentation(nu.space, {"mu": nu}, {}, "associative")
+            products, _ = oracles.transfer_oracle(host, "nijenhuis", op=n_op)
+            assert nijenhuis_product(nu, n_op) == products["mu"]
+
+
 def test_recipe_table_is_closed():
     names = {r.name for r in RECIPES}
     assert names == set(RECIPE_KINDS)
@@ -204,7 +318,7 @@ def test_rb_deform_rejects_lie_style_operator():
     assert check_operator(p, r, "rota-baxter", 0) is not None
     with pytest.raises(InvalidStructureError):
         rb_deform_assder(p, r)
-    deformed = _precompose(gen.NIL2, 0, r) + _precompose(gen.NIL2, 1, r)
+    deformed = gen._precompose(gen.NIL2, 0, r) + gen._precompose(gen.NIL2, 1, r)
     assert deformed.eval((0, 0)) == [0, 0]
     assert deformed.eval((0, 1)) == [0, Fraction(1)]
     assert deformed.eval((1, 0)) == [0, Fraction(1)]
@@ -239,7 +353,7 @@ def test_endo_brackets_rejects_plain_idempotent():
     p = P(S3, "compatible-assder", {"mu1": gen.POLY3, "mu2": gen.POLY3.scale(-1)},
           {"delta1": zero, "delta2": zero})
     t = gen.mm(S3, 1, [(1, 0, 1), (1, 1, 1), (2, 0, 1), (2, 2, 1)])
-    assert _postcompose(t, t) == t
+    assert gen._postcompose(t, t) == t
     with pytest.raises(InvalidStructureError):
         endo_brackets(p, t)
 
@@ -277,7 +391,7 @@ def test_invertible_rota_baxter_inverse_is_dendriform_derivation():
     r = gen.mm(S2, 1, [(0, 0, 2), (1, 1, 1)])      # diag(2,1)
     assert check_operator(dendriform, r, "rota-baxter", 0) is None
     r_inv = gen.mm(S2, 1, [(0, 0, Fraction(1, 2)), (1, 1, 1)])
-    assert _postcompose(r, r_inv) == MultiMap.identity(S2)
+    assert gen._postcompose(r, r_inv) == MultiMap.identity(S2)
     dendrider = P(S2, "dendrider", {"prec": prec, "succ": succ},
                   {"delta": r_inv})
     assert check_structure(dendrider) is None

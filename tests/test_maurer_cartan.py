@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from derpair import brackets
+from derpair.brackets import assder_bracket, dc_bracket
 from derpair.cochains import AltMap, DerCochain, MultiMap
 from derpair.errors import InvalidStructureError, SchemaError, ShapeError
 from derpair.linalg import Space
-from derpair.maurer_cartan import (bidifferential_check, deformation_check,
-                                   lie_pair, mc_assder, mc_lieder,
-                                   mc_pair_assder, mc_pair_lieder)
+from derpair.maurer_cartan import (ass_pair, bidifferential_check,
+                                   deformation_check, lie_pair, mc_assder,
+                                   mc_lieder, mc_pair_assder, mc_pair_lieder)
 from derpair.structures import Presentation, check_structure
 
 import gen
@@ -50,6 +52,35 @@ def test_mc_lieder_failure_residual():
     residual = dict(verdict.residuals)["-2[w,delta]_NR"]
     # [w,delta](e1,e2) = w(de1,e2) + w(e1,de2) - d(w(e1,e2)) = e1
     assert residual.eval((0, 1)) == [Fraction(-2), Fraction(0)]
+
+
+@pytest.mark.parametrize("check, pack, bracket, cls, inner", [
+    (mc_lieder, lie_pair, dc_bracket, AltMap, "nijenhuis_richardson"),
+    (mc_assder, ass_pair, assder_bracket, MultiMap, "gerstenhaber"),
+])
+def test_self_square_brackets_the_shadow_once(monkeypatch, check, pack, bracket,
+                                              cls, inner):
+    # Both shadow terms of {P, P} are one bracket, so a square-zero check
+    # makes two brackets, and its residuals are those of {P, Q} for a copy Q.
+    rng = random.Random(SEED + 1)
+    cases = [(gen.rand_rational_map(rng, cls, S3, 2, full=False),
+              gen.rand_rational_map(rng, MultiMap, S3, 1, full=False))
+             for _ in range(8)]
+    cases += [(AltMap.from_multimap(gen.AFF2A) if cls is AltMap else gen.NIL2,
+               MultiMap.identity(S2))]
+    calls = []
+    real = getattr(brackets, inner)
+    monkeypatch.setattr(brackets, inner,
+                        lambda f, g: calls.append((f, g)) or real(f, g))
+    for top, delta in cases:
+        calls.clear()
+        verdict = check(top, delta)
+        assert len(calls) == 2
+        general = bracket(pack(top, delta), pack(top, delta))
+        assert len(calls) == 5
+        residuals = [value for value in (general.top, general.shadow)
+                     if not value.is_zero()]
+        assert [value for _, value in verdict.residuals] == residuals
 
 
 def test_mc_assder_examples():

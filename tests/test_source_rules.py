@@ -45,3 +45,39 @@ def test_span_targets_resolve():
             if not found:
                 missing.append(f"{layer}.{attr}")
     assert missing == []
+
+
+def _formulas():
+    """(where, formula, arity) for every formula of the axiom and transfer tables."""
+    from derpair import constructions, structures
+    for _, name, arity, lhs, rhs in structures._AXIOMS:
+        yield name, lhs, arity
+        yield name, rhs, arity
+    for recipe, rows in constructions._RECIPE_TABLE.items():
+        for kind, (_, _, products, derivations) in rows.items():
+            for arity, formulas in ((2, products), (1, derivations)):
+                for out, formula in formulas.items():
+                    yield f"{recipe}[{kind}].{out}", formula, arity
+    for name, (*_, products) in constructions._OPERATORS.items():
+        for out, formula in products.items():
+            yield f"{name}.{out}", formula, 2
+    yield "nijenhuis", constructions._NIJENHUIS, 2
+
+
+def test_every_table_formula_holds_each_variable_once():
+    # The evaluator reads each term's variables in leaf order, so a typo such
+    # as star(x1,x1) would give wrong keys without any error.
+    from derpair.structures import _parse
+    bad = []
+    for where, formula, arity in _formulas():
+        try:
+            terms = _parse(formula)
+        except Exception as exc:
+            bad.append(f"{where}: {formula!r} does not parse ({exc!r})")
+            continue
+        if not terms and formula.strip() != "0":
+            bad.append(f"{where}: {formula!r} has no terms")
+        bad += [f"{where}: {formula!r} term {i} holds {order}"
+                for i, (*_, order) in enumerate(terms)
+                if sorted(order) != list(range(arity))]
+    assert bad == []
