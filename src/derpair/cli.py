@@ -165,6 +165,8 @@ def cmd_mc(args) -> int:
 
 
 def cmd_dendrify(args) -> int:
+    if args.coefficients is not None and args.recipe != "linear-combine":
+        raise SchemaError("--coefficients applies only to the linear-combine recipe")
     p = files.parse_presentation(_read(args.path))
     coefficients = None
     if args.coefficients is not None:

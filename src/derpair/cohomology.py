@@ -29,17 +29,20 @@ the kernel of ad_{P_0} - ad_{P_1} (``compat_assoc_degree0``).
 On cochains, ``d`` computes each output slot of degree n >= 1 as one linear
 combination of brackets; a term whose input slot or structure map is empty
 computes none.  Each coboundary matrix D_n, degree 0 included, is assembled
-from blocks instead: ``cochains._ad_block`` builds ad_x = [x, .] on the
-basis maps of one arity as sparse columns, once per (structure map, arity)
-of a report and none for an empty map, and ``_Complex.matrix`` places each
+from blocks instead, in integers: with L the lcm of the denominators of the
+structure maps, ``cochains._ad_block`` builds ad_{Lx} = L ad_x on the basis
+maps of one arity as sparse integer columns, once per (structure map, arity)
+of a report and none for an empty map, and ``_Complex.images`` places each
 term of the plan as its block, signed and shifted to the term's output
-slot; the compatible D_0 is then taken on the basis of the kernel.  The
-rank of each D_n is computed exactly by the sparse eliminator of
-``derpair.linalg``.  Reports carry per-degree dimensions and a certification
-that d o d = 0, checked as the exact sparse product D_{n+1} D_n = 0 of the
-assembled matrices for every degree below the requested one.  Since D_n is
-the matrix of d and coordinates are exact, that product vanishes exactly
-when d o d kills every basis cochain.
+slot.  The result is the transpose of D_n over the denominator L, one row
+per image of a basis cochain; the compatible D_0 is then taken on the basis
+of the kernel.  The rank of each D_n is computed exactly on those images by
+the sparse eliminator of ``derpair.linalg``.  Reports carry per-degree
+dimensions and a certification that d o d = 0, checked as the exact sparse
+product of the assembled matrices, the transpose of D_{n+1} D_n, for every
+degree below the requested one.  Since D_n is the matrix of d and
+coordinates are exact, that product vanishes exactly when d o d kills every
+basis cochain.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from math import lcm
 
 from .brackets import gerstenhaber, nijenhuis_richardson
 from .cochains import (AltMap, CompatCochain, DerCochain, MultiMap, _ad_block,
@@ -357,16 +361,24 @@ class _Complex(_Coboundary):
         validate_presentation(base)
         super().__init__(flavor, _structure(flavor, base, flavor, True))
         self.flavor = flavor
+        # the structure maps times L, the lcm of their denominators, as
+        # integer maps: each term of d^n is linear in one structure map and
+        # ad_{Lx} = L ad_x, so their blocks assemble L D_n in integers
+        self._den = lcm(*(v.denominator for m in self.maps for v in m.coeffs.values()))
+        self._int_maps = tuple(
+            type(m)._of(m.space, m.arity, {key: v.numerator * (self._den // v.denominator)
+                                           for key, v in m.coeffs.items()})
+            for m in self.maps)
         # the compatible degree 0 is not the space but the vectors on which
-        # both products' d^0 agree: this basis of them, as columns
+        # both products' d^0 agree: this basis of them, as rows
         self._c0 = None
         if self.compatible and not self.with_derivation:
             self._c0 = Matrix.from_columns(self.space.dimension, [
-                dict(enumerate(y)) for y in compat_assoc_degree0(base)])
+                dict(enumerate(y)) for y in compat_assoc_degree0(base)]).transpose()
 
     def dim(self, n: int) -> int:
         if n == 0 and self._c0 is not None:
-            return self._c0.cols
+            return self._c0.rows
         return sum(self._cls.coord_length(self.space, a) for a in self.arities(n))
 
     def basis(self, n: int):
@@ -380,37 +392,46 @@ class _Complex(_Coboundary):
     def coords(self, n: int, cochain) -> list[Fraction]:
         return dense_coords(cochain)
 
-    def matrix(self, n: int, blocks: dict) -> Matrix:
-        """D_n, placed block by block from the plan of degree n.
+    def images(self, n: int, blocks: dict) -> Matrix:
+        """The transpose of D_n, placed block by block from the plan of degree n.
 
-        The column of an input slot's basis map is the sum of its terms'
-        ``_ad_block`` columns, each signed by the term's coefficient and
-        shifted to its output slot; a slot reaches each output slot through
-        at most one term, so the pieces do not overlap.  ``blocks`` holds the
-        blocks by (map index, arity), built on first use and shared by every
-        part and degree; an empty map has none.  The compatible D_0 is
-        -ad_mu1 on the basis of its degree-0 space.
+        Row c is the image of the c-th basis cochain: the sum of its slot's
+        terms' ``_ad_block`` columns, each signed by the term's coefficient
+        and shifted to its output slot; a slot reaches each output slot
+        through at most one term, so the pieces do not overlap.  The blocks
+        are built from the integer maps, and the matrix is their table over
+        L.  ``blocks`` holds them by (map index, arity), built on first use
+        and shared by every part and degree; an empty map has none.  The
+        compatible D_0 is -ad_mu1 on the basis of its degree-0 space.
         """
         groups, out_arities = _plan(self.compatible, self.with_derivation, n,
                                     _LAST_SHADOW_SIGN)
-        offsets, rows = [], 0
+        offsets, width = [], 0
         for arity in out_arities:
-            offsets.append(rows)
-            rows += self._cls.coord_length(self.space, arity)
+            offsets.append(width)
+            width += self._cls.coord_length(self.space, arity)
         table, start = {}, 0
         for arity, group in zip(self.arities(n), groups):
+            pieces = []
             for out, coeff, x in group:
-                if not self.maps[x].coeffs:
-                    continue
-                if (x, arity) not in blocks:
-                    blocks[x, arity] = _ad_block(self.maps[x], arity)
-                offset = offsets[out]
-                for col, column in enumerate(blocks[x, arity], start):
-                    for r, v in column.items():
-                        table.setdefault(offset + r, {})[col] = v if coeff > 0 else -v
-            start += self._cls.coord_length(self.space, arity)
-        d_n = Matrix._of(rows, start, table)
-        return d_n if n or self._c0 is None else compose(d_n, self._c0)
+                if self._int_maps[x].coeffs:
+                    if (x, arity) not in blocks:
+                        blocks[x, arity] = _ad_block(self._int_maps[x], arity)
+                    pieces.append((offsets[out], coeff, blocks[x, arity]))
+            size = self._cls.coord_length(self.space, arity)
+            for c in range(size if pieces else 0):
+                image = {}
+                for offset, coeff, block in pieces:
+                    image.update({offset + r: coeff * v for r, v in block[c].items()})
+                if image:
+                    table[start + c] = image
+            start += size
+        m = Matrix._reduced(start, width, table, self._den)
+        return m if n or self._c0 is None else compose(self._c0, m)
+
+    def matrix(self, n: int, blocks: dict) -> Matrix:
+        """D_n, the transpose of ``images``."""
+        return self.images(n, blocks).transpose()
 
 
 def cohomology(spec: ComplexSpec, budget: int | None = None,
@@ -427,12 +448,13 @@ def cohomology(spec: ComplexSpec, budget: int | None = None,
             raise DegreeBudgetError(dim_n, budget)
 
     blocks = {}
-    matrices = {n: cx.matrix(n, blocks) for n in range(top + 1)}
+    images = {n: cx.images(n, blocks) for n in range(top + 1)}
     del blocks      # not needed past assembly; freed before the eliminations
-    certified = all(compose(matrices[n + 1], matrices[n]).is_zero()
+    # D_{n+1} D_n is the transpose of the product of the images
+    certified = all(compose(images[n], images[n + 1]).is_zero()
                     for n in range(top))
 
-    ranks = {n: rank(matrices[n]) for n in matrices}
+    ranks = {n: rank(images[n]) for n in images}
     degrees = []
     for n in range(top + 1):
         dim_n = cx.dim(n)
@@ -448,5 +470,5 @@ def cohomology(spec: ComplexSpec, budget: int | None = None,
         dd_zero_certified=certified)
     if include_kernel_bases:
         for n in range(top + 1):
-            report.kernel_bases[n] = nullspace(matrices[n])
+            report.kernel_bases[n] = nullspace(images[n].transpose())
     return report

@@ -2,17 +2,24 @@
 
 Scalars are ``fractions.Fraction`` values, i.e. arbitrary-precision rationals
 kept in lowest terms with positive denominator, so every computation in the
-package is exact.  A ``Matrix`` stores only its nonzero entries, row by row.
+package is exact.  A ``Matrix`` is one sparse integer table, holding only the
+nonzero entries row by row, over one positive denominator: its values are
+table / den.  The constructors bring ints and ``Fraction``s over the lcm of
+their denominators once; after that ``compose`` multiplies integer tables
+(and the denominators), and ``Fraction``s appear again only in the dense
+views ``entry``, ``row`` and ``entries`` and in the kernel basis.
 
-``rank`` and ``nullspace`` share one sparse, fraction-free eliminator: every
-row is scaled to integers, a row is updated as ``p*row - a*pivot_row`` and
+``rank`` and ``nullspace`` share one sparse, fraction-free eliminator on the
+rows of the integer table: a row is updated as ``p*row - a*pivot_row`` and
 then divided by the gcd of its entries, so values stay integral and small and
 nothing is ever rounded.  ``rank`` picks its pivots Markowitz-style (the
 shortest row, and in it a +-1 entry of the sparsest column), which keeps the
-fill-in low on sparse coboundary matrices.  ``nullspace`` takes the columns in
-order and clears each pivot column above and below the pivot, which yields
-the reduced row echelon form; since that form is unique, so is the kernel
-basis read off from it.
+fill-in low on sparse coboundary matrices; ``derpair.cohomology`` hands it
+the transpose of each coboundary matrix, whose rows are the images of the
+basis cochains, as that ranks faster than the matrix itself.  ``nullspace``
+takes the columns in order and clears each pivot column above and below the
+pivot, which yields the reduced row echelon form; since that form is unique,
+so is the kernel basis read off from it.
 """
 
 from __future__ import annotations
@@ -82,14 +89,19 @@ class Space:
 
 
 class Matrix:
-    """Matrix of exact rationals that stores only its nonzero entries.
+    """Matrix of exact rationals: a sparse integer table over one denominator.
 
-    ``Matrix(rows, cols, entries)`` takes the entries densely, row-major;
-    ``Matrix.from_columns`` takes sparse columns and never forms the dense
-    matrix.  ``entries``, ``entry`` and ``row`` are read-only dense views.
+    The entry (i, j) is ``table[i][j] / den``.  ``table`` maps a row index to
+    {column index: nonzero int} and holds no empty row; ``den`` is >= 1 and
+    the gcd of den and all entries is 1, so each matrix has exactly one form
+    and equal matrices compare and hash alike.  ``Matrix(rows, cols,
+    entries)`` takes the entries densely, row-major; ``Matrix.from_columns``
+    takes sparse columns and never forms the dense matrix.  Both, and
+    ``from_rows``, take ints or ``Fraction``s.  ``entries``, ``entry`` and
+    ``row`` are read-only dense views as ``Fraction``s.
     """
 
-    __slots__ = ("rows", "cols", "_table")
+    __slots__ = ("rows", "cols", "den", "_table")
 
     def __init__(self, rows: int, cols: int, entries):
         entries = tuple(entries)
@@ -97,18 +109,33 @@ class Matrix:
             raise ShapeError("entry count must equal rows*cols")
         table = {}
         for i in range(rows):
-            row = {j: as_scalar(x)
+            row = {j: _rational(x)
                    for j, x in enumerate(entries[i * cols:(i + 1) * cols]) if x}
             if row:
                 table[i] = row
-        self.rows, self.cols, self._table = rows, cols, table
+        self.rows, self.cols = rows, cols
+        self._table, self.den = _over_one_denominator(table)
 
     @staticmethod
-    def _of(rows: int, cols: int, table: dict) -> "Matrix":
-        # table: row index -> {column index: nonzero Fraction}, no empty rows
+    def _of(rows: int, cols: int, table: dict, den: int = 1) -> "Matrix":
+        # table: row index -> {column index: nonzero int}, no empty rows, and
+        # (table, den) already in the canonical form
         m = object.__new__(Matrix)
-        m.rows, m.cols, m._table = rows, cols, table
+        m.rows, m.cols, m.den, m._table = rows, cols, den, table
         return m
+
+    @staticmethod
+    def _reduced(rows: int, cols: int, table: dict, den: int) -> "Matrix":
+        """The matrix table / den of an integer table, in the canonical form."""
+        g = den
+        for row in table.values():
+            if g == 1:
+                break
+            g = gcd(g, *row.values())
+        if g > 1:
+            den //= g
+            table = {i: {j: x // g for j, x in row.items()} for i, row in table.items()}
+        return Matrix._of(rows, cols, table, den)
 
     @staticmethod
     def from_columns(rows: int, columns) -> "Matrix":
@@ -120,12 +147,12 @@ class Matrix:
                 if not 0 <= i < rows:
                     raise ShapeError(f"row index {i} out of range for {rows} rows")
                 if x:
-                    table.setdefault(i, {})[j] = as_scalar(x)
-        return Matrix._of(rows, len(columns), table)
+                    table.setdefault(i, {})[j] = _rational(x)
+        return Matrix._of(rows, len(columns), *_over_one_denominator(table))
 
     @staticmethod
     def from_rows(rows) -> "Matrix":
-        rows = [list(map(as_scalar, row)) for row in rows]
+        rows = [list(row) for row in rows]
         n_rows = len(rows)
         n_cols = len(rows[0]) if rows else 0
         if any(len(row) != n_cols for row in rows):
@@ -138,7 +165,7 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix._of(n, n, {i: {i: ONE} for i in range(n)})
+        return Matrix._of(n, n, {i: {i: 1} for i in range(n)})
 
     @property
     def entries(self) -> tuple[Fraction, ...]:
@@ -148,20 +175,23 @@ class Matrix:
     def entry(self, i: int, j: int) -> Fraction:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise ShapeError(f"entry ({i}, {j}) out of range")
-        return self._table.get(i, {}).get(j, ZERO)
+        x = self._table.get(i, {}).get(j)
+        return ZERO if x is None else Fraction(x, self.den)
 
     def row(self, i: int) -> tuple[Fraction, ...]:
         if not 0 <= i < self.rows:
             raise ShapeError(f"row {i} out of range")
-        row = self._table.get(i, {})
-        return tuple(row.get(j, ZERO) for j in range(self.cols))
+        values = [ZERO] * self.cols
+        for j, x in self._table.get(i, {}).items():
+            values[j] = Fraction(x, self.den)
+        return tuple(values)
 
     def transpose(self) -> "Matrix":
         table = {}
         for i, row in self._table.items():
             for j, x in row.items():
                 table.setdefault(j, {})[i] = x
-        return Matrix._of(self.cols, self.rows, table)
+        return Matrix._of(self.cols, self.rows, table, self.den)
 
     def is_zero(self) -> bool:
         return not self._table
@@ -169,65 +199,73 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (self.rows, self.cols, self._table) == (other.rows, other.cols,
-                                                       other._table)
+        return ((self.rows, self.cols, self.den, self._table)
+                == (other.rows, other.cols, other.den, other._table))
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, self.den,
+                     frozenset((i, frozenset(row.items()))
+                               for i, row in self._table.items())))
 
     def __repr__(self):
-        return f"Matrix({self.rows}, {self.cols}, {self._table!r})"
+        return f"Matrix({self.rows}, {self.cols}, {self._table!r}, den={self.den})"
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         return compose(self, other)
 
 
-def compose(a: Matrix, b: Matrix) -> Matrix:
-    """Exact matrix product a*b, accumulated in integers.
+def _rational(x):
+    # an int stays an int; anything else becomes an exact rational
+    return x if isinstance(x, int) else as_scalar(x)
 
-    Row k of b is scaled to integers by the lcm s_k of its denominators, and
-    row i of a, its entries divided by the matching s_k, by the lcm r_i of
-    the resulting denominators; row i of the product is then an integer row
-    over r_i, and only its nonzero entries become fractions.
+
+def _over_one_denominator(table: dict) -> tuple[dict, int]:
+    """(integer table, den) whose quotient is a table of ints and Fractions.
+
+    den is the lcm of the entries' denominators, which is the canonical
+    form: for each prime p of den, an entry whose denominator holds p to the
+    full power it has in den is scaled to a numerator that p does not divide.
     """
+    den = lcm(*(x.denominator for row in table.values() for x in row.values()))
+    return {i: {j: x.numerator * (den // x.denominator) for j, x in row.items()}
+            for i, row in table.items()}, den
+
+
+def compose(a: Matrix, b: Matrix) -> Matrix:
+    """Exact matrix product a*b: the integer tables multiply, and so do the dens."""
     if a.cols != b.rows:
         raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    b_rows = {}
-    for k, row in b._table.items():
-        s = lcm(*(y.denominator for y in row.values()))
-        b_rows[k] = (s, {j: y.numerator * (s // y.denominator) for j, y in row.items()})
+    b_table = b._table
     table = {}
     for i, row in a._table.items():
-        terms = [(x / b_rows[k][0], b_rows[k][1]) for k, x in row.items() if k in b_rows]
-        r = lcm(*(x.denominator for x, _ in terms))
         acc = {}
-        for x, b_row in terms:
-            c = x.numerator * (r // x.denominator)
-            for j, y in b_row.items():
-                acc[j] = acc.get(j, 0) + c * y
-        acc = {j: Fraction(v, r) for j, v in acc.items() if v}
+        for k, x in row.items():
+            b_row = b_table.get(k)
+            if b_row is not None:
+                for j, y in b_row.items():
+                    acc[j] = acc.get(j, 0) + x * y
+        acc = {j: v for j, v in acc.items() if v}
         if acc:
             table[i] = acc
-    return Matrix._of(a.rows, b.cols, table)
+    return Matrix._reduced(a.rows, b.cols, table, a.den * b.den)
 
 
 class _Eliminator:
     """The rows of a matrix as sparse integer rows, under row operations.
 
     ``rows[i]`` maps column -> nonzero int for every nonzero row i, and
-    ``holders[c]`` is the set of rows with a nonzero entry in column c.
-    Scaling each row by the lcm of its denominators, and later dividing it by
-    the gcd of its entries, preserves the row space.
+    ``holders[c]`` is the set of rows with a nonzero entry in column c.  The
+    rows are the matrix's integer table, each divided by the gcd of its
+    entries; neither that nor the common denominator changes the row space.
+    Rows are replaced, never changed in place, so the table is shared.
     """
 
     def __init__(self, m: Matrix):
         self.rows = {}
         self.holders = {}
         for i, row in m._table.items():
-            scale = lcm(*(x.denominator for x in row.values()))
-            ints = {j: x.numerator * (scale // x.denominator) for j, x in row.items()}
-            self.rows[i] = _primitive(ints)
-            for j in ints:
+            self.rows[i] = _primitive(row)
+            for j in row:
                 self.holders.setdefault(j, set()).add(i)
 
     def drop(self, i: int) -> None:
@@ -236,27 +274,34 @@ class _Eliminator:
             self.holders[j].discard(i)
 
     def clear(self, pivot_row: dict, col: int, targets) -> None:
-        """Make column col zero in every target row using pivot_row."""
+        """Make column col zero in every target row using pivot_row.
+
+        Only the pivot row's columns can enter or leave a target row, so
+        only their holders change.
+        """
         p = pivot_row[col]
+        holders = self.holders
         for i in targets:
             row = self.rows[i]
             a = row[col]
             g = gcd(p, a)
             keep, take = p // g, a // g
-            new = {j: keep * x for j, x in row.items()}
+            new = dict(row) if keep == 1 else {j: keep * x for j, x in row.items()}
             for j, x in pivot_row.items():
-                value = new.get(j, 0) - take * x
+                old = new.get(j)
+                if old is None:
+                    new[j] = -take * x
+                    holders[j].add(i)
+                    continue
+                value = old - take * x
                 if value:
                     new[j] = value
                 else:
-                    new.pop(j, None)
+                    del new[j]
+                    holders[j].discard(i)
             if col in new:
                 raise EliminationError(
                     f"row {i} kept a nonzero in pivot column {col}")
-            for j in row.keys() - new.keys():
-                self.holders[j].discard(i)
-            for j in new.keys() - row.keys():
-                self.holders.setdefault(j, set()).add(i)
             if new:
                 self.rows[i] = _primitive(new)
             else:

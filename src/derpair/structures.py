@@ -239,13 +239,20 @@ def _parse(side: str) -> tuple:
     """
     tokens = _TOKEN.findall(side)[::-1]
 
+    def take(*expected):
+        if not tokens or (expected and tokens[-1] not in expected):
+            found = repr(tokens[-1]) if tokens else "the end"
+            raise SchemaError(f"formula {side!r}: expected "
+                              f"{' or '.join(expected) or 'a term'}, found {found}")
+        return tokens.pop()
+
     def tree():
-        name = tokens.pop()
-        if name[0] == "x":
+        name = take()
+        if name[0] == "x" and name[1:].isdigit():
             return int(name[1:])
-        tokens.pop()  # "("
+        take("(")
         children = [tree()]
-        while tokens.pop() == ",":
+        while take(",", ")") == ",":
             children.append(tree())
         return name, tuple(children)
 
@@ -254,15 +261,17 @@ def _parse(side: str) -> tuple:
             return (node,)
         return tuple(i for child in node[1] for i in leaves(child))
 
+    if tokens == ["0"]:
+        return ()
     terms = []
-    while tokens and tokens[-1] != "0":
+    while tokens:
         sign = -1 if tokens[-1] == "-" else 1
-        if tokens[-1] in ("+", "-"):
-            tokens.pop()
+        if terms or tokens[-1] in ("+", "-"):
+            take("+", "-")      # every term after the first follows a sign
         scalar = None
-        if tokens[-2] == "*":
-            scalar = tokens.pop()
-            tokens.pop()
+        if len(tokens) > 1 and tokens[-2] == "*":
+            scalar = take()
+            take("*")
         node = tree()
         terms.append((sign, scalar, node, leaves(node)))
     return tuple(terms)

@@ -297,6 +297,20 @@ def test_dendrify_linear_combine_coefficients(capsys, corpus, tmp_path):
     assert code == 0
 
 
+def test_dendrify_refuses_coefficients_for_other_recipes(capsys, corpus, tmp_path):
+    # only linear-combine reads the coefficients, so elsewhere they are an error
+    out_path = tmp_path / "out.json"
+    code, out, err = run_cli(capsys, "dendrify", str(corpus / "zinder_alpha1_beta1.json"),
+                             "--recipe", "zinbiel-to-associative",
+                             "--coefficients", "0,0,0,0", "--out", str(out_path))
+    assert code == 2
+    assert "linear-combine" in err and out == ""
+    assert not out_path.exists()
+    code, _, _ = run_cli(capsys, "dendrify", str(corpus / "zinder_alpha1_beta1.json"),
+                         "--recipe", "zinbiel-to-associative", "--out", str(out_path))
+    assert code == 0
+
+
 def test_dendrify_invalid_input_is_a_finding(capsys, corpus):
     code, out, _ = run_cli(capsys, "dendrify", str(corpus / "assoc_violation.json"),
                            "--recipe", "associative-to-lie")

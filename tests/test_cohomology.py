@@ -1,22 +1,24 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from derpair import cohomology as co
+from derpair import files
 from derpair.brackets import gerstenhaber, nijenhuis_richardson
 from derpair.cochains import (AltMap, CompatCochain, DerCochain, MultiMap, _ad_block,
                               circle_g, circle_nr, sparse_coords)
 from derpair.errors import (DegreeBudgetError, InvalidStructureError, SchemaError,
                             ShapeError)
 from derpair.linalg import Matrix, Space, rank
-from derpair.structures import Presentation, check_structure
+from derpair.structures import Presentation, check_structure, kind_shape
 
 import gen
 from oracles import (ce_face_d, circle_g_oracle, compat_pair_d_oracle, der_D_oracle,
                      der_pair_d_oracle, hochschild_face_d, map_d_oracle,
                      staircase_d_oracle)
-from test_linalg import _catalog_complexes, _degree0_images
+from test_linalg import _assert_matches_oracles, _catalog_complexes, _degree0_images
 
 S1 = Space.of_dim(1)
 S2 = Space.of_dim(2)
@@ -642,6 +644,60 @@ def test_block_assembly_matches_the_basis_images(monkeypatch, last_shadow_sign):
                 (flavor, n)
         flavors.add(flavor)
     assert flavors == set(co.FLAVORS)
+
+
+def _scaled_apart(p, scales):
+    """p with each map times its own scale: products, then derivations."""
+    products, derivations = kind_shape(p.kind)
+    factor = dict(zip(products + derivations, scales))
+    return Presentation(p.space,
+                        {name: m.scale(factor[name]) for name, m in p.products.items()},
+                        {name: m.scale(factor[name]) for name, m in p.derivations.items()},
+                        p.kind)
+
+
+def _report_bytes(flavor, p, top):
+    report = co.cohomology(co.ComplexSpec(flavor, p, top), include_kernel_bases=True)
+    return json.dumps(files.cohomology_to_dict(report), sort_keys=True)
+
+
+def test_rational_structure_maps_assemble_over_their_common_denominator():
+    # Every benchmark input is integral, so only here do the maps scale by L > 1.
+    # The compatible kinds scale (P1, P2, D1, D2) by (a, a r, b, b r), which
+    # keeps their identities, every one homogeneous in the maps.
+    rng = random.Random(SEED + 34)
+    F = Fraction
+    cases = [(p, (F(1, 2), F(1, 3))) for p in gen.der_pair_instances(
+        rng, 2, gen.ASSOCIATIVE_CATALOG, "assder", "mu")]
+    cases += [(p, (F(1, 2), F(1, 3), F(1, 5), F(2, 15)))
+              for p in gen.compatible_assder_instances(rng, 2)]
+    cases += [(p, (F(-3, 4), F(1, 2), F(2, 7), F(-4, 21)))
+              for p in gen.compatible_lieder_instances(rng, 2)]
+    flavor_of = {"assder": "assder", "compatible-assder": "cad",
+                 "compatible-lieder": "cldp"}
+    dens = set()
+    for base, scales in cases:
+        flavor = flavor_of[base.kind]
+        p = _scaled_apart(base, scales)
+        assert check_structure(p) is None, flavor
+        cx = co._Complex(flavor, p)
+        dens.add(cx._den)
+        blocks = {}
+        top = 3 if p.space.dimension == 2 else 2
+        for n in range(1, top + 1):
+            basis = list(cx.basis(n))
+            m = cx.matrix(n, blocks)
+            assert m == Matrix.from_columns(
+                cx.dim(n + 1), [sparse_coords(cx.d(n, b)) for b in basis]), (flavor, n)
+            dense = [cx.coords(n + 1, _flat(_public_and_oracle(flavor, p, cx, n, b)[1]))
+                     for b in basis]
+            assert m == Matrix(m.rows, m.cols, tuple(
+                column[i] for i in range(m.rows) for column in dense)), (flavor, n)
+            _assert_matches_oracles(m)
+        # scaling every map by c scales every D_n by c: the same ranks and kernels
+        third = _scaled_apart(p, [F(1, 3)] * len(scales))
+        assert _report_bytes(flavor, third, top) == _report_bytes(flavor, p, top)
+    assert min(dens) > 1
 
 
 def test_no_block_is_built_for_an_empty_structure_map(monkeypatch):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -164,6 +165,58 @@ def test_sparse_columns_agree_with_dense_entries():
             for i in range(rows) for j in range(inner))
 
 
+def _built_every_way(rng):
+    """One random rational matrix, built by each constructor and product."""
+    m = _scaled_matrix(rng)
+    dense = [list(m.row(i)) for i in range(m.rows)]
+    yield Matrix(m.rows, m.cols, tuple(x for row in dense for x in row))
+    yield Matrix.from_rows(dense)
+    yield Matrix.from_columns(m.rows, [{i: dense[i][j] for i in range(m.rows)}
+                                       for j in range(m.cols)])
+    yield compose(Matrix.identity(m.rows), m)
+    yield compose(m, Matrix.identity(m.cols))
+    yield m.transpose().transpose()
+
+
+def test_matrix_has_one_canonical_form():
+    rng = random.Random(2315)
+    for _ in range(60):
+        first, *others = _built_every_way(rng)
+        for other in others:
+            assert other == first and hash(other) == hash(first)
+            assert (other.den, other._table) == (first.den, first._table)
+        assert first.den >= 1
+        values = [x for row in first._table.values() for x in row.values()]
+        assert all(type(x) is int and x for x in values)
+        assert math.gcd(first.den, *values) == 1
+        i, j = rng.randrange(first.rows), rng.randrange(first.cols)
+        assert type(first.entry(i, j)) is Fraction
+        assert all(type(x) is Fraction for x in first.entries)
+    half = Matrix.from_rows([[Fraction(1, 2), 1], [0, Fraction(-3, 2)]])
+    assert (half.den, half._table) == (2, {0: {0: 1, 1: 2}, 1: {1: -3}})
+    assert compose(half, half) == Matrix.from_rows([[Fraction(1, 4), Fraction(-1)],
+                                                    [0, Fraction(9, 4)]])
+    # a product whose denominators cancel is brought back to den 1
+    assert compose(half, Matrix.from_rows([[2, 0], [0, 2]])) == Matrix.from_rows(
+        [[1, 2], [0, -3]])
+
+
+def test_matrix_hash_needs_no_dense_expansion(monkeypatch):
+    columns = [{} for _ in range(10000)]
+    for k in range(10):
+        columns[k * 997][k * 9973] = Fraction(k + 1, 3)
+    m = Matrix.from_columns(100000, columns)
+
+    def dense(*args):
+        raise AssertionError("dense expansion")
+
+    monkeypatch.setattr(Matrix, "entries", property(dense))
+    monkeypatch.setattr(Matrix, "row", dense)
+    twin = Matrix.from_columns(100000, columns)
+    assert hash(m) == hash(twin) and m == twin
+    assert hash(m) != hash(m.transpose())
+
+
 def test_from_columns_rejects_row_index_out_of_range():
     with pytest.raises(ShapeError):
         Matrix.from_columns(2, [{2: 1}])
@@ -199,10 +252,31 @@ def _assert_matches_oracles(m):
     assert repr(nullspace(m)) == repr(nullspace_oracle(m))
 
 
+def _scaled_matrix(rng):
+    """A random matrix that is integral, over one denominator, or whose rows
+    each have their own denominator, so the common one shares factors with
+    some rows and not others."""
+    m = _random_matrix(rng)
+    mode = rng.choice(("integral", "one", "rows"))
+    if mode == "integral":
+        return Matrix.from_rows([[x * x.denominator for x in m.row(i)]
+                                 for i in range(m.rows)])
+    if mode == "one":
+        q = Fraction(rng.choice((2, 3, 4, 6, 9)), rng.choice((1, 5, 7)))
+        return Matrix.from_rows([[x / q for x in m.row(i)] for i in range(m.rows)])
+    return Matrix.from_rows([[x * Fraction(rng.choice((1, 2, 3)), rng.choice((1, 2, 4, 15)))
+                              for x in m.row(i)] for i in range(m.rows)])
+
+
 def test_sparse_rank_and_kernel_match_dense_oracles_randomized():
     rng = random.Random(2311)
     for _ in range(250):
         m = _random_matrix(rng)
+        _assert_matches_oracles(m)
+        _assert_matches_oracles(m.transpose())
+    rng = random.Random(2313)
+    for _ in range(60):
+        m = _scaled_matrix(rng)
         _assert_matches_oracles(m)
         _assert_matches_oracles(m.transpose())
 
@@ -223,6 +297,12 @@ def test_compose_matches_dense_oracle_randomized():
             k = Matrix.from_columns(a.cols, [dict(enumerate(v)) for v in kernel])
             assert compose(a, k).is_zero()
             assert compose(a, k) == compose_oracle(a, k)
+    rng = random.Random(2314)
+    for _ in range(60):
+        a, b = _scaled_matrix(rng), _scaled_matrix(rng)
+        b = Matrix.from_rows([[b.entry(k % b.rows, j) for j in range(b.cols)]
+                              for k in range(a.cols)])
+        assert compose(a, b) == compose_oracle(a, b)
 
 
 def _catalog_complexes(rng):

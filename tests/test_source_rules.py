@@ -5,6 +5,8 @@ import importlib
 import importlib.util
 import pathlib
 
+import pytest
+
 import derpair
 
 PACKAGE = pathlib.Path(derpair.__file__).parent
@@ -20,6 +22,39 @@ def test_no_assert_statements_in_package():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _calls_by_function(tree, names):
+    """(enclosing function or '<module>', called name) for calls of the names."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id in names):
+                found.append((where, child.func.id))
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_linalg_builds_fractions_only_at_its_boundary():
+    # A Matrix is an integer table over one denominator from construction to
+    # rank: Fractions are made only when parsing, by the dense views, by the
+    # kernel read-out and for the ZERO/ONE constants, and only the
+    # constructors' normalisation takes an lcm of denominators.
+    path = PACKAGE / "linalg.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    allowed = {"Fraction": {"<module>", "as_scalar", "parse_scalar", "format_scalar",
+                            "entry", "row", "nullspace"},
+               "lcm": {"_over_one_denominator"}}
+    calls = _calls_by_function(tree, allowed)
+    assert {name for _, name in calls} == set(allowed)
+    assert [(where, name) for where, name in calls if where not in allowed[name]] == []
 
 
 def test_span_targets_resolve():
@@ -81,3 +116,15 @@ def test_every_table_formula_holds_each_variable_once():
                 for i, (*_, order) in enumerate(terms)
                 if sorted(order) != list(range(arity))]
     assert bad == []
+
+
+def test_formula_parser_rejects_adjacent_terms_and_leftovers():
+    # a dropped + or - must not silently become a sum
+    from derpair.errors import SchemaError
+    from derpair.structures import _parse
+    assert _parse("star(x0,x1) - k1*star(x1,x0)") == (
+        (1, None, ("star", (0, 1)), (0, 1)), (-1, "k1", ("star", (1, 0)), (1, 0)))
+    for bad in ("star(x0,x1) star(x1,x0)", "star(x0,x1) k1*star(x1,x0)",
+                "star(x0,x1))", "star(x0,x1", "star(x0 x1)", "star[x0]", "+", "0 0"):
+        with pytest.raises(SchemaError):
+            _parse(bad)
