@@ -253,9 +253,11 @@ def _assert_matches_oracles(m):
 
 
 def _scaled_matrix(rng):
-    """A random matrix that is integral, over one denominator, or whose rows
-    each have their own denominator, so the common one shares factors with
-    some rows and not others."""
+    """A random matrix: integral, over one denominator, or per-row denominators.
+
+    With per-row denominators the common one shares factors with some rows
+    and not with others.
+    """
     m = _random_matrix(rng)
     mode = rng.choice(("integral", "one", "rows"))
     if mode == "integral":
