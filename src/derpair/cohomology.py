@@ -37,7 +37,13 @@ term of the plan as its block, signed and shifted to the term's output
 slot.  The result is the transpose of D_n over the denominator L, one row
 per image of a basis cochain; the compatible D_0 is then taken on the basis
 of the kernel.  The rank of each D_n is computed exactly on those images by
-the sparse eliminator of ``derpair.linalg``.  Reports carry per-degree
+the sparse eliminator of ``derpair.linalg``.  im D_{n-1} projects
+isomorphically onto the coordinates at the pivot columns S_{n-1} of its
+rank, so the basis cochains outside S_{n-1} span a complement of it: where
+D_n D_{n-1} = 0, D_n is ranked on the rows outside S_{n-1} alone, and on
+all rows otherwise.  For the same reason the rows S_n of D_n have its kernel
+and row space, so its kernel basis, read off the unique reduced row echelon
+form, is reduced from those rows alone.  Reports carry per-degree
 dimensions and a certification that d o d = 0, checked as the exact sparse
 product of the assembled matrices, the transpose of D_{n+1} D_n, for every
 degree below the requested one.  Since D_n is the matrix of d and
@@ -450,11 +456,16 @@ def cohomology(spec: ComplexSpec, budget: int | None = None,
     blocks = {}
     images = {n: cx.images(n, blocks) for n in range(top + 1)}
     del blocks      # not needed past assembly; freed before the eliminations
-    # D_{n+1} D_n is the transpose of the product of the images
-    certified = all(compose(images[n], images[n + 1]).is_zero()
-                    for n in range(top))
+    # D_n D_{n-1} is the transpose of the product of the images
+    dd_zero = {n: compose(images[n - 1], images[n]).is_zero() for n in range(1, top + 1)}
 
-    ranks = {n: rank(images[n]) for n in images}
+    ranks, pivots = {}, {}
+    for n in range(top + 1):
+        # the basis cochains outside the pivots of degree n-1 span a complement
+        # of im D_{n-1}, which D_n kills when d o d = 0
+        skip = pivots[n - 1] if dd_zero.get(n) else ()
+        pivots[n] = set()
+        ranks[n] = rank(images[n], skip, pivots[n])
     degrees = []
     for n in range(top + 1):
         dim_n = cx.dim(n)
@@ -467,8 +478,8 @@ def cohomology(spec: ComplexSpec, budget: int | None = None,
 
     report = CohomologyReport(
         flavor=spec.flavor, max_degree=top, degrees=degrees,
-        dd_zero_certified=certified)
+        dd_zero_certified=all(dd_zero.values()))
     if include_kernel_bases:
         for n in range(top + 1):
-            report.kernel_bases[n] = nullspace(images[n].transpose())
+            report.kernel_bases[n] = nullspace(images[n].transpose(), pivots[n])
     return report

@@ -16,7 +16,9 @@ nothing is ever rounded.  ``rank`` picks its pivots Markowitz-style (the
 shortest row, and in it a +-1 entry of the sparsest column), which keeps the
 fill-in low on sparse coboundary matrices; ``derpair.cohomology`` hands it
 the transpose of each coboundary matrix, whose rows are the images of the
-basis cochains, as that ranks faster than the matrix itself.  ``nullspace``
+basis cochains, as that ranks faster than the matrix itself.  Its pivot
+rows are triangular on its pivot columns S, so the row space projects
+isomorphically onto the coordinates in S.  ``nullspace``
 takes the columns in order and clears each pivot column above and below the
 pivot, which yields the reduced row echelon form; since that form is unique,
 so is the kernel basis read off from it.
@@ -257,13 +259,18 @@ class _Eliminator:
     ``holders[c]`` is the set of rows with a nonzero entry in column c.  The
     rows are the matrix's integer table, each divided by the gcd of its
     entries; neither that nor the common denominator changes the row space.
-    Rows are replaced, never changed in place, so the table is shared.
+    Rows are replaced, never changed in place, so the table is shared.  Rows
+    in ``skip``, or outside ``keep`` when it is given, never enter.
     """
 
-    def __init__(self, m: Matrix):
+    def __init__(self, m: Matrix, skip=(), keep=None):
         self.rows = {}
         self.holders = {}
-        for i, row in m._table.items():
+        table = m._table
+        for i, row in table.items() if keep is None else (
+                (i, table[i]) for i in keep if i in table):
+            if i in skip:
+                continue
             self.rows[i] = _primitive(row)
             for j in row:
                 self.holders.setdefault(j, set()).add(i)
@@ -315,18 +322,29 @@ def _primitive(row: dict) -> dict:
     return {j: x // content for j, x in row.items()}
 
 
-def rank(m: Matrix) -> int:
+def rank(m: Matrix, skip=(), pivots: set | None = None) -> int:
     """Exact rank over the rationals by sparse fraction-free elimination.
 
     Each step takes the shortest remaining row, and in it the column with the
     fewest other nonzeros, preferring an entry of +-1, so that few rows are
-    touched and the rows that are touched gain few new entries.
+    touched and the rows that are touched gain few new entries.  Rows in
+    ``skip`` never enter.  A pivot row is chosen after every earlier pivot
+    column was cleared from it, so the pivot rows are triangular on the pivot
+    columns: they span the row space, which projects isomorphically onto
+    those coordinates.  ``pivots``, when given, receives the pivot columns,
+    and the rank is their number.
     """
-    work = _Eliminator(m)
+    found = set(_pivots(_Eliminator(m, skip)))
+    if pivots is not None:
+        pivots |= found
+    return len(found)
+
+
+def _pivots(work: _Eliminator):
+    """Yield the pivot column of each step of ``rank``'s elimination."""
     holders = work.holders
     queue = [(len(row), i) for i, row in work.rows.items()]
     heapify(queue)
-    r = 0
     while queue:
         length, i = heappop(queue)
         row = work.rows.get(i)
@@ -339,8 +357,7 @@ def rank(m: Matrix) -> int:
         for t in targets:
             if t in work.rows:
                 heappush(queue, (len(work.rows[t]), t))
-        r += 1
-    return r
+        yield col
 
 
 def kernel_dim(m: Matrix) -> int:
@@ -348,13 +365,15 @@ def kernel_dim(m: Matrix) -> int:
     return m.cols - rank(m)
 
 
-def nullspace(m: Matrix) -> list[tuple[Fraction, ...]]:
+def nullspace(m: Matrix, keep=None) -> list[tuple[Fraction, ...]]:
     """A basis of the right kernel {v : m v = 0}, one vector per free column.
 
     The vector for free column f has a 1 at f, zeros at the other free
     columns and minus the reduced row echelon entries at the pivot columns.
+    With ``keep``, only those rows are reduced: rows that span the row space
+    give the same basis.
     """
-    work = _Eliminator(m)
+    work = _Eliminator(m, keep=keep)
     pivots = []             # (column, row index), in column order
     used = set()
     for c in range(m.cols):

@@ -11,7 +11,7 @@ from derpair.cochains import (AltMap, CompatCochain, DerCochain, MultiMap, _ad_b
                               circle_g, circle_nr, sparse_coords)
 from derpair.errors import (DegreeBudgetError, InvalidStructureError, SchemaError,
                             ShapeError)
-from derpair.linalg import Matrix, Space, rank
+from derpair.linalg import Matrix, Space, compose, nullspace, rank
 from derpair.structures import Presentation, check_structure, kind_shape
 
 import gen
@@ -644,6 +644,60 @@ def test_block_assembly_matches_the_basis_images(monkeypatch, last_shadow_sign):
                 (flavor, n)
         flavors.add(flavor)
     assert flavors == set(co.FLAVORS)
+
+
+# -- ranks on a complement of the previous image, kernels on the pivot rows ------------
+
+@pytest.mark.parametrize("last_shadow_sign", [-1, +1])
+def test_pruned_ranks_and_kernels_equal_those_on_all_rows(monkeypatch, last_shadow_sign):
+    monkeypatch.setattr(co, "_LAST_SHADOW_SIGN", last_shadow_sign)
+    calls = []
+
+    def recording(m, skip=(), pivots=None):
+        calls.append((skip, pivots))
+        return rank(m, skip, pivots)
+
+    monkeypatch.setattr(co, "rank", recording)
+    rng = random.Random(SEED + 35)
+    catalog = list(_catalog_complexes(rng))
+    rescaled = [(flavor, _rescaled(rng, p)) for flavor, p in catalog]
+    needed = 0          # fallbacks where the complement would give a wrong rank
+    for flavor, p in catalog + rescaled:
+        top = 3 if p.space.dimension == 2 else 2
+        calls.clear()
+        report = co.cohomology(co.ComplexSpec(flavor, p, top), include_kernel_bases=True)
+        cx, blocks = co._Complex(flavor, p), {}
+        images = [cx.images(n, blocks) for n in range(top + 1)]
+        dd_zero = [n > 0 and compose(images[n - 1], images[n]).is_zero()
+                   for n in range(top + 1)]
+        assert report.dd_zero_certified == all(dd_zero[1:])
+        for n, data in enumerate(report.degrees):
+            full = rank(images[n])
+            assert data.rank_d == full, (flavor, n)
+            assert report.kernel_bases[n] == nullspace(images[n].transpose()), (flavor, n)
+            skip = calls[n][0]
+            if dd_zero[n]:
+                assert skip is calls[n - 1][1], (flavor, n)
+            else:
+                assert skip == (), (flavor, n)
+                if n:
+                    needed += rank(images[n], calls[n - 1][1]) != full
+    assert (needed > 0) == (last_shadow_sign == +1)
+
+
+def test_each_degree_is_ranked_and_reduced_through_the_public_names(monkeypatch):
+    # the benchmark's trace wraps linalg.rank and linalg.nullspace by name and
+    # reads the matrix from the first positional argument
+    calls = []
+    for name in ("rank", "nullspace"):
+        def counting(m, *args, _name=name, _fn=getattr(co, name)):
+            calls.append((_name, type(m)))
+            return _fn(m, *args)
+        monkeypatch.setattr(co, name, counting)
+    p = P(S3, "lieder", {"bracket": gen.HEIS3},
+          {"delta": gen.mm(S3, 1, [(0, 0, 1), (1, 1, 1), (2, 2, 2)])})
+    co.cohomology(co.ComplexSpec("lieder", p, 3), include_kernel_bases=True)
+    assert calls == [("rank", Matrix)] * 4 + [("nullspace", Matrix)] * 4
 
 
 def _scaled_apart(p, scales):

@@ -283,6 +283,24 @@ def test_sparse_rank_and_kernel_match_dense_oracles_randomized():
         _assert_matches_oracles(m.transpose())
 
 
+def test_pivot_columns_are_independent_on_the_rows_taken():
+    rng = random.Random(2315)
+    for k in range(160):
+        m = _random_matrix(rng) if k % 2 else _scaled_matrix(rng)
+        skip = set(rng.sample(range(m.rows), rng.randint(0, m.rows - 1))) if k % 4 else ()
+        kept = [m.row(i) for i in range(m.rows) if i not in skip]
+        pivots = set()
+        assert rank(m, skip, pivots) == len(pivots) == rank_oracle(Matrix.from_rows(kept))
+        # the kept rows on the pivot columns alone keep their rank
+        on_pivots = Matrix(len(kept), len(pivots),
+                           tuple(row[j] for row in kept for j in sorted(pivots)))
+        assert rank_oracle(on_pivots) == len(pivots)
+        # the rows of m at the pivots of its transpose span its row space
+        pivots = set()
+        rank(m.transpose(), pivots=pivots)
+        assert nullspace(m, pivots) == nullspace(m)
+
+
 def test_compose_matches_dense_oracle_randomized():
     # random products, and products with a kernel basis, which must vanish
     rng = random.Random(2312)
