@@ -22,18 +22,21 @@ shadow is absent at n = 1); ``CompatCochain`` is an n-tuple of degree-n
 
 The coordinate order of every cochain flavor is defined here and nowhere
 else: lexicographic order of index tuples, top before shadow, parts left to
-right (``_layout``).  ``_ad_block`` builds ad_x = [x, .], the graded bracket
-with one map x, on all basis maps of one arity as sparse columns in that
-order.  The coboundary matrices of ``derpair.cohomology``, degree 0
-included, and the derivation systems of ``derpair.structures`` are stacks of
-these blocks, placed at offsets.
+right (``_layout``; ``_increasing_ranks`` ranks increasing tuples).
+``_ad_block`` builds ad_x = [x, .], the graded bracket with one map x, on all
+basis maps of one arity as sparse columns in that order, adding each term
+into its column as it is made; an alternating merge inserts one increasing
+key into the other by bisection (``_insert``).  The coboundary matrices of
+``derpair.cohomology``, degree 0 included, and the derivation systems of
+``derpair.structures`` are stacks of these blocks, placed at offsets.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from math import comb, factorial
 
 from .errors import ShapeError
@@ -648,28 +651,29 @@ def _radix(args, d: int) -> int:
     return position
 
 
+@lru_cache(maxsize=32)
+def _increasing_ranks(d: int, k: int) -> dict:
+    """{args: rank} of the increasing k-tuples of range(d), in lexicographic order."""
+    return {args: i for i, args in enumerate(itertools.combinations(range(d), k))}
+
+
 def _layout(cochain, offset: int, out: dict) -> int:
     """Write the nonzero coordinates of cochain, shifted by offset, into out.
 
     Returns the offset just past the cochain.  A map's coordinate of key
     (args, j) sits at position(args) * d + j, where position is the rank of
     args among all index tuples (MultiMap, ``_radix``) or increasing ones
-    (AltMap) in lexicographic order; a DerCochain puts its top before its
-    shadow, and a CompatCochain or a tuple of maps puts its parts left to
-    right.
+    (AltMap, ``_increasing_ranks``) in lexicographic order; a DerCochain puts
+    its top before its shadow, and a CompatCochain or a tuple of maps puts its
+    parts left to right.
     """
-    if isinstance(cochain, MultiMap):
+    if isinstance(cochain, (MultiMap, AltMap)):
         d = cochain.space.dimension
+        ranks = _increasing_ranks(d, cochain.arity) if isinstance(cochain, AltMap) else None
         for (args, j), value in cochain.coeffs.items():
-            out[offset + _radix(args, d) * d + j] = value
-        return offset + MultiMap.coord_length(cochain.space, cochain.arity)
-    if isinstance(cochain, AltMap):
-        d, k = cochain.space.dimension, cochain.arity
-        last = comb(d, k) - 1
-        for (args, j), value in cochain.coeffs.items():
-            position = last - sum(comb(d - 1 - a, k - i) for i, a in enumerate(args))
+            position = _radix(args, d) if ranks is None else ranks[args]
             out[offset + position * d + j] = value
-        return offset + AltMap.coord_length(cochain.space, k)
+        return offset + cochain.coord_length(cochain.space, cochain.arity)
     if isinstance(cochain, DerCochain):
         offset = _layout(cochain.top, offset, out)
         if cochain.shadow is not None:
@@ -712,16 +716,13 @@ def _ad_block(x, k: int) -> list:
     With p and q the arities of x and b less one, [x, b] = x o b - (-1)^{pq}
     b o x for the composition o of the class (``circle_g`` or ``circle_nr``).
     Each entry of x is visited once as an input-taker (x o b, where b's
-    output fills one of x's inputs) and once as an output (b o x); the rows
-    are computed directly from the index tuples.
+    output fills one of x's inputs) and once as an output (b o x).  Rows come
+    from the index tuples (alternating merges by ``_insert``, ranked by
+    ``_increasing_ranks``); each term goes into its column at once.
     """
     d, a = x.space.dimension, x.arity
     twist = 1 if (a - 1) * (k - 1) % 2 else -1      # [x, b] = x o b + twist b o x
-    if isinstance(x, AltMap):
-        terms = _alt_terms(x, k, d, a, twist)
-    else:
-        terms = _multi_terms(x, k, d, a, twist)
-    return [accumulate({}, column) for column in terms]
+    return (_alt_terms if isinstance(x, AltMap) else _multi_terms)(x, k, d, a, twist)
 
 
 def _multi_terms(x: MultiMap, k: int, d: int, a: int, twist: int) -> list:
@@ -729,7 +730,7 @@ def _multi_terms(x: MultiMap, k: int, d: int, a: int, twist: int) -> list:
     # is _radix(key) * d + out, so each (entry, slot) of x contributes to a
     # family of columns at rows that are affine in the column's digits
     width = d ** k
-    terms = [[] for _ in range(width * d)]
+    columns = [{} for _ in range(width * d)]
     for (xargs, xout), v in x.coeffs.items():
         for s, j in enumerate(xargs):
             # x o b: b's output j fills slot s of x; key xargs[:s] + args + xargs[s+1:]
@@ -738,8 +739,10 @@ def _multi_terms(x: MultiMap, k: int, d: int, a: int, twist: int) -> list:
             scale = d ** (t + 1)
             base = (_radix(xargs[:s], d) * d ** (k + t)
                     + _radix(xargs[s + 1:], d)) * d + xout
-            for P in range(width):
-                terms[P * d + j].append((P * scale + base, value))
+            for column, row in zip(columns[j::d], range(base, base + width * scale, scale)):
+                total = column[row] = column.get(row, 0) + value
+                if not total:
+                    del column[row]
         position = _radix(xargs, d)
         for s in range(k):
             # b o x: xout fills slot s of b, args = (head, xout, tail); the
@@ -747,45 +750,58 @@ def _multi_terms(x: MultiMap, k: int, d: int, a: int, twist: int) -> list:
             lo = d ** (k - s)
             value = twist * v if s * (a - 1) % 2 == 0 else -twist * v
             col, row = xout * lo, position * lo
-            col_step, row_step = d * lo, d ** a * lo
             for H in range(d ** s):
-                first, row_first = H * col_step + col, H * row_step + row
-                for L in range(lo):
-                    terms[first + L].append((row_first + L, value))
-    return terms
+                first, row_first = H * d * lo + col, H * d ** a * lo + row
+                for column, r in zip(columns[first:first + lo], range(row_first, row_first + lo)):
+                    total = column[r] = column.get(r, 0) + value
+                    if not total:
+                        del column[r]
+    return columns
+
+
+def _insert(key: tuple, extra: tuple):
+    # (key with extra inserted, the sign of sorting key + extra), or None on a
+    # repeat; both are increasing, each index of extra finds its slot by
+    # bisection, and the sign is the parity of the indices of key it passes
+    sign = 1
+    for i in extra:
+        s = bisect_left(key, i)
+        if s < len(key) and key[s] == i:
+            return None
+        sign = -sign if (len(key) - s) % 2 else sign
+        key = key[:s] + (i,) + key[s:]
+    return key, sign
 
 
 def _alt_terms(x: AltMap, k: int, d: int, a: int, twist: int) -> list:
     # column c*d + o is the basis map (keys[c], o); a row is the rank of the
-    # sorted key among increasing tuples, times d, plus the output
-    keys = list(itertools.combinations(range(d), k))
-    place = {key: i * d
-             for i, key in enumerate(itertools.combinations(range(d), a + k - 1))}
-    terms = [[] for _ in range(len(keys) * d)]
-    holding = [[] for _ in range(d)]    # j -> (column base, pos, rest) per key holding j
-    for c, args in enumerate(keys):
-        for pos, j in enumerate(args):
-            holding[j].append((c * d, pos, args[:pos] + args[pos + 1:]))
+    # merged key among increasing tuples, times d, plus the output
+    keys, ranks = _increasing_ranks(d, k), _increasing_ranks(d, a + k - 1)
+    columns = [{} for _ in range(len(keys) * d)]
     merges = {}                         # rest -> (column base, row base, sign) per key
     for (xargs, xout), v in x.coeffs.items():
         for pos, j in enumerate(xargs):
             # x o b: b's output j fills input pos of x; its key merges with the rest
             rest = xargs[:pos] + xargs[pos + 1:]
             if rest not in merges:
-                merges[rest] = []
-                for c, args in enumerate(keys):
-                    m = sort_with_sign(args + rest)
-                    if m is not None:
-                        merges[rest].append((c * d, place[m[0]], m[1]))
+                merges[rest] = [(c * d, ranks[m[0]] * d, m[1]) for c, args in enumerate(keys)
+                                if (m := _insert(args, rest)) is not None]
             value = -v if pos % 2 else v
             for col, row, sign in merges[rest]:
-                terms[col + j].append((row + xout, value if sign > 0 else -value))
-        for col, pos, rest in holding[xout]:
-            # b o x: xout is input pos of b; x's inputs merge with b's others
-            m = sort_with_sign(xargs + rest)
-            if m is not None:
-                row = place[m[0]]
-                value = twist * v if (m[1] > 0) == (pos % 2 == 0) else -twist * v
-                for o in range(d):
-                    terms[col + o].append((row + o, value))
-    return terms
+                column, row = columns[col + j], row + xout
+                total = column[row] = column.get(row, 0) + sign * value
+                if not total:
+                    del column[row]
+        # b o x: xout is input pos of b, whose other inputs rest merge with x's;
+        # inserting xout into rest gives b's key and (-1)^(k-1-pos)
+        outside = [i for i in range(d) if i != xout and i not in xargs]
+        for rest in itertools.combinations(outside, k - 1) if k else ():
+            key, sign = _insert(rest, (xout,))
+            merged, merge_sign = _insert(xargs, rest)
+            col, row = keys[key] * d, ranks[merged] * d
+            value = (twist if k % 2 else -twist) * sign * merge_sign * v
+            for column, r in zip(columns[col:col + d], range(row, row + d)):
+                total = column[r] = column.get(r, 0) + value
+                if not total:
+                    del column[r]
+    return columns

@@ -407,8 +407,11 @@ class _Complex(_Coboundary):
         through at most one term, so the pieces do not overlap.  The blocks
         are built from the integer maps, and the matrix is their table over
         L.  ``blocks`` holds them by (map index, arity), built on first use
-        and shared by every part and degree; an empty map has none.  The
-        compatible D_0 is -ad_mu1 on the basis of its degree-0 space.
+        and shared by every part and degree; an empty map has none.  A slot
+        whose one term is +1 at offset 0 shares the block's columns as rows:
+        ``_reduced``, ``compose``, ``transpose`` and the eliminator never
+        change a row in place.  The compatible D_0 is -ad_mu1 on the basis of
+        its degree-0 space.
         """
         groups, out_arities = _plan(self.compatible, self.with_derivation, n,
                                     _LAST_SHADOW_SIGN)
@@ -424,14 +427,14 @@ class _Complex(_Coboundary):
                     if (x, arity) not in blocks:
                         blocks[x, arity] = _ad_block(self._int_maps[x], arity)
                     pieces.append((offsets[out], coeff, blocks[x, arity]))
-            size = self._cls.coord_length(self.space, arity)
-            for c in range(size if pieces else 0):
-                image = {}
-                for offset, coeff, block in pieces:
-                    image.update({offset + r: coeff * v for r, v in block[c].items()})
-                if image:
-                    table[start + c] = image
-            start += size
+            for offset, coeff, block in pieces:
+                shared = len(pieces) == 1 and not offset and coeff == 1
+                for c, col in enumerate(block):
+                    if col:
+                        row = col if shared else {offset + r: coeff * v for r, v in col.items()}
+                        if table.setdefault(start + c, row) is not row:
+                            table[start + c].update(row)
+            start += self._cls.coord_length(self.space, arity)
         m = Matrix._reduced(start, width, table, self._den)
         return m if n or self._c0 is None else compose(self._c0, m)
 

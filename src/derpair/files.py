@@ -32,9 +32,9 @@ from .linalg import Space, format_scalar, parse_scalar
 from .structures import Presentation, Violation, validate_presentation
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise SchemaError(message)
+def _require(condition: bool, message: str, *args) -> None:
+    if not condition:       # the message is formatted only on failure
+        raise SchemaError(message.format(*args) if args else message)
 
 
 def _load_document(text: str) -> dict:
@@ -68,23 +68,21 @@ def _space_from(doc: dict) -> Space:
 
 def _entries_to_map(space: Space, arity: int, entries, where: str) -> MultiMap:
     _require(isinstance(entries, list), f"{where}: entries must be a list")
-    table = {}
+    d, table, parsed = space.dimension, {}, {}      # parsed: each distinct string once
     for entry in entries:
-        _require(isinstance(entry, list) and len(entry) == arity + 2,
-                 f"{where}: each entry needs {arity} input indices, one output "
-                 f"index, and a coefficient")
-        *indices, out, coefficient = entry
-        _require(all(type(i) is int for i in [*indices, out]),
-                 f"{where}: indices must be integers")
-        _require(all(0 <= i < space.dimension for i in indices)
-                 and 0 <= out < space.dimension,
-                 f"{where}: index out of range for dimension {space.dimension}")
-        key = (tuple(indices), out)
-        _require(key not in table, f"{where}: duplicate entry for {entry[:-1]}")
-        _require(isinstance(coefficient, str),
-                 f"{where}: coefficients must be rational strings")
-        table[key] = parse_scalar(coefficient)
-    return MultiMap(space, arity, table)
+        _require(isinstance(entry, list) and len(entry) == arity + 2, "{}: each entry needs "
+                 "{} input indices, one output index, and a coefficient", where, arity)
+        *indices, coefficient = entry
+        _require(all(type(i) is int for i in indices), "{}: indices must be integers", where)
+        _require(min(indices) >= 0 and max(indices) < d,
+                 "{}: index out of range for dimension {}", where, d)
+        key = (tuple(indices[:-1]), indices[-1])
+        _require(key not in table, "{}: duplicate entry for {}", where, indices)
+        _require(isinstance(coefficient, str), "{}: coefficients must be rational strings", where)
+        if coefficient not in parsed:
+            parsed[coefficient] = parse_scalar(coefficient)
+        table[key] = parsed[coefficient]
+    return MultiMap._of(space, arity, {key: value for key, value in table.items() if value})
 
 
 def _map_to_entries(m) -> list:

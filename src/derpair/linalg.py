@@ -26,6 +26,7 @@ so is the kernel basis read off from it.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -52,12 +53,14 @@ def as_scalar(value) -> Fraction:
 
 
 def parse_scalar(text: str) -> Fraction:
-    """Parse "p/q" (or "p" when q=1); rejects floats and empty input."""
+    """Parse "p/q" (or "p" when q=1) in ASCII digits, whitespace around it stripped."""
+    # Fraction(str) alone also takes floats, exponents, "_" and non-ASCII digits
+    if re.fullmatch(r"[-+]?[0-9]+(/[0-9]+)?", text.strip()) is None:
+        raise SchemaError(f"bad rational literal {text!r}")
     try:
-        value = Fraction(text.strip())
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad rational literal {text!r}") from exc
-    return value
 
 
 def format_scalar(value: Fraction) -> str:

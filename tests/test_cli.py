@@ -295,6 +295,11 @@ def test_dendrify_linear_combine_coefficients(capsys, corpus, tmp_path):
     assert p.kind == "lie"
     code, _, _ = run_cli(capsys, "check", str(out_path))
     assert code == 0
+    # the coefficients follow the file grammar: no decimals or exponents
+    for bad in ("1.5,1,1,1", "1,1,1,1e3"):
+        code, _, err = run_cli(capsys, "dendrify", str(corpus / "compatible_lie.json"),
+                               "--recipe", "linear-combine", "--coefficients", bad)
+        assert code == 2 and "bad rational literal" in err
 
 
 def test_dendrify_refuses_coefficients_for_other_recipes(capsys, corpus, tmp_path):
@@ -448,6 +453,43 @@ def test_boolean_entry_indices_are_rejected(capsys, tmp_path):
     path = _cochain_file(tmp_path, "bool_indices.json", doc)
     code, _, err = run_cli(capsys, "check", path)
     _assert_schema_exit(code, err, "products.mu: indices must be integers")
+
+
+def test_an_exponent_coefficient_is_refused_at_once(capsys, tmp_path):
+    # Fraction("1e10000000") would build a 33-Mbit integer over about 10 s
+    doc = {"dimension": 2, "kind": "associative",
+           "products": {"mu": [[0, 0, 1, "1e10000000"]]}, "derivations": {}}
+    path = _cochain_file(tmp_path, "exponent.json", doc)
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "check", path)
+    assert time.perf_counter() - start < 1.0
+    _assert_schema_exit(code, err, "bad rational literal '1e10000000'")
+
+
+def test_each_entry_defect_gives_its_first_error(capsys, tmp_path):
+    # the checks run in this order on every entry, and the first failing one
+    # names the file's first defect
+    cases = (
+        ([[0, 0, 1, "1"], [0, 1, "1"], [0, 0, 5, "x"]],
+         "products.mu: each entry needs 2 input indices, one output index, "
+         "and a coefficient"),
+        ([[0, 0, 1, "1"], [0, "1", 0, "1"], [0, 0, 5, "1"]],
+         "products.mu: indices must be integers"),
+        ([[0, 0, 1, "1"], [0, True, 5, "1"]], "products.mu: indices must be integers"),
+        ([[0, 0, 1, "1"], [0, -1, 0, "x"], [0, 0, 1, "1"]],
+         "products.mu: index out of range for dimension 2"),
+        ([[0, 0, 1, "0"], [1, 1, 1, "1"], [0, 0, 1, 2]],
+         "products.mu: duplicate entry for [0, 0, 1]"),
+        ([[0, 0, 1, "1"], [0, 1, 1, 1], [0, 1, 1, "x"]],
+         "products.mu: coefficients must be rational strings"),
+        ([[0, 0, 1, "1"], [0, 1, 1, "1.5"], [1, 1, 1, [1]]],
+         "bad rational literal '1.5'"),
+    )
+    for i, (entries, message) in enumerate(cases):
+        doc = {"dimension": 2, "kind": "associative", "products": {"mu": entries},
+               "derivations": {}}
+        code, _, err = run_cli(capsys, "check", _cochain_file(tmp_path, f"{i}.json", doc))
+        _assert_schema_exit(code, err, message)
 
 
 def test_boolean_cochain_arity_is_rejected(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -15,8 +16,8 @@ from derpair.linalg import Matrix, Space, compose, nullspace, rank
 from derpair.structures import Presentation, check_structure, kind_shape
 
 import gen
-from oracles import (ce_face_d, circle_g_oracle, compat_pair_d_oracle, der_D_oracle,
-                     der_pair_d_oracle, hochschild_face_d, map_d_oracle,
+from oracles import (ce_face_d, circle_g_oracle, circle_nr_oracle, compat_pair_d_oracle,
+                     der_D_oracle, der_pair_d_oracle, hochschild_face_d, map_d_oracle,
                      staircase_d_oracle)
 from test_linalg import _assert_matches_oracles, _catalog_complexes, _degree0_images
 
@@ -644,6 +645,87 @@ def test_block_assembly_matches_the_basis_images(monkeypatch, last_shadow_sign):
                 (flavor, n)
         flavors.add(flavor)
     assert flavors == set(co.FLAVORS)
+
+
+def _inserted_vector(x, o):
+    """[x, e_o] for a vector e_o: sum_s (-1)^s x(..., e_o in slot s, ...), by eval.
+
+    An alternating x takes e_o in its first slot only.  The result is a map of
+    arity a-1, or a vector (a dict of its coordinates) at a = 1.
+    """
+    d, a = x.space.dimension, x.arity
+    alternating = isinstance(x, AltMap)
+    tuples = (itertools.combinations(range(d), a - 1) if alternating
+              else itertools.product(range(d), repeat=a - 1))
+    table = {}
+    for t in tuples:
+        slots = (0,) if alternating else range(a)
+        for s in slots:
+            for j, value in enumerate(x.eval(t[:s] + (o,) + t[s:])):
+                if value:
+                    table[t, j] = table.get((t, j), 0) + (-1) ** s * value
+    table = {key: value for key, value in table.items() if value}
+    if a == 1:
+        return {j: value for ((), j), value in table.items()}
+    return sparse_coords(type(x)(x.space, a - 1, table))
+
+
+def _block_cases(rng):
+    """(x, k) with x a seeded random map: AltMaps d <= 6, MultiMaps d <= 4.
+
+    The Heisenberg bracket is added as an AltMap and as its skew MultiMap
+    table, in which terms of one column meet at one row and cancel.
+    """
+    for _ in range(14):
+        d, a = rng.randint(1, 6), rng.choice((1, 2, 3))
+        space = Space.of_dim(d)
+        x = gen.rand_altmap(rng, space, a, entries=rng.randint(1, 6), bound=2)
+        for k in range(min(d, 4) + 1):
+            if x.coeffs:
+                yield x, k
+    for _ in range(10):
+        d, a = rng.randint(1, 4), rng.choice((1, 2, 3))
+        x = gen.rand_multimap(rng, Space.of_dim(d), a, entries=rng.randint(1, 6), bound=2)
+        for k in range(4):
+            if x.coeffs:
+                yield x, k
+    heis = AltMap.from_multimap(gen.HEIS3)
+    for k in range(4):
+        yield heis, k
+        yield gen.HEIS3, k
+
+
+def test_ad_blocks_match_brackets_and_oracles_on_random_maps():
+    # Column c of _ad_block(x, k) is [x, b_c] for the c-th basis map b_c: checked
+    # on every column against the package's bracket, and on a seeded sample of
+    # columns against the dense oracles, x o b - (-1)^{pq} b o x written out.
+    rng = random.Random(SEED + 41)
+    repeats = cancellations = 0
+    for x, k in _block_cases(rng):
+        d, a = x.space.dimension, x.arity
+        alternating = isinstance(x, AltMap)
+        block = _ad_block(x, k)
+        if k == 0:
+            assert block == [_inserted_vector(x, o) for o in range(d)], (x, k)
+            continue
+        cls = type(x)
+        bracket = nijenhuis_richardson if alternating else gerstenhaber
+        oracle = circle_nr_oracle if alternating else circle_g_oracle
+        basis = list(cls.basis(x.space, k))
+        assert len(block) == len(basis)
+        for c, b in enumerate(basis):
+            assert block[c] == sparse_coords(bracket(x, b)), (x, k, c)
+        twist = 1 if (a - 1) * (k - 1) % 2 else -1
+        for c in rng.sample(range(len(basis)), min(4, len(basis))):
+            b = basis[c]
+            forward, backward = oracle(x, b), oracle(b, x)
+            assert block[c] == sparse_coords(forward + backward.scale(twist)), (x, k, c)
+            shared = forward.coeffs.keys() & backward.coeffs.keys()
+            cancellations += sum(forward.coeffs[key] + twist * backward.coeffs[key] == 0
+                                 for key in shared)
+            (args, _), = b.coeffs
+            repeats += any(set(args) & set(xargs) for xargs, _ in x.coeffs)
+    assert repeats and cancellations
 
 
 # -- ranks on a complement of the previous image, kernels on the pivot rows ------------

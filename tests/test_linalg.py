@@ -119,6 +119,13 @@ def test_scalar_parse_and_format():
         parse_scalar("0.5x")
     with pytest.raises(SchemaError):
         parse_scalar("1/0")
+    # only an optional sign, ASCII digits and an optional "/digits", around
+    # which whitespace is stripped; Fraction(str) alone would take the rest
+    assert parse_scalar(" +3/6\n") == Fraction(1, 2)
+    for text in ("1.5", "1e3", "1_000", "\u0663", "1/2/3", "3/-4", "", " ", "0x10",
+                 "1e10000000", "1" * 5000, "1/" + "1" * 5000):
+        with pytest.raises(SchemaError):
+            parse_scalar(text)
 
 
 def test_space_validation():

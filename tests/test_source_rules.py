@@ -57,6 +57,18 @@ def test_linalg_builds_fractions_only_at_its_boundary():
     assert [(where, name) for where, name in calls if where not in allowed[name]] == []
 
 
+def test_ad_blocks_neither_sort_nor_accumulate_per_term():
+    # The block builders insert one sorted key into another and add each term
+    # straight into its column; a per-term sort or accumulate pass costs more
+    # than the blocks' few nonzeros.
+    path = PACKAGE / "cochains.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    calls = _calls_by_function(tree, {"sort_with_sign", "accumulate"})
+    builders = {"_ad_block", "_alt_terms", "_multi_terms"}
+    assert [(where, name) for where, name in calls if where in builders] == []
+    assert calls        # the helpers themselves are still called elsewhere
+
+
 def test_span_targets_resolve():
     # perfbench/spans.py times the package by replacing the functions it
     # names; a renamed function would silently drop out of its metrics.
