@@ -24,12 +24,11 @@ import sys
 
 from . import files
 from .brackets import assder_bracket, dc_bracket, gerstenhaber, nijenhuis_richardson
-from .cochains import AltMap, DerCochain
+from .cochains import AltMap, DerCochain, MultiMap
 from .cohomology import DEFAULT_COORD_BUDGET, ComplexSpec, FLAVORS, cohomology
 from .constructions import RECIPE_KINDS, dendrify
 from .errors import (DegreeBudgetError, DerpairError, InvalidStructureError,
-                     SchemaError)
-from .cochains import MultiMap
+                     SchemaError, _quote)
 from .maurer_cartan import mc_assder, mc_lieder, mc_pair_assder, mc_pair_lieder
 from .structures import KINDS, check_structure, fingerprint
 
@@ -87,8 +86,8 @@ def _budget() -> int:
     try:
         value = int(raw)
     except ValueError as exc:
-        raise SchemaError(f"DERPAIR_DEGREE_BUDGET must be an integer, got {raw!r}") \
-            from exc
+        raise SchemaError("DERPAIR_DEGREE_BUDGET must be an integer, "
+                          f"got {_quote(raw)}") from exc
     if value < 1:
         raise SchemaError("DERPAIR_DEGREE_BUDGET must be positive")
     return value
@@ -205,8 +204,7 @@ def cmd_bracket(args) -> int:
             if left.flavor != "alt" or right.flavor != "alt":
                 raise SchemaError('bracket kind "nr" needs flavor "alt"')
             value = nijenhuis_richardson(left.top, right.top)
-        out = DerCochain(value, None) if value.arity == 1 \
-            else DerCochain(value, type(value).zero(value.space, value.arity - 1))
+        out = DerCochain(value, DerCochain.zero(value.space, value.arity, left.flavor).shadow)
         _write_output(files.emit_cochain(out, with_shadow=False), args.out)
         return EXIT_PASS
     if kind == "dc":

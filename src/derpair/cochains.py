@@ -20,9 +20,15 @@ compositions live in ``derpair.brackets``.
 shadow is absent at n = 1); ``CompatCochain`` is an n-tuple of degree-n
 ``DerCochain`` values.
 
-The coordinate order of every cochain flavor is defined here and nowhere
-else: lexicographic order of index tuples, top before shadow, parts left to
-right (``_layout``; ``_increasing_ranks`` ranks increasing tuples).
+The shape and the coordinate order of every cochain flavor are defined here
+and nowhere else.  A degree-n cochain is a tuple of slots, one map each,
+whose arities ``_slot_arities`` gives: a part is its top map, followed by its
+shadow when there is a derivation and n > 1, and there is one part, or n
+when compatible.  Lengths and bases follow from the arities
+(``_slots_length``, ``_slots_basis``, and ``_PairCochain`` for the two
+classes above).  Coordinates run slot by slot, each map's in lexicographic
+order of index tuples (``_layout``; ``_increasing_ranks`` ranks increasing
+tuples).
 ``_ad_block`` builds ad_x = [x, .], the graded bracket with one map x, on all
 basis maps of one arity as sparse columns in that order, adding each term
 into its column as it is made; an alternating merge inserts one increasing
@@ -90,6 +96,39 @@ class _SparseMap:
         m = object.__new__(cls)
         m.space, m.arity, m.coeffs = space, arity, table
         return m
+
+    @classmethod
+    def zero(cls, space: Space, arity: int):
+        return cls(space, arity, {})
+
+    @classmethod
+    def identity(cls, space: Space):
+        return cls(space, 1, {((i,), i): ONE for i in range(space.dimension)})
+
+    @classmethod
+    def _keys(cls, space: Space, arity: int):
+        # every key (args, out) in coordinate order; the subclass's _tuples
+        # lists the argument tuples and _count counts them
+        d = space.dimension
+        return ((args, out) for args in cls._tuples(d, arity) for out in range(d))
+
+    @classmethod
+    def basis(cls, space: Space, arity: int):
+        """All single-entry maps, in coordinate order."""
+        for key in cls._keys(space, arity):
+            yield cls(space, arity, {key: ONE})
+
+    @classmethod
+    def coord_length(cls, space: Space, arity: int) -> int:
+        return cls._count(space.dimension, arity) * space.dimension
+
+    @classmethod
+    def from_coords(cls, space: Space, arity: int, values):
+        values = list(values)
+        if len(values) != cls.coord_length(space, arity):
+            raise ShapeError("coordinate vector has the wrong length")
+        return cls(space, arity, {key: value for key, value
+                                  in zip(cls._keys(space, arity), values) if value})
 
     def _check_key(self, args, out):
         d = self.space.dimension
@@ -175,25 +214,9 @@ class _SparseMap:
 class MultiMap(_SparseMap):
     """Sparse k-linear map on a based space (products, operators, cochains)."""
 
-    @staticmethod
-    def zero(space: Space, arity: int) -> "MultiMap":
-        return MultiMap(space, arity, {})
-
-    @staticmethod
-    def identity(space: Space) -> "MultiMap":
-        return MultiMap(space, 1, {((i,), i): ONE for i in range(space.dimension)})
-
-    @staticmethod
-    def basis(space: Space, arity: int):
-        """All single-entry maps, in coordinate order."""
-        d = space.dimension
-        for args in itertools.product(range(d), repeat=arity):
-            for out in range(d):
-                yield MultiMap(space, arity, {(args, out): ONE})
-
-    @staticmethod
-    def coord_length(space: Space, arity: int) -> int:
-        return space.dimension ** arity * space.dimension
+    # the argument tuples of the coordinate order, and how many there are
+    _tuples = staticmethod(lambda d, k: itertools.product(range(d), repeat=k))
+    _count = staticmethod(pow)
 
     def eval(self, args) -> list[Fraction]:
         """Value on a basis-index tuple as a coefficient vector."""
@@ -210,18 +233,6 @@ class MultiMap(_SparseMap):
     def coords(self) -> list[Fraction]:
         return dense_coords(self)
 
-    @staticmethod
-    def from_coords(space: Space, arity: int, values) -> "MultiMap":
-        values = list(values)
-        if len(values) != MultiMap.coord_length(space, arity):
-            raise ShapeError("coordinate vector has the wrong length")
-        d = space.dimension
-        keys = ((args, out)
-                for args in itertools.product(range(d), repeat=arity)
-                for out in range(d))
-        return MultiMap(space, arity,
-                        {key: value for key, value in zip(keys, values) if value})
-
 
 class AltMap(_SparseMap):
     """Sparse alternating k-linear map, keyed by strictly increasing tuples."""
@@ -234,24 +245,8 @@ class AltMap(_SparseMap):
     def _slot_orders(self):
         return _signed_permutations(self.arity)
 
-    @staticmethod
-    def zero(space: Space, arity: int) -> "AltMap":
-        return AltMap(space, arity, {})
-
-    @staticmethod
-    def identity(space: Space) -> "AltMap":
-        return AltMap(space, 1, {((i,), i): ONE for i in range(space.dimension)})
-
-    @staticmethod
-    def basis(space: Space, arity: int):
-        d = space.dimension
-        for args in itertools.combinations(range(d), arity):
-            for out in range(d):
-                yield AltMap(space, arity, {(args, out): ONE})
-
-    @staticmethod
-    def coord_length(space: Space, arity: int) -> int:
-        return comb(space.dimension, arity) * space.dimension
+    _tuples = staticmethod(lambda d, k: itertools.combinations(range(d), k))
+    _count = staticmethod(comb)
 
     def eval(self, args) -> list[Fraction]:
         """Signed value on any basis-index tuple (zero on repeated indices)."""
@@ -271,18 +266,6 @@ class AltMap(_SparseMap):
 
     def coords(self) -> list[Fraction]:
         return dense_coords(self)
-
-    @staticmethod
-    def from_coords(space: Space, arity: int, values) -> "AltMap":
-        values = list(values)
-        if len(values) != AltMap.coord_length(space, arity):
-            raise ShapeError("coordinate vector has the wrong length")
-        d = space.dimension
-        keys = ((args, out)
-                for args in itertools.combinations(range(d), arity)
-                for out in range(d))
-        return AltMap(space, arity,
-                      {key: value for key, value in zip(keys, values) if value})
 
     @staticmethod
     def from_multimap(m: MultiMap) -> "AltMap":
@@ -440,7 +423,62 @@ def linear_combination(terms):
     return first._of(first.space, first.arity, table)
 
 
-class DerCochain:
+_MAPS = {"multi": MultiMap, "alt": AltMap}      # the map class of each flavor
+
+
+class _PairCochain:
+    """Shape, zero test and coordinates of DerCochain and CompatCochain, written once.
+
+    Each class is a tuple of slots laid out by ``_slot_arities``, read by
+    ``_slots`` and built back by ``_from_slots``.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _arities(cls, degree: int) -> tuple:
+        if degree < 1:
+            raise ShapeError("cochain degree must be >= 1")
+        return _slot_arities(cls is CompatCochain, True, degree)
+
+    @classmethod
+    def zero(cls, space: Space, degree: int, flavor: str):
+        maps = _MAPS[flavor]
+        return cls._from_slots([maps.zero(space, a) for a in cls._arities(degree)])
+
+    @classmethod
+    def coord_length(cls, space: Space, degree: int, flavor: str) -> int:
+        return _slots_length(_MAPS[flavor], space, cls._arities(degree))
+
+    @classmethod
+    def from_coords(cls, space: Space, degree: int, flavor: str, values):
+        values = list(values)
+        if len(values) != cls.coord_length(space, degree, flavor):
+            raise ShapeError("coordinate vector has the wrong length")
+        maps, slots, start = _MAPS[flavor], [], 0
+        for arity in cls._arities(degree):
+            end = start + maps.coord_length(space, arity)
+            slots.append(maps.from_coords(space, arity, values[start:end]))
+            start = end
+        return cls._from_slots(slots)
+
+    @classmethod
+    def basis(cls, space: Space, degree: int, flavor: str):
+        """Basis cochains matching coordinate order: slot by slot."""
+        return map(cls._from_slots,
+                   _slots_basis(_MAPS[flavor], space, cls._arities(degree)))
+
+    def is_zero(self) -> bool:
+        return all(f.is_zero() for f in self._slots())
+
+    def __rmul__(self, factor):
+        return self.scale(factor)
+
+    def coords(self) -> list[Fraction]:
+        return dense_coords(self)
+
+
+class DerCochain(_PairCochain):
     """A cochain of a derivation-pair complex: top map plus lower shadow.
 
     ``degree`` is the top arity n; the shadow has arity n-1 and is None when
@@ -475,15 +513,6 @@ class DerCochain:
     def flavor(self):
         return "alt" if isinstance(self.top, AltMap) else "multi"
 
-    @staticmethod
-    def zero(space: Space, degree: int, flavor: str) -> "DerCochain":
-        cls = AltMap if flavor == "alt" else MultiMap
-        shadow = cls.zero(space, degree - 1) if degree > 1 else None
-        return DerCochain(cls.zero(space, degree), shadow)
-
-    def is_zero(self) -> bool:
-        return self.top.is_zero() and (self.shadow is None or self.shadow.is_zero())
-
     def __eq__(self, other):
         return (isinstance(other, DerCochain) and self.top == other.top
                 and self.shadow == other.shadow)
@@ -511,50 +540,18 @@ class DerCochain:
         shadow = None if self.shadow is None else self.shadow.scale(factor)
         return DerCochain(self.top.scale(factor), shadow)
 
-    def __rmul__(self, factor):
-        return self.scale(factor)
-
-    def coords(self) -> list[Fraction]:
-        return dense_coords(self)
+    def _slots(self) -> tuple:
+        return (self.top,) if self.shadow is None else (self.top, self.shadow)
 
     @staticmethod
-    def coord_length(space: Space, degree: int, flavor: str) -> int:
-        cls = AltMap if flavor == "alt" else MultiMap
-        total = cls.coord_length(space, degree)
-        if degree > 1:
-            total += cls.coord_length(space, degree - 1)
-        return total
-
-    @staticmethod
-    def from_coords(space: Space, degree: int, flavor: str, values) -> "DerCochain":
-        values = list(values)
-        if len(values) != DerCochain.coord_length(space, degree, flavor):
-            raise ShapeError("coordinate vector has the wrong length")
-        cls = AltMap if flavor == "alt" else MultiMap
-        split = cls.coord_length(space, degree)
-        top = cls.from_coords(space, degree, values[:split])
-        shadow = None
-        if degree > 1:
-            shadow = cls.from_coords(space, degree - 1, values[split:])
-        return DerCochain(top, shadow)
-
-    @staticmethod
-    def basis(space: Space, degree: int, flavor: str):
-        """Basis cochains matching coordinate order: top slots then shadow slots."""
-        cls = AltMap if flavor == "alt" else MultiMap
-        zero_shadow = cls.zero(space, degree - 1) if degree > 1 else None
-        for top in cls.basis(space, degree):
-            yield DerCochain(top, zero_shadow)
-        if degree > 1:
-            zero_top = cls.zero(space, degree)
-            for shadow in cls.basis(space, degree - 1):
-                yield DerCochain(zero_top, shadow)
+    def _from_slots(slots) -> "DerCochain":
+        return DerCochain(*slots)
 
     def __repr__(self):
         return f"DerCochain(top={self.top!r}, shadow={self.shadow!r})"
 
 
-class CompatCochain:
+class CompatCochain(_PairCochain):
     """Degree-n cochain of a compatible-pair complex: n DerCochains of degree n."""
 
     __slots__ = ("parts",)
@@ -585,14 +582,6 @@ class CompatCochain:
     def flavor(self):
         return self.parts[0].flavor
 
-    @staticmethod
-    def zero(space: Space, degree: int, flavor: str) -> "CompatCochain":
-        return CompatCochain([DerCochain.zero(space, degree, flavor)
-                              for _ in range(degree)])
-
-    def is_zero(self) -> bool:
-        return all(part.is_zero() for part in self.parts)
-
     def __eq__(self, other):
         return isinstance(other, CompatCochain) and self.parts == other.parts
 
@@ -606,34 +595,14 @@ class CompatCochain:
     def scale(self, factor) -> "CompatCochain":
         return CompatCochain([part.scale(factor) for part in self.parts])
 
-    def __rmul__(self, factor):
-        return self.scale(factor)
-
-    def coords(self) -> list[Fraction]:
-        return dense_coords(self)
+    def _slots(self) -> tuple:
+        return tuple(f for part in self.parts for f in part._slots())
 
     @staticmethod
-    def coord_length(space: Space, degree: int, flavor: str) -> int:
-        return degree * DerCochain.coord_length(space, degree, flavor)
-
-    @staticmethod
-    def from_coords(space: Space, degree: int, flavor: str, values) -> "CompatCochain":
-        values = list(values)
-        if len(values) != CompatCochain.coord_length(space, degree, flavor):
-            raise ShapeError("coordinate vector has the wrong length")
-        step = DerCochain.coord_length(space, degree, flavor)
-        parts = [DerCochain.from_coords(space, degree, flavor,
-                                        values[i * step:(i + 1) * step])
-                 for i in range(degree)]
-        return CompatCochain(parts)
-
-    @staticmethod
-    def basis(space: Space, degree: int, flavor: str):
-        zero = DerCochain.zero(space, degree, flavor)
-        for slot in range(degree):
-            for part in DerCochain.basis(space, degree, flavor):
-                yield CompatCochain([part if i == slot else zero
-                                     for i in range(degree)])
+    def _from_slots(slots) -> "CompatCochain":
+        width = 1 if len(slots) == 1 else 2         # a degree-1 part has no shadow
+        return CompatCochain([DerCochain(*slots[i:i + width])
+                              for i in range(0, len(slots), width)])
 
     def __repr__(self):
         return f"CompatCochain({list(self.parts)!r})"
@@ -642,6 +611,34 @@ class CompatCochain:
 # ---------------------------------------------------------------------------
 # coordinates: the one coordinate order of every cochain
 # ---------------------------------------------------------------------------
+
+@cache
+def _slot_arities(compatible: bool, with_derivation: bool, n: int) -> tuple:
+    """The arity of each slot of a degree-n cochain, in coordinate order.
+
+    A part is its top map of arity n, followed by its shadow of arity n-1
+    when there is a derivation and n > 1; a cochain is one part, or n parts
+    when compatible.  Degree 0 is one vector, a map of arity 0, or nothing
+    with a derivation.
+    """
+    if n == 0:
+        return () if with_derivation else (0,)
+    part = (n, n - 1) if with_derivation and n > 1 else (n,)
+    return part * (n if compatible else 1)
+
+
+def _slots_length(maps, space: Space, arities) -> int:
+    """The number of coordinates of a slot tuple of the map class maps."""
+    return sum(maps.coord_length(space, a) for a in arities)
+
+
+def _slots_basis(maps, space: Space, arities):
+    """The basis slot tuples in coordinate order: one basis map, zeros elsewhere."""
+    zeros = tuple(maps.zero(space, a) for a in arities)
+    for k, arity in enumerate(arities):
+        for b in maps.basis(space, arity):
+            yield (*zeros[:k], b, *zeros[k + 1:])
+
 
 def _radix(args, d: int) -> int:
     """The rank of an index tuple among all tuples of its length."""
@@ -654,7 +651,7 @@ def _radix(args, d: int) -> int:
 @lru_cache(maxsize=32)
 def _increasing_ranks(d: int, k: int) -> dict:
     """{args: rank} of the increasing k-tuples of range(d), in lexicographic order."""
-    return {args: i for i, args in enumerate(itertools.combinations(range(d), k))}
+    return {args: i for i, args in enumerate(AltMap._tuples(d, k))}
 
 
 def _layout(cochain, offset: int, out: dict) -> int:
@@ -674,14 +671,8 @@ def _layout(cochain, offset: int, out: dict) -> int:
             position = _radix(args, d) if ranks is None else ranks[args]
             out[offset + position * d + j] = value
         return offset + cochain.coord_length(cochain.space, cochain.arity)
-    if isinstance(cochain, DerCochain):
-        offset = _layout(cochain.top, offset, out)
-        if cochain.shadow is not None:
-            offset = _layout(cochain.shadow, offset, out)
-        return offset
-    parts = cochain.parts if isinstance(cochain, CompatCochain) else cochain
-    for part in parts:
-        offset = _layout(part, offset, out)
+    for slot in cochain._slots() if isinstance(cochain, _PairCochain) else cochain:
+        offset = _layout(slot, offset, out)
     return offset
 
 

@@ -9,10 +9,8 @@ Nijenhuis-Richardson bracket or ``MultiMap`` cochains and the Gerstenhaber
 bracket), and its differential follows from two facts about the base kind:
 compatible or not, with a derivation or not.
 
-A degree-n cochain is a flat tuple of slots, one map each: one part, or n
-parts when compatible; each part is its top map of arity n followed, when
-there is a derivation and n > 1, by its shadow of arity n-1, as in the
-coordinate order of ``derpair.cochains``.  ``_terms`` yields
+A degree-n cochain is a flat tuple of slots, one map each, laid out by
+``cochains._slot_arities``.  ``_terms`` yields
 d^n as (out slot, coefficient, structure map, in slot) terms with
 s = (-1)^{n-1}: output part i reads input part i-r through the product P_r
 and the derivation D_r, for r = 0, and r = 1 too when compatible:
@@ -60,7 +58,7 @@ from math import lcm
 
 from .brackets import gerstenhaber, nijenhuis_richardson
 from .cochains import (AltMap, CompatCochain, DerCochain, MultiMap, _ad_block,
-                       dense_coords, linear_combination)
+                       _slot_arities, _slots_basis, _slots_length, linear_combination)
 from .errors import DegreeBudgetError, InvalidStructureError, SchemaError, ShapeError
 from .linalg import Matrix, compose, nullspace, rank
 from .structures import (KIND_INFO, Presentation, check_structure, kind_shape,
@@ -173,18 +171,6 @@ def _structure(flavor: str, p: Presentation, what: str, check: bool) -> tuple:
 _LAST_SHADOW_SIGN = -1
 
 
-@cache
-def _slot_arities(compatible: bool, with_derivation: bool, n: int) -> tuple:
-    """The arity of each slot of a degree-n cochain.
-
-    Degree 0 is one vector, a map of arity 0, or nothing with a derivation.
-    """
-    if n == 0:
-        return () if with_derivation else (0,)
-    part = (n, n - 1) if with_derivation and n > 1 else (n,)
-    return part * (n if compatible else 1)
-
-
 def _terms(compatible: bool, with_derivation: bool, n: int, last_shadow_sign: int):
     """Yield d^n as (out slot, coefficient, structure map, in slot).
 
@@ -285,11 +271,10 @@ def der_D(delta: MultiMap, f):
 def _pair_d(flavor: str, p: Presentation, c, what: str, check: bool):
     """d of a flavor with a derivation, on a DerCochain or a CompatCochain."""
     d = _Coboundary(flavor, _structure(flavor, p, what, check))
-    parts = c.parts if isinstance(c, CompatCochain) else (c,)
-    out = d.checked(c.degree, [f for part in parts for f in (part.top, part.shadow)
-                               if f is not None])
-    pairs = [DerCochain(*out[i:i + 2]) for i in range(0, len(out), 2)]
-    return CompatCochain(pairs) if isinstance(c, CompatCochain) else pairs[0]
+    pairs = CompatCochain if d.compatible else DerCochain
+    if not isinstance(c, pairs):
+        raise ShapeError(f"{what} takes a {pairs.__name__}")
+    return pairs._from_slots(d.checked(c.degree, c._slots()))
 
 
 def hochschild_d(mu: MultiMap, f: MultiMap, check: bool = True) -> MultiMap:
@@ -385,18 +370,11 @@ class _Complex(_Coboundary):
     def dim(self, n: int) -> int:
         if n == 0 and self._c0 is not None:
             return self._c0.rows
-        return sum(self._cls.coord_length(self.space, a) for a in self.arities(n))
+        return _slots_length(self._cls, self.space, self.arities(n))
 
     def basis(self, n: int):
         """Basis cochains of degree n >= 1 in coordinate order: slot by slot."""
-        arities = self.arities(n)
-        zeros = tuple(self._cls.zero(self.space, a) for a in arities)
-        for k, arity in enumerate(arities):
-            for b in self._cls.basis(self.space, arity):
-                yield (*zeros[:k], b, *zeros[k + 1:])
-
-    def coords(self, n: int, cochain) -> list[Fraction]:
-        return dense_coords(cochain)
+        return _slots_basis(self._cls, self.space, self.arities(n))
 
     def images(self, n: int, blocks: dict) -> Matrix:
         """The transpose of D_n, placed block by block from the plan of degree n.

@@ -1,5 +1,14 @@
 """Exception hierarchy shared by all derpair modules."""
 
+_QUOTE_LIMIT = 60       # characters of outside input an error message repeats
+
+
+def _quote(value) -> str:
+    """repr(value) for an error message: a longer one is cut, with its length."""
+    text = repr(value)
+    return text if len(text) <= _QUOTE_LIMIT else \
+        f"{text[:_QUOTE_LIMIT]}... ({len(text)} characters)"
+
 
 class DerpairError(Exception):
     """Base class for every error raised by this package."""

@@ -162,23 +162,15 @@ def cochain_from_dict(doc: dict) -> DerCochain:
     arity = doc.get("arity")
     _require(type(arity) is int and arity >= 1,
              "arity must be a positive integer")
-    top_multi = _entries_to_map(space, arity, doc.get("entries", []), "entries")
+    maps = [_entries_to_map(space, arity, doc.get("entries", []), "entries")]
     shadow_entries = doc.get("shadow")
-    shadow_multi = None
-    if shadow_entries is not None:
-        _require(arity >= 2, "a shadow needs top arity >= 2")
-        shadow_multi = _entries_to_map(space, arity - 1, shadow_entries, "shadow")
+    _require(shadow_entries is None or arity >= 2, "a shadow needs top arity >= 2")
+    if arity > 1:
+        maps.append(_entries_to_map(space, arity - 1, [] if shadow_entries is None
+                                    else shadow_entries, "shadow"))     # absent: zero
     if flavor == "alt":
-        top = _as_alternating(top_multi, "entries")
-        shadow = None if shadow_multi is None else _as_alternating(shadow_multi,
-                                                                   "shadow")
-    else:
-        top = top_multi
-        shadow = shadow_multi
-    if shadow is None and arity > 1:
-        return DerCochain(top, (AltMap if flavor == "alt" else MultiMap)
-                          .zero(space, arity - 1))
-    return DerCochain(top, shadow)
+        maps = [_as_alternating(m, where) for m, where in zip(maps, ("entries", "shadow"))]
+    return DerCochain(*maps)
 
 
 def parse_cochain(text: str) -> DerCochain:

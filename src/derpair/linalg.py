@@ -32,7 +32,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
-from .errors import EliminationError, SchemaError, ShapeError
+from .errors import EliminationError, SchemaError, ShapeError, _quote
 
 # The scalar field: exact rationals of characteristic zero.
 Scalar = Fraction
@@ -49,18 +49,18 @@ def as_scalar(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         return parse_scalar(value)
-    raise SchemaError(f"cannot interpret {value!r} as an exact rational")
+    raise SchemaError(f"cannot interpret {_quote(value)} as an exact rational")
 
 
 def parse_scalar(text: str) -> Fraction:
     """Parse "p/q" (or "p" when q=1) in ASCII digits, whitespace around it stripped."""
     # Fraction(str) alone also takes floats, exponents, "_" and non-ASCII digits
     if re.fullmatch(r"[-+]?[0-9]+(/[0-9]+)?", text.strip()) is None:
-        raise SchemaError(f"bad rational literal {text!r}")
+        raise SchemaError(f"bad rational literal {_quote(text)}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"bad rational literal {text!r}") from exc
+        raise SchemaError(f"bad rational literal {_quote(text)}") from exc
 
 
 def format_scalar(value: Fraction) -> str:

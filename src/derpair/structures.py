@@ -43,7 +43,7 @@ from fractions import Fraction
 from functools import cache
 
 from .cochains import AltMap, MultiMap, _ad_block
-from .errors import SchemaError, ShapeError, UnsupportedRoleError
+from .errors import SchemaError, ShapeError, UnsupportedRoleError, _quote
 from .linalg import Matrix, Space
 
 _FAMILY_PRODUCTS = {
@@ -88,7 +88,7 @@ def kind_shape(kind: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Required (product names, derivation names) for a kind."""
     info = KIND_INFO.get(kind)
     if info is None:
-        raise SchemaError(f"unknown structure kind {kind!r}")
+        raise SchemaError(f"unknown structure kind {_quote(kind)}")
     bases = _FAMILY_PRODUCTS[info.family]
     if info.compatible:
         products = tuple(f"{name}{i}" for i in (1, 2) for name in bases)
@@ -126,11 +126,11 @@ def validate_presentation(p: Presentation) -> None:
     if set(p.products) != set(needed_products):
         raise SchemaError(
             f"kind {p.kind!r} needs products {sorted(needed_products)}, "
-            f"got {sorted(p.products)}")
+            f"got {_quote(sorted(p.products))}")
     if set(p.derivations) != set(needed_derivations):
         raise SchemaError(
             f"kind {p.kind!r} needs derivations {sorted(needed_derivations)}, "
-            f"got {sorted(p.derivations)}")
+            f"got {_quote(sorted(p.derivations))}")
     for name, m in p.products.items():
         if m.space != p.space:
             raise SchemaError(f"product {name!r} lives on a different space")

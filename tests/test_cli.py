@@ -492,6 +492,29 @@ def test_each_entry_defect_gives_its_first_error(capsys, tmp_path):
         _assert_schema_exit(code, err, message)
 
 
+def test_error_messages_quote_a_bounded_excerpt_of_the_input(capsys, corpus, tmp_path,
+                                                              monkeypatch):
+    # a refused literal, kind, name or budget is cut short in the message, so
+    # stderr stays small however large the input is
+    def doc(kind="associative", name="mu", coefficient="1"):
+        return {"dimension": 1, "kind": kind, "products": {name: [[0, 0, 0, coefficient]]},
+                "derivations": {}}
+
+    cases = ((doc(coefficient="7" * 200_000 + "x"), "bad rational literal '777"),
+             (doc(coefficient="7" * 200_000), "bad rational literal '777"),
+             (doc(kind="k" * 200_000), "unknown structure kind 'kkk"),
+             (doc(name="m" * 200_000), "kind 'associative' needs products ['mu'], got ['mmm"))
+    for i, (d, message) in enumerate(cases):
+        code, _, err = run_cli(capsys, "check", _cochain_file(tmp_path, f"{i}.json", d))
+        _assert_schema_exit(code, err, message)
+        assert "characters)" in err and len(err.encode()) < 1024
+    monkeypatch.setenv("DERPAIR_DEGREE_BUDGET", "x" * 100_000)
+    code, _, err = run_cli(capsys, "cohomology", str(corpus / "zero_cldp.json"),
+                           "--complex", "cldp", "--max-degree", "2")
+    _assert_schema_exit(code, err, "DERPAIR_DEGREE_BUDGET must be an integer, got 'xxx")
+    assert "(100002 characters)" in err and len(err.encode()) < 1024
+
+
 def test_boolean_cochain_arity_is_rejected(capsys, tmp_path):
     doc = {"dimension": 2, "flavor": "multi", "arity": True,
            "entries": [[0, 1, "1"]]}

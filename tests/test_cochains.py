@@ -181,6 +181,10 @@ def test_coord_lengths():
     assert MultiMap.coord_length(S2, 1) == 4
     assert AltMap.coord_length(S2, 2) == 2
     assert DerCochain.coord_length(S3, 2, "alt") == 9 + 9
+    assert DerCochain.coord_length(S3, 1, "multi") == 9
+    assert CompatCochain.coord_length(S2, 1, "alt") == 4
+    assert CompatCochain.coord_length(S2, 2, "multi") == 2 * (8 + 4)
+    assert CompatCochain.coord_length(S3, 3, "alt") == 3 * (3 + 9)
 
 
 def test_coords_roundtrip_randomized():
@@ -193,17 +197,18 @@ def test_coords_roundtrip_randomized():
         a = gen.rand_altmap(rng, space, arity)
         assert AltMap.from_coords(space, arity, a.coords()) == a
         degree = rng.randint(1, 3)
-        dc = DerCochain(
-            gen.rand_altmap(rng, space, degree),
-            gen.rand_altmap(rng, space, degree - 1) if degree > 1 else None)
-        assert DerCochain.from_coords(space, degree, "alt", dc.coords()) == dc
-        parts = [DerCochain(gen.rand_multimap(rng, space, degree),
-                            gen.rand_multimap(rng, space, degree - 1)
-                            if degree > 1 else None)
-                 for _ in range(degree)]
-        cc = CompatCochain(parts)
-        back = CompatCochain.from_coords(space, degree, "multi", cc.coords())
-        assert back == cc
+        for flavor, rand in (("alt", gen.rand_altmap), ("multi", gen.rand_multimap)):
+            dc = DerCochain(
+                rand(rng, space, degree),
+                rand(rng, space, degree - 1) if degree > 1 else None)
+            assert DerCochain.from_coords(space, degree, flavor, dc.coords()) == dc
+            parts = [DerCochain(rand(rng, space, degree),
+                                rand(rng, space, degree - 1)
+                                if degree > 1 else None)
+                     for _ in range(degree)]
+            cc = CompatCochain(parts)
+            back = CompatCochain.from_coords(space, degree, flavor, cc.coords())
+            assert back == cc
 
 
 def _enumerated_coords(cochain):
@@ -250,6 +255,12 @@ def test_sparse_coords_follow_the_coordinate_order():
 def test_from_coords_length_mismatch():
     with pytest.raises(ShapeError):
         MultiMap.from_coords(S2, 1, [1, 2, 3])
+    for wrong in (lambda: AltMap.from_coords(S2, 2, [1, 2, 3]),
+                  lambda: DerCochain.from_coords(S2, 1, "multi", [1, 2, 3, 4, 5]),
+                  lambda: DerCochain.from_coords(S2, 2, "alt", [1, 2]),  # no shadow
+                  lambda: CompatCochain.from_coords(S2, 2, "multi", [1] * 12)):
+        with pytest.raises(ShapeError):
+            wrong()
 
 
 def test_basis_matches_coordinates():
@@ -264,6 +275,7 @@ def test_basis_matches_coordinates():
     for index, b in enumerate(CompatCochain.basis(S2, 2, "multi")):
         coords = b.coords()
         assert coords[index] == 1 and sum(map(abs, coords)) == 1
+    assert AltMap.identity(S3).coords() == [int(i % 4 == 0) for i in range(9)]
 
 
 def test_der_cochain_shape_rules():

@@ -9,7 +9,7 @@ from derpair import cohomology as co
 from derpair import files
 from derpair.brackets import gerstenhaber, nijenhuis_richardson
 from derpair.cochains import (AltMap, CompatCochain, DerCochain, MultiMap, _ad_block,
-                              circle_g, circle_nr, sparse_coords)
+                              circle_g, circle_nr, dense_coords, sparse_coords)
 from derpair.errors import (DegreeBudgetError, InvalidStructureError, SchemaError,
                             ShapeError)
 from derpair.linalg import Matrix, Space, compose, nullspace, rank
@@ -589,6 +589,37 @@ def test_term_table_matches_per_shape_differentials():
     assert flavors == set(co.FLAVORS)
 
 
+def test_complex_shapes_match_the_cochain_classes():
+    # a complex's dimensions and basis are those of its cochain class, and
+    # its basis cochains are the unit vectors of the coordinate order
+    rng = random.Random(SEED + 37)
+    pair_classes = {"assder": DerCochain, "lieder": DerCochain,
+                    "cad": CompatCochain, "cldp": CompatCochain}
+    flavors = set()
+    for flavor, p in _catalog_complexes(rng):
+        cx = co._Complex(flavor, p)
+        alt = flavor in ("chevalley-eilenberg", "lieder", "cldp")
+        cls = AltMap if alt else MultiMap
+        for n in (1, 2, 3):
+            basis = list(cx.basis(n))
+            if flavor in pair_classes:
+                pairs = pair_classes[flavor]
+                assert cx.dim(n) == pairs.coord_length(
+                    p.space, n, "alt" if alt else "multi"), (flavor, n)
+                assert basis == [_flat(b) for b in pairs.basis(
+                    p.space, n, "alt" if alt else "multi")], (flavor, n)
+            else:
+                parts = n if flavor == "compatible-associative" else 1
+                assert cx.dim(n) == parts * cls.coord_length(p.space, n), (flavor, n)
+            assert len(basis) == cx.dim(n)
+            for index, b in enumerate(basis):
+                coords = dense_coords(b)
+                assert coords == [int(i == index) for i in range(len(basis))], \
+                    (flavor, n, index)
+        flavors.add(flavor)
+    assert flavors == set(co.FLAVORS)
+
+
 def test_no_bracket_is_computed_on_an_empty_operand(monkeypatch):
     calls = []
 
@@ -825,7 +856,7 @@ def test_rational_structure_maps_assemble_over_their_common_denominator():
             m = cx.matrix(n, blocks)
             assert m == Matrix.from_columns(
                 cx.dim(n + 1), [sparse_coords(cx.d(n, b)) for b in basis]), (flavor, n)
-            dense = [cx.coords(n + 1, _flat(_public_and_oracle(flavor, p, cx, n, b)[1]))
+            dense = [dense_coords(_flat(_public_and_oracle(flavor, p, cx, n, b)[1]))
                      for b in basis]
             assert m == Matrix(m.rows, m.cols, tuple(
                 column[i] for i in range(m.rows) for column in dense)), (flavor, n)
@@ -901,3 +932,16 @@ def test_differentials_reject_a_cochain_of_the_wrong_class():
     for call in calls:
         with pytest.raises(ShapeError):
             call()
+
+
+def test_pair_differentials_reject_the_other_pair_class():
+    # a compatible complex takes CompatCochains and the others DerCochains
+    zero = MultiMap.zero(S2, 1)
+    assder = P(S2, "assder", {"mu": gen.NIL2}, {"delta": zero})
+    cad = P(S2, "compatible-assder", {"mu1": gen.NIL2, "mu2": gen.NIL2.scale(2)},
+            {"delta1": zero, "delta2": zero})
+    for degree in (1, 2):
+        with pytest.raises(ShapeError):
+            co.cad_d(cad, DerCochain.zero(S2, degree, "multi"))
+        with pytest.raises(ShapeError):
+            co.assder_d(assder, CompatCochain.zero(S2, degree, "multi"))

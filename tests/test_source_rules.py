@@ -69,6 +69,22 @@ def test_ad_blocks_neither_sort_nor_accumulate_per_term():
     assert calls        # the helpers themselves are still called elsewhere
 
 
+def test_a_cochain_shape_is_written_once():
+    # The slot arities decide every dimension, basis and coordinate; they and
+    # what follows from them are defined in cochains alone: the shape methods
+    # once for maps and once for derivation-pair cochains.
+    defined = {path.name: [node.name for node in ast.walk(ast.parse(
+                   path.read_text(encoding="utf-8"), filename=str(path)))
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: names.count("_slot_arities") for name, names in defined.items()
+            if "_slot_arities" in names} == {"cochains.py": 1}
+    assert {"coord_length", "from_coords", "zero"}.isdisjoint(defined["cohomology.py"])
+    counts = {name: defined["cochains.py"].count(name)
+              for name in ("basis", "coord_length", "from_coords", "zero")}
+    assert max(counts.values()) <= 2, counts
+
+
 def test_span_targets_resolve():
     # perfbench/spans.py times the package by replacing the functions it
     # names; a renamed function would silently drop out of its metrics.
