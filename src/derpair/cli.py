@@ -30,7 +30,7 @@ from .constructions import RECIPE_KINDS, dendrify
 from .errors import (DegreeBudgetError, DerpairError, InvalidStructureError,
                      SchemaError, _quote)
 from .maurer_cartan import mc_assder, mc_lieder, mc_pair_assder, mc_pair_lieder
-from .structures import KINDS, check_structure, fingerprint
+from .structures import KIND_INFO, KINDS, check_structure, fingerprint
 
 SCHEMA = "derpair-report/1"
 
@@ -129,33 +129,23 @@ def cmd_cohomology(args) -> int:
     return EXIT_PASS if report.dd_zero_certified else EXIT_FINDING
 
 
-def _mc_single(p):
-    if p.kind in ("lieder", "lie"):
-        w = AltMap.from_multimap(p.products["bracket"])
-        delta = p.derivations.get("delta", MultiMap.zero(p.space, 1))
-        return mc_lieder(w, delta)
-    if p.kind in ("assder", "associative"):
-        delta = p.derivations.get("delta", MultiMap.zero(p.space, 1))
-        return mc_assder(p.products["mu"], delta)
-    raise SchemaError(f"mc (single) does not support kind {p.kind!r}")
-
-
-def _mc_pair(p):
-    zero = MultiMap.zero(p.space, 1)
-    if p.kind in ("compatible-lieder", "compatible-lie"):
-        w1 = AltMap.from_multimap(p.products["bracket1"])
-        w2 = AltMap.from_multimap(p.products["bracket2"])
-        return mc_pair_lieder(w1, p.derivations.get("delta1", zero),
-                              w2, p.derivations.get("delta2", zero))
-    if p.kind in ("compatible-assder", "compatible-associative"):
-        return mc_pair_assder(p.products["mu1"], p.derivations.get("delta1", zero),
-                              p.products["mu2"], p.derivations.get("delta2", zero))
-    raise SchemaError(f"mc --pair does not support kind {p.kind!r}")
-
-
 def cmd_mc(args) -> int:
     p = files.parse_presentation(_read(args.path))
-    verdict = _mc_pair(p) if args.pair else _mc_single(p)
+    info = KIND_INFO[p.kind]
+    # family -> (product name, top from a product, single check, pair check),
+    # read per call so that a replaced module function is the one called
+    checks = {"lie": ("bracket", AltMap.from_multimap, mc_lieder, mc_pair_lieder),
+              "associative": ("mu", lambda mu: mu, mc_assder, mc_pair_assder)}
+    if info.family not in checks or info.compatible != args.pair:
+        what = "mc --pair" if args.pair else "mc (single)"
+        raise SchemaError(f"{what} does not support kind {p.kind!r}")
+    name, to_top, single, pair = checks[info.family]
+    zero = MultiMap.zero(p.space, 1)
+
+    def part(i):
+        return to_top(p.products[name + i]), p.derivations.get("delta" + i, zero)
+
+    verdict = pair(*part("1"), *part("2")) if args.pair else single(*part(""))
     provenance = {"input": args.path, "kind": p.kind, "fingerprint": fingerprint(p)}
     _emit_report(_report("mc", "pass" if verdict.holds else "fail", provenance,
                          mc=files.mc_to_dict(verdict, p.space),
@@ -191,31 +181,22 @@ def cmd_bracket(args) -> int:
     left = files.parse_cochain(_read(args.left))
     right = files.parse_cochain(_read(args.right))
     kind = args.kind
-    if kind in ("g", "nr"):
-        for side in (left, right):
-            if side.shadow is not None and not side.shadow.is_zero():
-                raise SchemaError(f"bracket kind {kind!r} takes plain cochains "
-                                  "(no shadow)")
-        if kind == "g":
-            if left.flavor != "multi" or right.flavor != "multi":
-                raise SchemaError('bracket kind "g" needs flavor "multi"')
-            value = gerstenhaber(left.top, right.top)
-        else:
-            if left.flavor != "alt" or right.flavor != "alt":
-                raise SchemaError('bracket kind "nr" needs flavor "alt"')
-            value = nijenhuis_richardson(left.top, right.top)
-        out = DerCochain(value, DerCochain.zero(value.space, value.arity, left.flavor).shadow)
-        _write_output(files.emit_cochain(out, with_shadow=False), args.out)
-        return EXIT_PASS
-    if kind == "dc":
-        if left.flavor != "alt" or right.flavor != "alt":
-            raise SchemaError('bracket kind "dc" needs flavor "alt"')
-        value = dc_bracket(left, right)
+    # kind -> (cochain flavor, bracket, takes (top, shadow) pairs), read per call
+    flavor, bracket, pairs = {"g": ("multi", gerstenhaber, False),
+                              "nr": ("alt", nijenhuis_richardson, False),
+                              "dc": ("alt", dc_bracket, True),
+                              "assder": ("multi", assder_bracket, True)}[kind]
+    if not pairs and any(side.shadow is not None and not side.shadow.is_zero()
+                         for side in (left, right)):
+        raise SchemaError(f"bracket kind {kind!r} takes plain cochains (no shadow)")
+    if left.flavor != flavor or right.flavor != flavor:
+        raise SchemaError(f'bracket kind "{kind}" needs flavor "{flavor}"')
+    if pairs:
+        value = bracket(left, right)
     else:
-        if left.flavor != "multi" or right.flavor != "multi":
-            raise SchemaError('bracket kind "assder" needs flavor "multi"')
-        value = assder_bracket(left, right)
-    _write_output(files.emit_cochain(value, with_shadow=True), args.out)
+        top = bracket(left.top, right.top)
+        value = DerCochain(top, DerCochain.zero(top.space, top.arity, flavor).shadow)
+    _write_output(files.emit_cochain(value, with_shadow=pairs), args.out)
     return EXIT_PASS
 
 

@@ -45,7 +45,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from math import comb, factorial
 
-from .errors import ShapeError
+from .errors import SchemaError, ShapeError, _quote
 from .linalg import ONE, ZERO, Space, as_scalar
 
 
@@ -423,7 +423,12 @@ def linear_combination(terms):
     return first._of(first.space, first.arity, table)
 
 
-_MAPS = {"multi": MultiMap, "alt": AltMap}      # the map class of each flavor
+def _maps(flavor: str):
+    """The map class of a cochain flavor: MultiMap for "multi", AltMap for "alt"."""
+    if flavor not in ("multi", "alt"):
+        raise SchemaError('cochain flavor must be "multi" or "alt", '
+                          f"got {_quote(flavor)}")
+    return MultiMap if flavor == "multi" else AltMap
 
 
 class _PairCochain:
@@ -443,19 +448,19 @@ class _PairCochain:
 
     @classmethod
     def zero(cls, space: Space, degree: int, flavor: str):
-        maps = _MAPS[flavor]
+        maps = _maps(flavor)
         return cls._from_slots([maps.zero(space, a) for a in cls._arities(degree)])
 
     @classmethod
     def coord_length(cls, space: Space, degree: int, flavor: str) -> int:
-        return _slots_length(_MAPS[flavor], space, cls._arities(degree))
+        return _slots_length(_maps(flavor), space, cls._arities(degree))
 
     @classmethod
     def from_coords(cls, space: Space, degree: int, flavor: str, values):
         values = list(values)
         if len(values) != cls.coord_length(space, degree, flavor):
             raise ShapeError("coordinate vector has the wrong length")
-        maps, slots, start = _MAPS[flavor], [], 0
+        maps, slots, start = _maps(flavor), [], 0
         for arity in cls._arities(degree):
             end = start + maps.coord_length(space, arity)
             slots.append(maps.from_coords(space, arity, values[start:end]))
@@ -466,7 +471,7 @@ class _PairCochain:
     def basis(cls, space: Space, degree: int, flavor: str):
         """Basis cochains matching coordinate order: slot by slot."""
         return map(cls._from_slots,
-                   _slots_basis(_MAPS[flavor], space, cls._arities(degree)))
+                   _slots_basis(_maps(flavor), space, cls._arities(degree)))
 
     def is_zero(self) -> bool:
         return all(f.is_zero() for f in self._slots())

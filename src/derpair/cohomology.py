@@ -263,9 +263,8 @@ def der_D(delta: MultiMap, f):
         raise ShapeError("D needs a linear operator")
     if delta.space != f.space:
         raise ShapeError("operands live on different spaces")
-    if isinstance(f, AltMap):
-        return nijenhuis_richardson(AltMap(f.space, 1, delta.coeffs), f).scale(-1)
-    return gerstenhaber(delta, f).scale(-1)
+    bracket = nijenhuis_richardson if isinstance(f, AltMap) else gerstenhaber
+    return bracket(type(f)(f.space, 1, delta.coeffs), f).scale(-1)
 
 
 def _pair_d(flavor: str, p: Presentation, c, what: str, check: bool):

@@ -3,13 +3,14 @@
 A Lie bracket w with a derivation delta packs into the pair P = (w, delta),
 and (w, delta) defines a LieDer-style structure exactly when {P, P} = 0 in
 the pair bracket; two such pairs are compatible exactly when additionally
-{P1, P2} = 0.  The associative-side statements are identical with the
-insertion bracket.  Each checker reports the nonzero bracket components as
-named residuals so a failure points at the violated identity.
+{P1, P2} = 0.  The associative side reads the same, with the same pair
+formula over the insertion bracket.  Each checker reports the nonzero bracket
+components as named residuals so a failure points at the violated identity.
 
 ``deformation_check`` tests the twisted equation d_P(Q) + (1/2){Q, Q} = 0 for
 a perturbation Q over a valid base P, and ``bidifferential_check`` verifies
-that the operators {P1, .} and {P2, .} anticommute degree by degree.
+that the operators {P1, .} and {P2, .} anticommute in degrees 1..max_degree;
+its flavor ("lieder" or "assder") picks the pair bracket by one lookup.
 """
 
 from __future__ import annotations
@@ -36,15 +37,11 @@ def _verdict(named_values) -> McVerdict:
     return McVerdict(not residuals, residuals)
 
 
-def _delta_alt(delta: MultiMap) -> AltMap:
-    if delta.arity != 1:
-        raise ShapeError("expected a linear operator")
-    return AltMap(delta.space, 1, dict(delta.coeffs))
-
-
 def lie_pair(w: AltMap, delta: MultiMap) -> DerCochain:
     """Pack a bracket and an operator into one pair cochain."""
-    return DerCochain(w, _delta_alt(delta))
+    if delta.arity != 1:
+        raise ShapeError("expected a linear operator")
+    return DerCochain(w, AltMap(delta.space, 1, dict(delta.coeffs)))
 
 
 def ass_pair(mu: MultiMap, delta: MultiMap) -> DerCochain:
@@ -131,14 +128,13 @@ def bidifferential_check(pair1: DerCochain, pair2: DerCochain,
     """Check {P1,{P2,.}} + {P2,{P1,.}} = 0 on all basis cochains per degree."""
     if pair1.space != pair2.space:
         raise ShapeError("pairs live on different spaces")
-    if flavor == "lieder":
-        bracket = dc_bracket
-        cochain_flavor = "alt"
-    elif flavor == "assder":
-        bracket = assder_bracket
-        cochain_flavor = "multi"
-    else:
+    # complex flavor -> (pair bracket, cochain flavor), read when called
+    known = {"lieder": (dc_bracket, "alt"), "assder": (assder_bracket, "multi")}
+    if not isinstance(flavor, str) or flavor not in known:
         raise SchemaError(f"unknown flavor {flavor!r}")
+    bracket, cochain_flavor = known[flavor]
+    if max_degree < 1:
+        raise SchemaError("max_degree must be >= 1")
     if pair1.flavor != cochain_flavor or pair2.flavor != cochain_flavor:
         raise ShapeError("pair flavor does not match the requested complex")
     residuals = []

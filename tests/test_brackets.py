@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -148,6 +149,63 @@ def test_assder_bracket_zero():
     other = DerCochain(gen.rand_multimap(rng, S2, 2),
                        gen.rand_multimap(rng, S2, 1))
     assert assder_bracket(zero, other).is_zero()
+
+
+def _dc_formula(a, b):
+    # a = (f_{m+1}, g_m), b = (f_{n+1}, g_n):
+    # (-1)^m [f_{m+1}, g_n] - (-1)^{n(m+1)} [f_{n+1}, g_m], all NR
+    m, n = a.top.arity - 1, b.top.arity - 1
+    terms = []
+    if b.shadow is not None:
+        terms.append(nijenhuis_richardson(a.top, b.shadow).scale((-1) ** m))
+    if a.shadow is not None:
+        terms.append(nijenhuis_richardson(b.top, a.shadow)
+                     .scale(-(-1) ** (n * (m + 1))))
+    return nijenhuis_richardson(a.top, b.top), terms
+
+
+def _assder_formula(a, b):
+    # a = (f_m, f_{m-1}), b = (g_n, g_{n-1}):
+    # (-1)^{m+1} [f_m, g_{n-1}] + [f_{m-1}, g_n], all G
+    m = a.top.arity
+    terms = []
+    if b.shadow is not None:
+        terms.append(gerstenhaber(a.top, b.shadow).scale((-1) ** (m + 1)))
+    if a.shadow is not None:
+        terms.append(gerstenhaber(a.shadow, b.top))
+    return gerstenhaber(a.top, b.top), terms
+
+
+def _random_pair(rng, cls, space, degree, rational):
+    def part(arity):
+        if rational:
+            return gen.rand_rational_map(rng, cls, space, arity, full=False)
+        if cls is MultiMap:
+            return gen.rand_multimap(rng, space, arity)
+        return gen.rand_altmap(rng, space, arity)
+    return DerCochain(part(degree), part(degree - 1) if degree > 1 else None)
+
+
+@pytest.mark.parametrize("bracket, formula, cls, space", [
+    (dc_bracket, _dc_formula, AltMap, Space.of_dim(4)),
+    (assder_bracket, _assder_formula, MultiMap, S2),
+])
+def test_pair_brackets_follow_their_formulas(bracket, formula, cls, space):
+    # Top arities 1..3 in both argument orders and as a self-bracket, over
+    # integer and rational maps, against the formula of each docstring.
+    rng = random.Random(RNG_SEED + 11)
+    for rational in (False, True):
+        for m, n in itertools.combinations_with_replacement((1, 2, 3), 2):
+            a = _random_pair(rng, cls, space, m, rational)
+            b = _random_pair(rng, cls, space, n, rational)
+            for x, y in ((a, b), (b, a), (a, a), (b, b)):
+                value = bracket(x, y)
+                top, terms = formula(x, y)
+                assert value.top == top
+                if terms:
+                    assert value.shadow == sum(terms[1:], terms[0])
+                else:
+                    assert value.shadow is None
 
 
 # -- graded Lie laws -------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from derpair.cochains import (AltMap, CompatCochain, DerCochain, MultiMap,
                               circle_g, circle_nr, dense_coords, linear_combination,
                               sparse_coords)
-from derpair.errors import ShapeError
+from derpair.errors import SchemaError, ShapeError
 from derpair.linalg import Space
 
 import gen
@@ -261,6 +261,22 @@ def test_from_coords_length_mismatch():
                   lambda: CompatCochain.from_coords(S2, 2, "multi", [1] * 12)):
         with pytest.raises(ShapeError):
             wrong()
+
+
+@pytest.mark.parametrize("cls", [DerCochain, CompatCochain])
+@pytest.mark.parametrize("flavor", ["bogus", "x", "", None, ["multi"],
+                                    pytest.param("m" * 100, id="long")])
+def test_pair_cochains_refuse_an_unknown_flavor(cls, flavor):
+    # every shape method names both flavors and quotes the input, cut to a bound
+    for call in (lambda: cls.zero(S2, 2, flavor),
+                 lambda: cls.coord_length(S2, 2, flavor),
+                 lambda: cls.from_coords(S2, 2, flavor, []),
+                 lambda: cls.basis(S2, 2, flavor)):
+        with pytest.raises(SchemaError) as info:
+            call()
+        message = str(info.value)
+        assert '"multi"' in message and '"alt"' in message
+        assert repr(flavor)[:60] in message and len(message) < 160
 
 
 def test_basis_matches_coordinates():

@@ -254,6 +254,15 @@ def test_bidifferential_assder_flavor():
                                     max_degree=2).holds
 
 
+def test_bidifferential_refuses_an_empty_degree_range():
+    # with no degree checked there is no certificate for a verdict
+    pair = lie_pair(W2A, gen.mm(S2, 1, [(0, 0, 1)]))
+    for max_degree in (0, -1, -5):
+        with pytest.raises(SchemaError, match="max_degree must be >= 1"):
+            bidifferential_check(pair, pair, max_degree=max_degree)
+    assert bidifferential_check(pair, pair, max_degree=1).holds
+
+
 def test_bidifferential_detects_incompatibility():
     d1 = gen.mm(S2, 1, [(0, 0, 1)])
     d2 = gen.mm(S2, 1, [(1, 1, 1)])

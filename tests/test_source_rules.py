@@ -85,6 +85,19 @@ def test_a_cochain_shape_is_written_once():
     assert max(counts.values()) <= 2, counts
 
 
+def test_each_bracket_formula_is_written_once():
+    # Both graded brackets are one commutator over a composition and both pair
+    # brackets one formula over an inner bracket: in brackets.py one function
+    # composes (f o g and g o f) and one combines the shadow terms.
+    path = PACKAGE / "brackets.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    calls = _calls_by_function(
+        tree, {"circle", "circle_g", "circle_nr", "linear_combination"})
+    composers = {where for where, name in calls if name != "linear_combination"}
+    combiners = {where for where, name in calls if name == "linear_combination"}
+    assert len(composers) == 1 and len(combiners) == 1, (composers, combiners)
+
+
 def test_span_targets_resolve():
     # perfbench/spans.py times the package by replacing the functions it
     # names; a renamed function would silently drop out of its metrics.
