@@ -91,7 +91,7 @@ class _SparseMap:
 
     @classmethod
     def _of(cls, space: Space, arity: int, table: dict):
-        # table: {(args tuple, out): nonzero Fraction} whose keys come from
+        # table: {(args tuple, out): nonzero scalar} whose keys come from
         # maps that were already checked, so they are not checked again
         m = object.__new__(cls)
         m.space, m.arity, m.coeffs = space, arity, table
@@ -103,7 +103,7 @@ class _SparseMap:
 
     @classmethod
     def identity(cls, space: Space):
-        return cls(space, 1, {((i,), i): ONE for i in range(space.dimension)})
+        return cls._of(space, 1, {((i,), i): 1 for i in range(space.dimension)})
 
     @classmethod
     def _keys(cls, space: Space, arity: int):
@@ -116,7 +116,7 @@ class _SparseMap:
     def basis(cls, space: Space, arity: int):
         """All single-entry maps, in coordinate order."""
         for key in cls._keys(space, arity):
-            yield cls(space, arity, {key: ONE})
+            yield cls._of(space, arity, {key: 1})
 
     @classmethod
     def coord_length(cls, space: Space, arity: int) -> int:
@@ -227,7 +227,7 @@ class MultiMap(_SparseMap):
         for j in range(self.space.dimension):
             value = self.coeffs.get((args, j))
             if value is not None:
-                out[j] = value
+                out[j] = Fraction(value)
         return out
 
     def coords(self) -> list[Fraction]:
@@ -261,7 +261,7 @@ class AltMap(_SparseMap):
         for j in range(self.space.dimension):
             value = self.coeffs.get((key, j))
             if value is not None:
-                out[j] = sign * value
+                out[j] = Fraction(sign * value)
         return out
 
     def coords(self) -> list[Fraction]:
@@ -281,8 +281,8 @@ class AltMap(_SparseMap):
             if merged is not None:
                 key, sign = merged
                 terms.append(((key, j), value if sign > 0 else -value))
-        norm = Fraction(1, factorial(m.arity))
-        return AltMap._of(m.space, m.arity, {key: value * norm for key, value
+        norm = ONE / factorial(m.arity)
+        return AltMap._of(m.space, m.arity, {key: as_scalar(value * norm) for key, value
                                              in accumulate({}, terms).items()})
 
     def to_multimap(self) -> MultiMap:
@@ -696,7 +696,7 @@ def dense_coords(cochain) -> list[Fraction]:
     """All coordinates of a cochain of any flavor, zeros included."""
     values = {}
     length = _layout(cochain, 0, values)
-    return [values.get(i, ZERO) for i in range(length)]
+    return [Fraction(values[i]) if i in values else ZERO for i in range(length)]
 
 
 # ---------------------------------------------------------------------------

@@ -261,6 +261,8 @@ def der_D(delta: MultiMap, f):
     """
     if delta.arity != 1:
         raise ShapeError("D needs a linear operator")
+    if not isinstance(f, (MultiMap, AltMap)):
+        raise ShapeError("D acts on a MultiMap or an AltMap")
     if delta.space != f.space:
         raise ShapeError("operands live on different spaces")
     bracket = nijenhuis_richardson if isinstance(f, AltMap) else gerstenhaber

@@ -23,10 +23,10 @@ their inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cochains import MultiMap
 from .errors import InvalidStructureError, SchemaError
+from .linalg import as_scalar
 from .structures import (KIND_INFO, Presentation, check_operator,
                          check_structure, evaluate, fingerprint, kind_shape)
 
@@ -150,7 +150,7 @@ def dendrify(p: Presentation, recipe: str, coefficients=None) -> Presentation:
         raise SchemaError(f"recipe {recipe!r} does not accept kind {p.kind!r}")
     _require(check_structure(p), "input")
     k1, k2, p1, p2 = ((1, 1, 1, 1) if coefficients is None
-                      else map(Fraction, coefficients))
+                      else map(as_scalar, coefficients))
     return _transfer(p, recipe, *table[p.kind],
                      {"k1": k1, "k2": k2, "p1": p1, "p2": p2})
 

@@ -1,13 +1,14 @@
 """Exact rational linear algebra: based spaces, sparse matrices, ranks, kernels.
 
-Scalars are ``fractions.Fraction`` values, i.e. arbitrary-precision rationals
-kept in lowest terms with positive denominator, so every computation in the
-package is exact.  A ``Matrix`` is one sparse integer table, holding only the
-nonzero entries row by row, over one positive denominator: its values are
-table / den.  The constructors bring ints and ``Fraction``s over the lcm of
-their denominators once; after that ``compose`` multiplies integer tables
-(and the denominators), and ``Fraction``s appear again only in the dense
-views ``entry``, ``row`` and ``entries`` and in the kernel basis.
+Scalars are exact rationals, normalised by ``as_scalar``: an ``int`` when
+integral, else a ``fractions.Fraction`` in lowest terms with positive
+denominator, so every computation in the package is exact.  A ``Matrix`` is
+one sparse integer table, holding only the nonzero entries row by row, over
+one positive denominator: its values are table / den.  The constructors
+bring ints and ``Fraction``s over the lcm of their denominators once; after
+that ``compose`` multiplies integer tables (and the denominators), and
+``Fraction``s appear again only in the dense views ``entry``, ``row`` and
+``entries`` and in the kernel basis.
 
 ``rank`` and ``nullspace`` share one sparse, fraction-free eliminator on the
 rows of the integer table: a row is updated as ``p*row - a*pivot_row`` and
@@ -39,33 +40,40 @@ Scalar = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_LITERAL = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")      # ASCII digits, no "." or "_"
 
 
-def as_scalar(value) -> Fraction:
-    """Coerce an int, Fraction, or "p/q" string to an exact rational."""
-    if isinstance(value, Fraction):
+def as_scalar(value):
+    """An int, bool, Fraction or "p/q" string as an exact scalar: an int when
+    integral and a Fraction otherwise, so integral data computes on ints."""
+    if type(value) is int:
         return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     if isinstance(value, str):
         return parse_scalar(value)
     raise SchemaError(f"cannot interpret {_quote(value)} as an exact rational")
 
 
-def parse_scalar(text: str) -> Fraction:
-    """Parse "p/q" (or "p" when q=1) in ASCII digits, whitespace around it stripped."""
-    # Fraction(str) alone also takes floats, exponents, "_" and non-ASCII digits
-    if re.fullmatch(r"[-+]?[0-9]+(/[0-9]+)?", text.strip()) is None:
+def parse_scalar(text: str):
+    """Parse "p/q" (or "p" when q=1), whitespace around it stripped, as ``as_scalar``."""
+    match = _LITERAL.fullmatch(text.strip())
+    if match is None:
         raise SchemaError(f"bad rational literal {_quote(text)}")
+    numerator, denominator = match.groups()
     try:
-        return Fraction(text)
+        if denominator is None:
+            return int(numerator)
+        return as_scalar(Fraction(int(numerator), int(denominator)))
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad rational literal {_quote(text)}") from exc
 
 
-def format_scalar(value: Fraction) -> str:
+def format_scalar(value) -> str:
     """Render as "p/q", or "p" when the denominator is 1."""
-    return str(Fraction(value))
+    return str(value)
 
 
 @dataclass(frozen=True)
@@ -114,7 +122,7 @@ class Matrix:
             raise ShapeError("entry count must equal rows*cols")
         table = {}
         for i in range(rows):
-            row = {j: _rational(x)
+            row = {j: as_scalar(x)
                    for j, x in enumerate(entries[i * cols:(i + 1) * cols]) if x}
             if row:
                 table[i] = row
@@ -152,7 +160,7 @@ class Matrix:
                 if not 0 <= i < rows:
                     raise ShapeError(f"row index {i} out of range for {rows} rows")
                 if x:
-                    table.setdefault(i, {})[j] = _rational(x)
+                    table.setdefault(i, {})[j] = as_scalar(x)
         return Matrix._of(rows, len(columns), *_over_one_denominator(table))
 
     @staticmethod
@@ -217,11 +225,6 @@ class Matrix:
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         return compose(self, other)
-
-
-def _rational(x):
-    # an int stays an int; anything else becomes an exact rational
-    return x if isinstance(x, int) else as_scalar(x)
 
 
 def _over_one_denominator(table: dict) -> tuple[dict, int]:

@@ -44,7 +44,7 @@ from functools import cache
 
 from .cochains import AltMap, MultiMap, _ad_block
 from .errors import SchemaError, ShapeError, UnsupportedRoleError, _quote
-from .linalg import Matrix, Space
+from .linalg import Matrix, Space, as_scalar
 
 _FAMILY_PRODUCTS = {
     "associative": ("mu",),
@@ -150,9 +150,10 @@ def fingerprint(p: Presentation) -> str:
     digest.update(repr((p.space.dimension, p.space.labels)).encode())
     for group in (p.products, p.derivations):
         for name in sorted(group):
-            digest.update(name.encode())
-            for key in sorted(group[name].coeffs):
-                digest.update(repr((key, str(group[name].coeffs[key]))).encode())
+            # one string per map: sha256 hashes the concatenation of its updates
+            coeffs = group[name].coeffs
+            digest.update((name + "".join(repr((key, str(coeffs[key])))
+                                          for key in sorted(coeffs))).encode())
     return digest.hexdigest()
 
 
@@ -328,19 +329,13 @@ def _side(side: str, arity: int, maps) -> dict:
     return {key: value for key, value in acc.items() if value}
 
 
-def _exact(x):
-    # integral Fractions become ints, which multiply and add far faster
-    return x.numerator if x.denominator == 1 else x
-
-
 def _tables(maps) -> dict:
-    """Maps resolved to {key: value} tables and scalars to exact numbers."""
+    """Maps resolved to {key: value} tables; scalars pass through."""
     tables = {}
     for name, m in maps.items():
         if isinstance(m, AltMap):
             m = m.to_multimap()
-        tables[name] = ({k: _exact(v) for k, v in m.coeffs.items()}
-                        if isinstance(m, MultiMap) else _exact(m))
+        tables[name] = m.coeffs if isinstance(m, MultiMap) else m
     return tables
 
 
@@ -355,11 +350,11 @@ def evaluate(space: Space, formula: str, arity: int, maps) -> MultiMap:
     """The map (x0, ..., x{arity-1}) -> formula, one side in the table's syntax.
 
     Only the maps the formula names are resolved; the result's keys come from
-    their stored entries, so they are not checked again.
+    their stored entries, so they are not checked again.  The table is copied,
+    as a lone term such as ``delta(x0)`` is the named map's own table.
     """
     named = {name: maps[name] for name in maps.keys() & _TOKEN.findall(formula)}
-    table = _side(formula, arity, _tables(named))
-    return MultiMap._of(space, arity, {k: Fraction(v) for k, v in table.items()})
+    return MultiMap._of(space, arity, dict(_side(formula, arity, _tables(named))))
 
 
 def _first_violation(space: Space, axioms):
@@ -445,7 +440,7 @@ def check_operator(p: Presentation, op: MultiMap, role: str, weight=0):
     validate_presentation(p)
     if op.arity != 1 or op.space != p.space:
         raise ShapeError("operator must be a linear endomorphism of p.space")
-    weight = Fraction(weight)
+    weight = as_scalar(weight)
     info = KIND_INFO[p.kind]
     group = {"derivation": "derivation", "rota-baxter": "rota-baxter",
              "nijenhuis": "nijenhuis",

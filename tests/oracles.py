@@ -123,6 +123,11 @@ def degree0_oracle(P, y) -> list:
     return coords
 
 
+def _entries(m) -> list:
+    """The stored entries of m, each coefficient read as a Fraction."""
+    return [(key, Fraction(value)) for key, value in m.coeffs.items()]
+
+
 def der_D_oracle(delta: MultiMap, f):
     """sum_i f(..., delta in slot i, ...) - delta o f, written out directly.
 
@@ -141,12 +146,12 @@ def der_D_oracle(delta: MultiMap, f):
             table[key] = total
 
     for slot in range(f.arity):
-        for (fargs, fout), fc in f.coeffs.items():
-            for ((src,), mid), dc in delta.coeffs.items():
+        for (fargs, fout), fc in _entries(f):
+            for ((src,), mid), dc in _entries(delta):
                 if mid == fargs[slot]:
                     bump((fargs[:slot] + (src,) + fargs[slot + 1:], fout), fc * dc)
-    for (fargs, fout), fc in f.coeffs.items():
-        for ((src,), out), dc in delta.coeffs.items():
+    for (fargs, fout), fc in _entries(f):
+        for ((src,), out), dc in _entries(delta):
             if src == fout:
                 bump((fargs, out), -fc * dc)
     return MultiMap(f.space, f.arity, table)

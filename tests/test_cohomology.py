@@ -928,10 +928,14 @@ def test_differentials_reject_a_cochain_of_the_wrong_class():
         lambda: circle_g(alt2, gen.NIL2),
         lambda: circle_nr(w, gen.NIL2),
         lambda: circle_nr(gen.NIL2, w),
+        lambda: co.der_D(multi1, DerCochain.zero(S2, 2, "multi")),
+        lambda: co.der_D(multi1, CompatCochain.zero(S2, 1, "alt")),
     ]
     for call in calls:
         with pytest.raises(ShapeError):
             call()
+    with pytest.raises(ShapeError, match="MultiMap or an AltMap"):
+        co.der_D(multi1, DerCochain.zero(S2, 1, "alt"))
 
 
 def test_pair_differentials_reject_the_other_pair_class():

@@ -57,6 +57,25 @@ def test_linalg_builds_fractions_only_at_its_boundary():
     assert [(where, name) for where, name in calls if where not in allowed[name]] == []
 
 
+def test_maps_build_fractions_only_at_read_out():
+    # A coefficient is an int when integral (linalg.as_scalar), so the maps
+    # are built, composed and evaluated without making Fractions: only the
+    # read-outs do, eval, the dense coordinates and a violation's sides.
+    # No module keeps a hand conversion between the two kinds (an _exact).
+    readers = {"cochains.py": {"eval", "dense_coords"},
+               "structures.py": {"_first_violation"},
+               "brackets.py": set(), "files.py": set(), "constructions.py": set()}
+    found = {}
+    for name, allowed in readers.items():
+        path = PACKAGE / name
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found[name] = sorted({where for where, _ in _calls_by_function(tree, {"Fraction"})}
+                             - allowed)
+        found[name] += [node.name for node in ast.walk(tree)
+                        if isinstance(node, ast.FunctionDef) and node.name == "_exact"]
+    assert found == {name: [] for name in readers}
+
+
 def test_ad_blocks_neither_sort_nor_accumulate_per_term():
     # The block builders insert one sorted key into another and add each term
     # straight into its column; a per-term sort or accumulate pass costs more
