@@ -31,10 +31,13 @@ order of index tuples (``_layout``; ``_increasing_ranks`` ranks increasing
 tuples).
 ``_ad_block`` builds ad_x = [x, .], the graded bracket with one map x, on all
 basis maps of one arity as sparse columns in that order, adding each term
-into its column as it is made; an alternating merge inserts one increasing
-key into the other by bisection (``_insert``).  The coboundary matrices of
+into its column as it is made.  The coboundary matrices of
 ``derpair.cohomology``, degree 0 included, and the derivation systems of
 ``derpair.structures`` are stacks of these blocks, placed at offsets.
+
+Every alternating sign is the sign of sorting an index tuple, taken by one
+function: ``_insert(key, extra)`` inserts extra, in any order, into the
+increasing key by bisection, so ``_insert((), t)`` sorts any tuple t.
 """
 
 from __future__ import annotations
@@ -49,20 +52,19 @@ from .errors import SchemaError, ShapeError, _quote
 from .linalg import ONE, ZERO, Space, as_scalar
 
 
-def sort_with_sign(indices):
-    """Sort a tuple, returning (sorted_tuple, parity_sign) or None on repeats."""
-    idx = list(indices)
+def _insert(key: tuple, extra: tuple):
+    # (key with extra inserted, the sign of sorting key + extra), or None on a
+    # repeat; key is increasing and extra may come in any order: each index of
+    # extra finds its slot in the growing key by bisection, and the sign is the
+    # parity of the indices it passes.  The package's one signed sort.
     sign = 1
-    for i in range(1, len(idx)):
-        j = i
-        while j > 0 and idx[j - 1] > idx[j]:
-            idx[j - 1], idx[j] = idx[j], idx[j - 1]
-            sign = -sign
-            j -= 1
-    for i in range(1, len(idx)):
-        if idx[i - 1] == idx[i]:
+    for i in extra:
+        s = bisect_left(key, i)
+        if s < len(key) and key[s] == i:
             return None
-    return tuple(idx), sign
+        sign = -sign if (len(key) - s) % 2 else sign
+        key = key[:s] + (i,) + key[s:]
+    return key, sign
 
 
 class _SparseMap:
@@ -155,11 +157,7 @@ class _SparseMap:
             raise ShapeError("operands have different arities")
 
     def _plus(self, other, sign):
-        # self + sign * other in one pass over other's entries
-        self._require_like(other)
-        terms = other.coeffs if sign > 0 else _scaled(-1, other.coeffs)
-        return self._of(self.space, self.arity,
-                        accumulate(dict(self.coeffs), terms.items()))
+        return linear_combination([(1, self), (sign, other)])
 
     def __add__(self, other):
         return self._plus(other, 1)
@@ -175,6 +173,21 @@ class _SparseMap:
 
     def __rmul__(self, factor):
         return self.scale(factor)
+
+    def eval(self, args) -> list[Fraction]:
+        """Value on a basis-index tuple as a coefficient vector, read by ``_read``."""
+        args = tuple(args)
+        if len(args) != self.arity:
+            raise ShapeError("argument count != arity")
+        d = self.space.dimension
+        if not all(0 <= i < d for i in args):
+            raise ShapeError("basis index out of range")
+        read = self._read(args)
+        if read is None:
+            return [ZERO] * d
+        key, sign = read
+        return [Fraction(sign * self.coeffs[key, j]) if (key, j) in self.coeffs else ZERO
+                for j in range(d)]
 
     def _slot_orders(self):
         # (order, sign) pairs: a stored entry (args, j) stands for the value
@@ -214,21 +227,11 @@ class _SparseMap:
 class MultiMap(_SparseMap):
     """Sparse k-linear map on a based space (products, operators, cochains)."""
 
-    # the argument tuples of the coordinate order, and how many there are
+    # the argument tuples of the coordinate order, how many there are, and
+    # the stored key and sign of any tuple (None where the value is zero)
     _tuples = staticmethod(lambda d, k: itertools.product(range(d), repeat=k))
     _count = staticmethod(pow)
-
-    def eval(self, args) -> list[Fraction]:
-        """Value on a basis-index tuple as a coefficient vector."""
-        args = tuple(args)
-        if len(args) != self.arity:
-            raise ShapeError("argument count != arity")
-        out = [ZERO] * self.space.dimension
-        for j in range(self.space.dimension):
-            value = self.coeffs.get((args, j))
-            if value is not None:
-                out[j] = Fraction(value)
-        return out
+    _read = staticmethod(lambda args: (args, 1))
 
     def coords(self) -> list[Fraction]:
         return dense_coords(self)
@@ -247,22 +250,8 @@ class AltMap(_SparseMap):
 
     _tuples = staticmethod(lambda d, k: itertools.combinations(range(d), k))
     _count = staticmethod(comb)
-
-    def eval(self, args) -> list[Fraction]:
-        """Signed value on any basis-index tuple (zero on repeated indices)."""
-        args = tuple(args)
-        if len(args) != self.arity:
-            raise ShapeError("argument count != arity")
-        out = [ZERO] * self.space.dimension
-        sorted_sign = sort_with_sign(args)
-        if sorted_sign is None:
-            return out
-        key, sign = sorted_sign
-        for j in range(self.space.dimension):
-            value = self.coeffs.get((key, j))
-            if value is not None:
-                out[j] = Fraction(sign * value)
-        return out
+    # a permuted key is read with the permutation's sign, a repeat as zero
+    _read = staticmethod(lambda args: _insert((), args))
 
     def coords(self) -> list[Fraction]:
         return dense_coords(self)
@@ -277,7 +266,7 @@ class AltMap(_SparseMap):
         """
         terms = []
         for (args, j), value in m.coeffs.items():
-            merged = sort_with_sign(args)
+            merged = _insert((), args)
             if merged is not None:
                 key, sign = merged
                 terms.append(((key, j), value if sign > 0 else -value))
@@ -295,19 +284,10 @@ class AltMap(_SparseMap):
         return MultiMap._of(self.space, self.arity, table)
 
 
-def _perm_sign(perm) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
 @cache
 def _signed_permutations(k: int) -> tuple:
     """All permutations of range(k) with their signs, built once per k."""
-    return tuple((perm, _perm_sign(perm)) for perm in itertools.permutations(range(k)))
+    return tuple((perm, _insert((), perm)[1]) for perm in itertools.permutations(range(k)))
 
 
 def circle_g(f: MultiMap, g: MultiMap) -> MultiMap:
@@ -374,7 +354,7 @@ def circle_nr(f: AltMap, g: AltMap) -> AltMap:
     terms = []
     for (gargs, k), gvalue in g.coeffs.items():
         for rest, fout, fvalue in by_input.get(k, ()):
-            merged = sort_with_sign(gargs + rest)
+            merged = _insert(gargs, rest)
             if merged is not None:
                 args, sign = merged
                 value = gvalue * fvalue
@@ -432,10 +412,11 @@ def _maps(flavor: str):
 
 
 class _PairCochain:
-    """Shape, zero test and coordinates of DerCochain and CompatCochain, written once.
+    """Shape, arithmetic and coordinates of DerCochain and CompatCochain, written once.
 
     Each class is a tuple of slots laid out by ``_slot_arities``, read by
-    ``_slots`` and built back by ``_from_slots``.
+    ``_slots`` and built back by ``_from_slots``; sums, multiples and
+    equality are taken slot by slot.
     """
 
     __slots__ = ()
@@ -476,8 +457,25 @@ class _PairCochain:
     def is_zero(self) -> bool:
         return all(f.is_zero() for f in self._slots())
 
-    def __rmul__(self, factor):
-        return self.scale(factor)
+    def __eq__(self, other):
+        return type(self) is type(other) and self._slots() == other._slots()
+
+    def __hash__(self):
+        return hash((type(self).__name__, self._slots()))
+
+    def _plus(self, other, sign):
+        if type(self) is not type(other):
+            return NotImplemented
+        if self.degree != other.degree:
+            raise ShapeError("cochain degrees differ")
+        return self._from_slots([f._plus(g, sign)
+                                 for f, g in zip(self._slots(), other._slots())])
+
+    def scale(self, factor):
+        return self._from_slots([f.scale(factor) for f in self._slots()])
+
+    # the operators of maps, over the _plus and scale above
+    __add__, __sub__, __rmul__ = _SparseMap.__add__, _SparseMap.__sub__, _SparseMap.__rmul__
 
     def coords(self) -> list[Fraction]:
         return dense_coords(self)
@@ -517,33 +515,6 @@ class DerCochain(_PairCochain):
     @property
     def flavor(self):
         return "alt" if isinstance(self.top, AltMap) else "multi"
-
-    def __eq__(self, other):
-        return (isinstance(other, DerCochain) and self.top == other.top
-                and self.shadow == other.shadow)
-
-    def __hash__(self):
-        return hash((self.top, self.shadow))
-
-    def _plus(self, other, sign):
-        if not isinstance(other, DerCochain):
-            return NotImplemented
-        if self.degree != other.degree:
-            raise ShapeError("cochain degrees differ")
-        shadow = None
-        if self.shadow is not None:
-            shadow = self.shadow._plus(other.shadow, sign)
-        return DerCochain(self.top._plus(other.top, sign), shadow)
-
-    def __add__(self, other):
-        return self._plus(other, 1)
-
-    def __sub__(self, other):
-        return self._plus(other, -1)
-
-    def scale(self, factor) -> "DerCochain":
-        shadow = None if self.shadow is None else self.shadow.scale(factor)
-        return DerCochain(self.top.scale(factor), shadow)
 
     def _slots(self) -> tuple:
         return (self.top,) if self.shadow is None else (self.top, self.shadow)
@@ -586,19 +557,6 @@ class CompatCochain(_PairCochain):
     @property
     def flavor(self):
         return self.parts[0].flavor
-
-    def __eq__(self, other):
-        return isinstance(other, CompatCochain) and self.parts == other.parts
-
-    def __add__(self, other):
-        if not isinstance(other, CompatCochain):
-            return NotImplemented
-        if self.degree != other.degree:
-            raise ShapeError("cochain degrees differ")
-        return CompatCochain([a + b for a, b in zip(self.parts, other.parts)])
-
-    def scale(self, factor) -> "CompatCochain":
-        return CompatCochain([part.scale(factor) for part in self.parts])
 
     def _slots(self) -> tuple:
         return tuple(f for part in self.parts for f in part._slots())
@@ -753,20 +711,6 @@ def _multi_terms(x: MultiMap, k: int, d: int, a: int, twist: int) -> list:
                     if not total:
                         del column[r]
     return columns
-
-
-def _insert(key: tuple, extra: tuple):
-    # (key with extra inserted, the sign of sorting key + extra), or None on a
-    # repeat; both are increasing, each index of extra finds its slot by
-    # bisection, and the sign is the parity of the indices of key it passes
-    sign = 1
-    for i in extra:
-        s = bisect_left(key, i)
-        if s < len(key) and key[s] == i:
-            return None
-        sign = -sign if (len(key) - s) % 2 else sign
-        key = key[:s] + (i,) + key[s:]
-    return key, sign
 
 
 def _alt_terms(x: AltMap, k: int, d: int, a: int, twist: int) -> list:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from math import factorial
 
-from .cochains import AltMap, DerCochain, MultiMap, sort_with_sign
+from .cochains import AltMap, DerCochain, MultiMap, _insert
 from .errors import SchemaError
 from .linalg import Space, format_scalar, parse_scalar
 from .structures import Presentation, Violation, validate_presentation
@@ -142,7 +142,7 @@ def _as_alternating(m: MultiMap, where: str) -> AltMap:
     # repeated index is a group of one, never complete for k >= 2.
     groups = {}
     for (args, out), value in m.coeffs.items():
-        key, sign = sort_with_sign(args) or (args, 0)
+        key, sign = _insert((), args) or (args, 0)
         groups.setdefault((key, out), []).append(sign * value)
     # k! orderings; when k exceeds the entry count no group can hold them
     # all, and k! is not computed (a file with k <= entries has >= k^2 indices)
@@ -177,20 +177,39 @@ def parse_cochain(text: str) -> DerCochain:
     return cochain_from_dict(_load_document(text))
 
 
+# the most entries a cochain file is written with: an alternating map is
+# written once per ordering of each key, k! entries for a key of arity k
+MAX_EMITTED_ENTRIES = 1_000_000
+
+
+def _emitted_entries(m) -> int:
+    # the entries m is written as, counted only until past the limit, so an
+    # empty map of any arity costs nothing
+    count = len(m.coeffs)
+    if isinstance(m, AltMap):
+        for k in range(2, m.arity + 1):
+            if not 0 < count <= MAX_EMITTED_ENTRIES:
+                break
+            count *= k
+    return count
+
+
 def cochain_to_dict(c: DerCochain, with_shadow: bool) -> dict:
-    top = c.top.to_multimap() if isinstance(c.top, AltMap) else c.top
+    written = (c.top, c.shadow) if with_shadow and c.shadow is not None else (c.top,)
+    _require(sum(map(_emitted_entries, written)) <= MAX_EMITTED_ENTRIES,
+             "the cochain would be written as more than the limit of {} entries",
+             MAX_EMITTED_ENTRIES)
+    top, *shadow = [_map_to_entries(m.to_multimap() if isinstance(m, AltMap) else m)
+                    for m in written]
     doc = {
         "dimension": c.space.dimension,
         "labels": list(c.space.labels),
         "flavor": c.flavor,
         "arity": c.top.arity,
-        "entries": _map_to_entries(top),
+        "entries": top,
     }
     if with_shadow:
-        shadow = c.shadow
-        if isinstance(shadow, AltMap):
-            shadow = shadow.to_multimap()
-        doc["shadow"] = None if shadow is None else _map_to_entries(shadow)
+        doc["shadow"] = shadow[0] if shadow else None
     return doc
 
 

@@ -21,12 +21,18 @@ import itertools
 from fractions import Fraction
 from math import factorial, gcd
 
-from derpair.cochains import (AltMap, CompatCochain, DerCochain, MultiMap,
-                              _perm_sign, linear_combination)
+from derpair.cochains import AltMap, CompatCochain, DerCochain, MultiMap, linear_combination
 from derpair.errors import SchemaError, ShapeError, UnsupportedRoleError
 from derpair.linalg import ONE, ZERO, Matrix, Space
 from derpair.structures import (_FAMILY_PRODUCTS, KIND_INFO, Presentation,
                                 Violation, validate_presentation)
+
+
+def _perm_sign(perm) -> int:
+    """The sign of a permutation by counting its inversions."""
+    inversions = sum(1 for i, j in itertools.combinations(range(len(perm)), 2)
+                     if perm[i] > perm[j])
+    return -1 if inversions % 2 else 1
 
 
 def circle_g_oracle(f: MultiMap, g: MultiMap) -> MultiMap:

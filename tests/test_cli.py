@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import pathlib
@@ -9,10 +10,13 @@ import time
 import pytest
 
 from derpair import cli, files
+from derpair.cochains import AltMap, DerCochain, MultiMap
 from derpair.errors import SchemaError
+from derpair.linalg import Space
 from derpair.structures import check_structure
 
 import gen
+from oracles import _perm_sign
 
 
 def run_cli(capsys, *argv):
@@ -414,6 +418,52 @@ def test_bracket_accepts_an_empty_alt_table_of_large_arity(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["arity"] == 399999
     assert doc["entries"] == []
+
+
+def _alternating_doc(dimension, key):
+    # a one-key alt cochain file: every ordering of key, with its sign
+    entries = [[*perm, 0, str(_perm_sign(perm))] for perm in itertools.permutations(key)]
+    return {"dimension": dimension, "flavor": "alt", "arity": len(key), "entries": entries}
+
+
+def test_bracket_refuses_a_result_past_the_entry_limit(capsys, tmp_path):
+    # the nr bracket of two arity-6 keys is one arity-11 key, which an alt
+    # file writes as 11! (about 40 million) entries: refused before any is formed
+    left = _cochain_file(tmp_path, "left.json", _alternating_doc(12, range(6)))
+    right = _cochain_file(tmp_path, "right.json", _alternating_doc(12, range(6, 12)))
+    out_path = tmp_path / "out.json"
+    code, out, err = run_cli(capsys, "bracket", "--kind", "nr", left, right,
+                             "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert err == ("derpair: the cochain would be written as more than the limit of "
+                   f"{files.MAX_EMITTED_ENTRIES} entries\n")
+    assert not out_path.exists()
+    # an arity-4 result, 4! entries, is written in full
+    left = _cochain_file(tmp_path, "left.json", _alternating_doc(8, range(3)))
+    right = _cochain_file(tmp_path, "right.json", _alternating_doc(8, range(3, 5)))
+    code, out, _ = run_cli(capsys, "bracket", "--kind", "nr", left, right)
+    assert code == 0 and len(json.loads(out)["entries"]) == 24
+
+
+def test_emitted_entries_are_counted_up_to_the_limit():
+    space = Space.of_dim(12)
+    keys = list(AltMap._keys(space, 5))
+    limit = files.MAX_EMITTED_ENTRIES
+
+    def alt(n):
+        return AltMap._of(space, 5, dict.fromkeys(keys[:n], 1))
+
+    assert files._emitted_entries(alt(limit // 120)) == limit // 120 * 120 <= limit
+    assert files._emitted_entries(alt(limit // 120 + 1)) > limit
+    assert files._emitted_entries(MultiMap._of(space, 5, dict.fromkeys(keys, 1))) == len(keys)
+    assert files._emitted_entries(AltMap.zero(space, 10 ** 9)) == 0
+    # the shadow counts when it is written: 999,960 + 2 * 4! entries
+    top = alt(limit // 120)
+    shadow = AltMap._of(space, 4, {((0, 1, 2, 3), 0): 1, ((0, 1, 2, 3), 1): 1})
+    with pytest.raises(SchemaError):
+        files.cochain_to_dict(DerCochain(top, shadow), with_shadow=True)
+    with pytest.raises(SchemaError):
+        files.cochain_to_dict(DerCochain(alt(limit // 120 + 1), shadow), with_shadow=False)
 
 
 def _assert_schema_exit(code, err, message):

@@ -44,6 +44,15 @@ def test_eval_arity_mismatch():
         mu.eval((0,))
 
 
+def test_eval_rejects_an_out_of_range_index():
+    mu = gen.mm(S2, 2, [(0, 0, 1, 1)])
+    w = AltMap(S2, 2, {((0, 1), 0): Fraction(1)})
+    for m, args in ((MultiMap.identity(S2), (5,)), (MultiMap.identity(S2), (-1,)),
+                    (mu, (0, 2)), (w, (3, 7)), (w, (1, -1)), (w, (2, 2))):
+        with pytest.raises(ShapeError):
+            m.eval(args)
+
+
 # -- insertion composition -----------------------------------------------------
 
 def test_circle_g_identity_cases():

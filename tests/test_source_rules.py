@@ -88,19 +88,37 @@ def test_ad_blocks_neither_sort_nor_accumulate_per_term():
     assert calls        # the helpers themselves are still called elsewhere
 
 
+def _defined_functions():
+    """{module file name: the names of the functions it defines, repeats kept}."""
+    return {path.name: [node.name for node in ast.walk(ast.parse(
+                path.read_text(encoding="utf-8"), filename=str(path)))
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
 def test_a_cochain_shape_is_written_once():
     # The slot arities decide every dimension, basis and coordinate; they and
     # what follows from them are defined in cochains alone: the shape methods
     # once for maps and once for derivation-pair cochains.
-    defined = {path.name: [node.name for node in ast.walk(ast.parse(
-                   path.read_text(encoding="utf-8"), filename=str(path)))
-                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
-               for path in sorted(PACKAGE.glob("*.py"))}
+    defined = _defined_functions()
     assert {name: names.count("_slot_arities") for name, names in defined.items()
             if "_slot_arities" in names} == {"cochains.py": 1}
     assert {"coord_length", "from_coords", "zero"}.isdisjoint(defined["cohomology.py"])
     counts = {name: defined["cochains.py"].count(name)
               for name in ("basis", "coord_length", "from_coords", "zero")}
+    assert max(counts.values()) <= 2, counts
+
+
+def test_each_cochain_operation_is_written_once():
+    # _insert is the one signed sort; a map is read at a tuple by one eval,
+    # and sums, multiples, equality and hashing are written once for maps and
+    # once for the derivation-pair cochains
+    defined = _defined_functions()
+    assert [(module, name) for module, names in defined.items() for name in names
+            if name in ("sort_with_sign", "_perm_sign")] == []
+    cochains = defined["cochains.py"]
+    assert cochains.count("_insert") == 1 and cochains.count("eval") == 1
+    counts = {name: cochains.count(name) for name in ("_plus", "scale", "__eq__", "__hash__")}
     assert max(counts.values()) <= 2, counts
 
 
