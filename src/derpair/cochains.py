@@ -67,7 +67,22 @@ def _insert(key: tuple, extra: tuple):
     return key, sign
 
 
-class _SparseMap:
+class _Linear:
+    """``+``, ``-`` and ``c *`` over a class's ``_plus(other, sign)`` and ``scale``."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return self._plus(other, 1)
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def __rmul__(self, factor):
+        return self.scale(factor)
+
+
+class _SparseMap(_Linear):
     """Shared linear-space behaviour of MultiMap and AltMap.
 
     Instances are treated as immutable after construction (all operations
@@ -159,20 +174,11 @@ class _SparseMap:
     def _plus(self, other, sign):
         return linear_combination([(1, self), (sign, other)])
 
-    def __add__(self, other):
-        return self._plus(other, 1)
-
     def __neg__(self):
         return self.scale(-1)
 
-    def __sub__(self, other):
-        return self._plus(other, -1)
-
     def scale(self, factor):
         return self._of(self.space, self.arity, _scaled(as_scalar(factor), self.coeffs))
-
-    def __rmul__(self, factor):
-        return self.scale(factor)
 
     def eval(self, args) -> list[Fraction]:
         """Value on a basis-index tuple as a coefficient vector, read by ``_read``."""
@@ -182,10 +188,7 @@ class _SparseMap:
         d = self.space.dimension
         if not all(0 <= i < d for i in args):
             raise ShapeError("basis index out of range")
-        read = self._read(args)
-        if read is None:
-            return [ZERO] * d
-        key, sign = read
+        key, sign = self._read(args) or (args, 0)     # a repeat: stored nowhere
         return [Fraction(sign * self.coeffs[key, j]) if (key, j) in self.coeffs else ZERO
                 for j in range(d)]
 
@@ -411,7 +414,7 @@ def _maps(flavor: str):
     return MultiMap if flavor == "multi" else AltMap
 
 
-class _PairCochain:
+class _PairCochain(_Linear):
     """Shape, arithmetic and coordinates of DerCochain and CompatCochain, written once.
 
     Each class is a tuple of slots laid out by ``_slot_arities``, read by
@@ -473,9 +476,6 @@ class _PairCochain:
 
     def scale(self, factor):
         return self._from_slots([f.scale(factor) for f in self._slots()])
-
-    # the operators of maps, over the _plus and scale above
-    __add__, __sub__, __rmul__ = _SparseMap.__add__, _SparseMap.__sub__, _SparseMap.__rmul__
 
     def coords(self) -> list[Fraction]:
         return dense_coords(self)

@@ -177,26 +177,26 @@ def parse_cochain(text: str) -> DerCochain:
     return cochain_from_dict(_load_document(text))
 
 
-# the most entries a cochain file is written with: an alternating map is
-# written once per ordering of each key, k! entries for a key of arity k
+# the most entries an alternating cochain is written with, one per ordering
+# of each key (k! at arity k); a multilinear one is written entry for entry
 MAX_EMITTED_ENTRIES = 1_000_000
 
 
-def _emitted_entries(m) -> int:
+def _emitted_entries(m: AltMap) -> int:
     # the entries m is written as, counted only until past the limit, so an
     # empty map of any arity costs nothing
     count = len(m.coeffs)
-    if isinstance(m, AltMap):
-        for k in range(2, m.arity + 1):
-            if not 0 < count <= MAX_EMITTED_ENTRIES:
-                break
-            count *= k
+    for k in range(2, m.arity + 1):
+        if not 0 < count <= MAX_EMITTED_ENTRIES:
+            break
+        count *= k
     return count
 
 
 def cochain_to_dict(c: DerCochain, with_shadow: bool) -> dict:
     written = (c.top, c.shadow) if with_shadow and c.shadow is not None else (c.top,)
-    _require(sum(map(_emitted_entries, written)) <= MAX_EMITTED_ENTRIES,
+    _require(c.flavor == "multi"
+             or sum(map(_emitted_entries, written)) <= MAX_EMITTED_ENTRIES,
              "the cochain would be written as more than the limit of {} entries",
              MAX_EMITTED_ENTRIES)
     top, *shadow = [_map_to_entries(m.to_multimap() if isinstance(m, AltMap) else m)

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from derpair import cli, files
-from derpair.cochains import AltMap, DerCochain, MultiMap
+from derpair.cochains import AltMap, DerCochain
 from derpair.errors import SchemaError
 from derpair.linalg import Space
 from derpair.structures import check_structure
@@ -445,6 +445,25 @@ def test_bracket_refuses_a_result_past_the_entry_limit(capsys, tmp_path):
     assert code == 0 and len(json.loads(out)["entries"]) == 24
 
 
+def test_bracket_writes_a_multilinear_result_past_the_entry_limit(capsys, tmp_path,
+                                                                 monkeypatch):
+    # a multilinear result is written entry for entry, never expanded, so the
+    # limit bounds only alternating results: under a limit of 23 a 32-entry g
+    # bracket is written and a 4!-entry nr bracket is refused
+    monkeypatch.setattr(files, "MAX_EMITTED_ENTRIES", 23)
+    f = [[a, b, c, "1"] for a, b, c in itertools.product(range(3), repeat=3) if a <= b]
+    g = [[0, 1, 2, "1"], [1, 2, 0, "1"]]
+    left, right = (_cochain_file(tmp_path, name, {"dimension": 3, "flavor": "multi",
+                                                  "arity": 2, "entries": entries})
+                   for name, entries in (("left.json", f), ("right.json", g)))
+    code, out, _ = run_cli(capsys, "bracket", "--kind", "g", left, right)
+    assert code == 0 and len(json.loads(out)["entries"]) == 32
+    left = _cochain_file(tmp_path, "left.json", _alternating_doc(8, range(3)))
+    right = _cochain_file(tmp_path, "right.json", _alternating_doc(8, range(3, 5)))
+    code, out, err = run_cli(capsys, "bracket", "--kind", "nr", left, right)
+    assert (code, out) == (2, "") and "limit of 23 entries" in err
+
+
 def test_emitted_entries_are_counted_up_to_the_limit():
     space = Space.of_dim(12)
     keys = list(AltMap._keys(space, 5))
@@ -455,7 +474,6 @@ def test_emitted_entries_are_counted_up_to_the_limit():
 
     assert files._emitted_entries(alt(limit // 120)) == limit // 120 * 120 <= limit
     assert files._emitted_entries(alt(limit // 120 + 1)) > limit
-    assert files._emitted_entries(MultiMap._of(space, 5, dict.fromkeys(keys, 1))) == len(keys)
     assert files._emitted_entries(AltMap.zero(space, 10 ** 9)) == 0
     # the shadow counts when it is written: 999,960 + 2 * 4! entries
     top = alt(limit // 120)
