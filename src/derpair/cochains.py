@@ -31,9 +31,10 @@ order of index tuples (``_layout``; ``_increasing_ranks`` ranks increasing
 tuples).
 ``_ad_block`` builds ad_x = [x, .], the graded bracket with one map x, on all
 basis maps of one arity as sparse columns in that order, adding each term
-into its column as it is made.  The coboundary matrices of
-``derpair.cohomology``, degree 0 included, and the derivation systems of
-``derpair.structures`` are stacks of these blocks, placed at offsets.
+into its column as it is made.  ``_ad_matrix`` is the one place where blocks
+become a matrix: the coboundary matrices of ``derpair.cohomology``, degree 0
+included, and the derivation systems of ``derpair.structures`` are stacks of
+these blocks, signed and placed at offsets, in integers over one denominator.
 
 Every alternating sign is the sign of sorting an index tuple, taken by one
 function: ``_insert(key, extra)`` inserts extra, in any order, into the
@@ -46,10 +47,10 @@ import itertools
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cache, lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .errors import SchemaError, ShapeError, _quote
-from .linalg import ONE, ZERO, Space, as_scalar
+from .linalg import ONE, ZERO, Matrix, Space, as_scalar
 
 
 def _insert(key: tuple, extra: tuple):
@@ -660,6 +661,45 @@ def dense_coords(cochain) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 # ad_x blocks: the bracket with one map, as sparse columns in coordinate order
 # ---------------------------------------------------------------------------
+
+def _ad_matrix(space: Space, cls, maps, slots, width: int, blocks: dict) -> Matrix:
+    """The matrix whose rows are signed, shifted sums of ad blocks.
+
+    ``slots`` lists (arity, terms) per input slot, in coordinate order; the
+    slot has one row per basis map b of class cls and that arity, and its row
+    is the sum over terms (offset, coefficient, map index x) of coefficient *
+    [maps[x], b], shifted right by offset, in a matrix of width columns.  A
+    slot reaches each offset through at most one term, so the pieces do not
+    overlap.  With L the lcm of the denominators of maps, each term is linear
+    in one map and ad_{Lx} = L ad_x, so the blocks are built from the integer
+    maps L x and the result is their table over L.  ``blocks`` holds them by
+    (map index, arity), built on first use and shared by every slot and call
+    that passes it; an empty map has none.  A slot whose one term is +1 at
+    offset 0 shares the block's columns as rows: ``Matrix._reduced``,
+    ``compose``, ``transpose`` and the eliminator never change a row in place.
+    """
+    den = lcm(*(v.denominator for m in maps for v in m.coeffs.values()))
+    table, start = {}, 0
+    for arity, terms in slots:
+        pieces = []
+        for offset, coeff, x in terms:
+            m = maps[x]
+            if m.coeffs:
+                if (x, arity) not in blocks:
+                    blocks[x, arity] = _ad_block(type(m)._of(m.space, m.arity, {
+                        key: v.numerator * (den // v.denominator)
+                        for key, v in m.coeffs.items()}), arity)
+                pieces.append((offset, coeff, blocks[x, arity]))
+        for offset, coeff, block in pieces:
+            shared = len(pieces) == 1 and not offset and coeff == 1
+            for c, col in enumerate(block):
+                if col:
+                    row = col if shared else {offset + r: coeff * v for r, v in col.items()}
+                    if table.setdefault(start + c, row) is not row:
+                        table[start + c].update(row)
+        start += cls.coord_length(space, arity)
+    return Matrix._reduced(start, width, table, den)
+
 
 def _ad_block(x, k: int) -> list:
     """ad_x = [x, .] on the arity-k maps of x's class, as sparse columns.

@@ -27,14 +27,17 @@ the kernel of ad_{P_0} - ad_{P_1} (``compat_assoc_degree0``).
 On cochains, ``d`` computes each output slot of degree n >= 1 as one linear
 combination of brackets; a term whose input slot or structure map is empty
 computes none.  Each coboundary matrix D_n, degree 0 included, is assembled
-from blocks instead, in integers: with L the lcm of the denominators of the
-structure maps, ``cochains._ad_block`` builds ad_{Lx} = L ad_x on the basis
-maps of one arity as sparse integer columns, once per (structure map, arity)
-of a report and none for an empty map, and ``_Complex.images`` places each
-term of the plan as its block, signed and shifted to the term's output
-slot.  The result is the transpose of D_n over the denominator L, one row
-per image of a basis cochain; the compatible D_0 is then taken on the basis
-of the kernel.  The rank of each D_n is computed exactly on those images by
+from blocks instead, in integers: ``_Complex.images`` hands the plan's terms,
+with the offsets of their output slots, to ``cochains._ad_matrix``, the one
+place where ad blocks become a matrix.  With L the lcm of the denominators
+of the structure maps, it builds ad_{Lx} = L ad_x on the basis maps of one
+arity as sparse integer columns, once per (structure map, arity) of a report
+and none for an empty map, and places each term as its block, signed and
+shifted to the term's output slot.  The result is the transpose of D_n over
+the denominator L, one row per image of a basis cochain; the compatible D_0
+is then taken on the basis of the kernel, and ``compat_assoc_degree0`` finds
+that kernel from the same assembler, with the one term ad_{mu1-mu2}.  The
+rank of each D_n is computed exactly on those images by
 the sparse eliminator of ``derpair.linalg``.  im D_{n-1} projects
 isomorphically onto the coordinates at the pivot columns S_{n-1} of its
 rank, so the basis cochains outside S_{n-1} span a complement of it: where
@@ -54,10 +57,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import lcm
 
 from .brackets import gerstenhaber, nijenhuis_richardson
-from .cochains import (AltMap, CompatCochain, DerCochain, MultiMap, _ad_block,
+from .cochains import (AltMap, CompatCochain, DerCochain, MultiMap, _ad_matrix,
                        _slot_arities, _slots_basis, _slots_length, linear_combination)
 from .errors import DegreeBudgetError, InvalidStructureError, SchemaError, ShapeError
 from .linalg import Matrix, compose, nullspace, rank
@@ -164,14 +166,7 @@ def _structure(flavor: str, p: Presentation, what: str, check: bool) -> tuple:
 # the term table
 # ---------------------------------------------------------------------------
 
-# The sign of the trailing [P_1, shadow] term, in the last output part of a
-# compatible complex with a derivation.  The displayed sources flip it, but
-# only the uniform minus makes d o d vanish; the flip stays reachable for the
-# tests that arbitrate between the two.
-_LAST_SHADOW_SIGN = -1
-
-
-def _terms(compatible: bool, with_derivation: bool, n: int, last_shadow_sign: int):
+def _terms(compatible: bool, with_derivation: bool, n: int):
     """Yield d^n as (out slot, coefficient, structure map, in slot).
 
     Every coefficient is +1 or -1.  Structure maps are numbered as
@@ -193,15 +188,16 @@ def _terms(compatible: bool, with_derivation: bool, n: int, last_shadow_sign: in
             if with_derivation:
                 yield out + 1, s, steps + r, top
                 if width == 2:
-                    sign = last_shadow_sign if r == 1 and j == n - 1 else -1
-                    yield out + 1, sign * s, r, top + 1
+                    # the displayed sources flip the sign of the last part's
+                    # [P_1, shadow]; only the uniform minus makes d o d vanish
+                    yield out + 1, -s, r, top + 1
 
 
 @cache
-def _plan(compatible: bool, with_derivation: bool, n: int, last_shadow_sign: int):
+def _plan(compatible: bool, with_derivation: bool, n: int):
     """Per in slot, its (out slot, coefficient, map) terms; the out arities."""
     groups = [[] for _ in _slot_arities(compatible, with_derivation, n)]
-    for out, coeff, x, slot in _terms(compatible, with_derivation, n, last_shadow_sign):
+    for out, coeff, x, slot in _terms(compatible, with_derivation, n):
         groups[slot].append((out, coeff, x))
     return tuple(map(tuple, groups)), _slot_arities(compatible, with_derivation, n + 1)
 
@@ -223,8 +219,7 @@ class _Coboundary:
 
     def d(self, n: int, slots) -> tuple:
         """d^n of a slot tuple, n >= 1, as a slot tuple, one bracket per term."""
-        groups, arities = _plan(self.compatible, self.with_derivation, n,
-                                _LAST_SHADOW_SIGN)
+        groups, arities = _plan(self.compatible, self.with_derivation, n)
         maps, bracket = self.maps, self._bracket
         out = [[] for _ in arities]
         for f, group in zip(slots, groups):
@@ -312,8 +307,8 @@ def compat_assoc_degree0(p: Presentation) -> list[tuple[Fraction, ...]]:
     That is the kernel of ad_mu1 - ad_mu2 = ad_{mu1-mu2} on vectors.
     """
     mu1, mu2 = _structure("compatible-associative", p, "compat_assoc_degree0", False)
-    return nullspace(Matrix.from_columns(p.space.dimension ** 2,
-                                         _ad_block(mu1 - mu2, 0)))
+    return nullspace(_ad_matrix(p.space, MultiMap, (mu1 - mu2,), [(0, [(0, 1, 0)])],
+                                p.space.dimension ** 2, {}).transpose())
 
 
 def compat_assoc_d(p: Presentation, c, check: bool = True) -> tuple:
@@ -353,14 +348,6 @@ class _Complex(_Coboundary):
         validate_presentation(base)
         super().__init__(flavor, _structure(flavor, base, flavor, True))
         self.flavor = flavor
-        # the structure maps times L, the lcm of their denominators, as
-        # integer maps: each term of d^n is linear in one structure map and
-        # ad_{Lx} = L ad_x, so their blocks assemble L D_n in integers
-        self._den = lcm(*(v.denominator for m in self.maps for v in m.coeffs.values()))
-        self._int_maps = tuple(
-            type(m)._of(m.space, m.arity, {key: v.numerator * (self._den // v.denominator)
-                                           for key, v in m.coeffs.items()})
-            for m in self.maps)
         # the compatible degree 0 is not the space but the vectors on which
         # both products' d^0 agree: this basis of them, as rows
         self._c0 = None
@@ -378,48 +365,22 @@ class _Complex(_Coboundary):
         return _slots_basis(self._cls, self.space, self.arities(n))
 
     def images(self, n: int, blocks: dict) -> Matrix:
-        """The transpose of D_n, placed block by block from the plan of degree n.
+        """The transpose of D_n, one row per image of a basis cochain.
 
-        Row c is the image of the c-th basis cochain: the sum of its slot's
-        terms' ``_ad_block`` columns, each signed by the term's coefficient
-        and shifted to its output slot; a slot reaches each output slot
-        through at most one term, so the pieces do not overlap.  The blocks
-        are built from the integer maps, and the matrix is their table over
-        L.  ``blocks`` holds them by (map index, arity), built on first use
-        and shared by every part and degree; an empty map has none.  A slot
-        whose one term is +1 at offset 0 shares the block's columns as rows:
-        ``_reduced``, ``compose``, ``transpose`` and the eliminator never
-        change a row in place.  The compatible D_0 is -ad_mu1 on the basis of
-        its degree-0 space.
+        ``cochains._ad_matrix`` places the plan of degree n: each in slot's
+        terms, with the offset of their output slot.  ``blocks`` holds the ad
+        blocks by (map index, arity) and is shared by every part and degree.
+        The compatible D_0 is -ad_mu1 on the basis of its degree-0 space.
         """
-        groups, out_arities = _plan(self.compatible, self.with_derivation, n,
-                                    _LAST_SHADOW_SIGN)
+        groups, out_arities = _plan(self.compatible, self.with_derivation, n)
         offsets, width = [], 0
         for arity in out_arities:
             offsets.append(width)
             width += self._cls.coord_length(self.space, arity)
-        table, start = {}, 0
-        for arity, group in zip(self.arities(n), groups):
-            pieces = []
-            for out, coeff, x in group:
-                if self._int_maps[x].coeffs:
-                    if (x, arity) not in blocks:
-                        blocks[x, arity] = _ad_block(self._int_maps[x], arity)
-                    pieces.append((offsets[out], coeff, blocks[x, arity]))
-            for offset, coeff, block in pieces:
-                shared = len(pieces) == 1 and not offset and coeff == 1
-                for c, col in enumerate(block):
-                    if col:
-                        row = col if shared else {offset + r: coeff * v for r, v in col.items()}
-                        if table.setdefault(start + c, row) is not row:
-                            table[start + c].update(row)
-            start += self._cls.coord_length(self.space, arity)
-        m = Matrix._reduced(start, width, table, self._den)
+        slots = [(arity, [(offsets[out], coeff, x) for out, coeff, x in group])
+                 for arity, group in zip(self.arities(n), groups)]
+        m = _ad_matrix(self.space, self._cls, self.maps, slots, width, blocks)
         return m if n or self._c0 is None else compose(self._c0, m)
-
-    def matrix(self, n: int, blocks: dict) -> Matrix:
-        """D_n, the transpose of ``images``."""
-        return self.images(n, blocks).transpose()
 
 
 def cohomology(spec: ComplexSpec, budget: int | None = None,

@@ -19,6 +19,12 @@ witness is the smallest tuple carrying a nonzero residual.
 ``evaluate`` returns one such sum as a map, so the transfers and operator
 constructions of ``derpair.constructions`` are written in the same terms.
 
+``derivation_system`` and ``cross_derivation_system`` are the linear systems
+whose kernels are derivations.  A linear map D is a derivation of a product
+P exactly when [P, D] = 0, so each system is a stack of ad blocks -ad_P on
+linear maps, made a matrix by ``cochains._ad_matrix`` as the coboundaries of
+``derpair.cohomology`` are.
+
 Supported kinds, with the product/derivation names each requires:
 
     associative            mu
@@ -42,7 +48,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 
-from .cochains import AltMap, MultiMap, _ad_block
+from .cochains import AltMap, MultiMap, _ad_matrix
 from .errors import SchemaError, ShapeError, UnsupportedRoleError, _quote
 from .linalg import Matrix, Space, as_scalar
 
@@ -468,36 +474,20 @@ def check_operator(p: Presentation, op: MultiMap, role: str, weight=0):
 # the derivation linear system
 # ---------------------------------------------------------------------------
 
-def _derivation_columns(space: Space, blocks) -> list[dict]:
-    """Column i*d + j: the ``derivation`` residual of D = E_ij on each block.
-
-    E_ij maps e_i to e_j.  The residual D(P(x,y)) - P(D x, y) - P(x, D y) is
-    -[P, D], so the columns are those of -ad_P on the arity-1 maps, whose
-    basis is E_ij in this order; block k holds the rows after those of the
-    blocks before it, and the rows of a block that is None stay empty.
-    """
-    rows = MultiMap.coord_length(space, 2)
-    columns = [{} for _ in range(space.dimension ** 2)]
-    for k, prod in enumerate(blocks):
-        if prod is not None:
-            for column, ad in zip(columns, _ad_block(prod, 1)):
-                column.update((k * rows + r, -v) for r, v in ad.items())
-    return columns
-
-
 def derivation_system(space: Space, products) -> Matrix:
     """Coefficient matrix whose kernel is the common derivations of products.
 
     Unknowns are the d*d entries of delta in row-major order, delta(e_i) =
     sum_j delta[i,j] e_j; one row per (product, input pair, output coordinate).
-    It is the stack of the blocks -ad_P on linear maps, one per product P.
+    The residual D(P(x,y)) - P(D x, y) - P(x, D y) is -[P, D], so the matrix
+    is the stack of the blocks -ad_P on linear maps, whose basis is E_ij
+    (e_i to e_j) in the order of the unknowns, one block per product P.
     """
     products = list(products)
-    d = space.dimension
-    if not products:
-        return Matrix.zero(1, d * d)
-    return Matrix.from_columns(len(products) * d ** 3,
-                               _derivation_columns(space, products))
+    rows = MultiMap.coord_length(space, 2)
+    return _ad_matrix(space, MultiMap, products,
+                      [(1, [(k * rows, -1, k) for k in range(len(products))])],
+                      len(products) * rows, {}).transpose()
 
 
 def cross_derivation_system(space: Space, products1, products2) -> Matrix:
@@ -507,12 +497,18 @@ def cross_derivation_system(space: Space, products1, products2) -> Matrix:
     of every product in products2, and for each aligned product pair the
     cross-derivation identity (the summed defect of delta1 on product2 and
     delta2 on product1 vanishes).  Each block of rows is -ad_P on linear maps
-    under the unknowns it involves, as in ``derivation_system``.
+    under the unknowns it involves, as in ``derivation_system``; the block of
+    an aligned product is built once for both of its uses.
     """
-    products1, products2 = list(products1), list(products2)
-    pairs = min(len(products1), len(products2))
-    blocks1 = products1 + [None] * len(products2) + products2[:pairs]
-    blocks2 = [None] * len(products1) + products2 + products1[:pairs]
-    return Matrix.from_columns(len(blocks1) * space.dimension ** 3,
-                               _derivation_columns(space, blocks1)
-                               + _derivation_columns(space, blocks2))
+    products1 = list(products1)
+    products = products1 + list(products2)
+    first, both = len(products1), len(products)
+    pairs = range(min(first, both - first))
+    # (block of rows, product) per unknown: its own products, then the pairs
+    delta1 = [(k, k) for k in range(first)] + [(both + k, first + k) for k in pairs]
+    delta2 = [(k, k) for k in range(first, both)] + [(both + k, k) for k in pairs]
+    rows = MultiMap.coord_length(space, 2)
+    return _ad_matrix(space, MultiMap, products,
+                      [(1, [(block * rows, -1, x) for block, x in unknown])
+                       for unknown in (delta1, delta2)],
+                      (both + len(pairs)) * rows, {}).transpose()

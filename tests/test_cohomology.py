@@ -2,9 +2,12 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from functools import cache
+from math import lcm
 
 import pytest
 
+from derpair import cochains
 from derpair import cohomology as co
 from derpair import files
 from derpair.brackets import gerstenhaber, nijenhuis_richardson
@@ -255,9 +258,10 @@ def test_cad_d_squares_to_zero():
         assert _dd_zero(p, co.cad_d, "multi", 3)
 
 
-def test_cad_last_shadow_sign_is_forced(monkeypatch):
+def test_cad_last_shadow_sign_is_forced():
     # The alternative sign on the trailing [w2, g^n] term breaks d o d = 0, so
-    # only the uniform minus is implemented.
+    # only the uniform minus is implemented: the package's d o d vanishes on
+    # the basis cochains, and the oracle's with the flipped sign does not.
     d1 = gen.mm(S2, 1, [(0, 0, 1), (0, 1, 1), (1, 1, 2)])
     d2 = gen.mm(S2, 1, [(0, 0, 2), (0, 1, -1), (1, 1, 4)])
     p = P(S2, "compatible-assder",
@@ -265,17 +269,35 @@ def test_cad_last_shadow_sign_is_forced(monkeypatch):
           {"delta1": d1, "delta2": d2})
     assert check_structure(p) is None
 
-    def dd_with(sign):
-        monkeypatch.setattr(co, "_LAST_SHADOW_SIGN", sign)
-        for degree in (1, 2, 3):
-            for b in CompatCochain.basis(S2, degree, "multi"):
-                second = co.cad_d(p, co.cad_d(p, b, check=False), check=False)
-                if not second.is_zero():
-                    return False
-        return True
+    def flipped(c):
+        return compat_pair_d_oracle(c, gen.NIL2, gen.NIL2.scale(2), d1, d2, gerstenhaber,
+                                    last_shadow_sign=+1)
 
-    assert dd_with(-1)
-    assert not dd_with(+1)
+    def dd_zero(d):
+        return all(d(d(b)).is_zero() for degree in (1, 2, 3)
+                   for b in CompatCochain.basis(S2, degree, "multi"))
+
+    assert dd_zero(lambda c: co.cad_d(p, c, check=False))
+    assert not dd_zero(flipped)
+
+
+def _use_last_shadow_sign(monkeypatch, sign):
+    """Set the sign of the trailing [P_1, shadow] term in the package's term table.
+
+    That term maps the last in slot 2n-1 (the last part's shadow) to the last
+    out slot 2n+1 of a compatible complex with a derivation; its sign is -1,
+    and +1 (the displayed sources' sign) breaks d o d = 0.  The term plan is
+    cached, so a fresh cache serves the patched table while the test runs.
+    """
+    terms = co._terms
+
+    def patched(compatible, with_derivation, n):
+        for out, coeff, x, slot in terms(compatible, with_derivation, n):
+            last = (out, slot) == (2 * n + 1, 2 * n - 1)
+            yield out, -sign * coeff if last else coeff, x, slot
+
+    monkeypatch.setattr(co, "_terms", patched)
+    monkeypatch.setattr(co, "_plan", cache(co._plan.__wrapped__))
 
 
 def test_cldp_d_degree_one_on_anchor_pair():
@@ -513,7 +535,7 @@ def test_dd_certification_reports_the_flipped_last_shadow_sign(monkeypatch):
           {"delta1": d1, "delta2": d2})
     spec = co.ComplexSpec("cad", p, 3)
     assert co.cohomology(spec).dd_zero_certified
-    monkeypatch.setattr(co, "_LAST_SHADOW_SIGN", +1)
+    _use_last_shadow_sign(monkeypatch, +1)
     assert not co.cohomology(spec).dd_zero_certified
 
 
@@ -658,7 +680,7 @@ def _rescaled(rng, p):
 
 @pytest.mark.parametrize("last_shadow_sign", [-1, +1])
 def test_block_assembly_matches_the_basis_images(monkeypatch, last_shadow_sign):
-    monkeypatch.setattr(co, "_LAST_SHADOW_SIGN", last_shadow_sign)
+    _use_last_shadow_sign(monkeypatch, last_shadow_sign)
     rng = random.Random(SEED + 33)
     catalog = list(_catalog_complexes(rng))
     rescaled = [(flavor, _rescaled(rng, p)) for flavor, p in catalog]
@@ -672,8 +694,8 @@ def test_block_assembly_matches_the_basis_images(monkeypatch, last_shadow_sign):
                 images = [dict(enumerate(column)) for column in _degree0_images(cx)]
             else:
                 images = [sparse_coords(cx.d(n, b)) for b in cx.basis(n)]
-            assert cx.matrix(n, blocks) == Matrix.from_columns(cx.dim(n + 1), images), \
-                (flavor, n)
+            assert cx.images(n, blocks).transpose() == Matrix.from_columns(
+                cx.dim(n + 1), images), (flavor, n)
         flavors.add(flavor)
     assert flavors == set(co.FLAVORS)
 
@@ -763,7 +785,7 @@ def test_ad_blocks_match_brackets_and_oracles_on_random_maps():
 
 @pytest.mark.parametrize("last_shadow_sign", [-1, +1])
 def test_pruned_ranks_and_kernels_equal_those_on_all_rows(monkeypatch, last_shadow_sign):
-    monkeypatch.setattr(co, "_LAST_SHADOW_SIGN", last_shadow_sign)
+    _use_last_shadow_sign(monkeypatch, last_shadow_sign)
     calls = []
 
     def recording(m, skip=(), pivots=None):
@@ -848,12 +870,12 @@ def test_rational_structure_maps_assemble_over_their_common_denominator():
         p = _scaled_apart(base, scales)
         assert check_structure(p) is None, flavor
         cx = co._Complex(flavor, p)
-        dens.add(cx._den)
+        dens.add(lcm(*(v.denominator for m in cx.maps for v in m.coeffs.values())))
         blocks = {}
         top = 3 if p.space.dimension == 2 else 2
         for n in range(1, top + 1):
             basis = list(cx.basis(n))
-            m = cx.matrix(n, blocks)
+            m = cx.images(n, blocks).transpose()
             assert m == Matrix.from_columns(
                 cx.dim(n + 1), [sparse_coords(cx.d(n, b)) for b in basis]), (flavor, n)
             dense = [dense_coords(_flat(_public_and_oracle(flavor, p, cx, n, b)[1]))
@@ -875,8 +897,8 @@ def test_no_block_is_built_for_an_empty_structure_map(monkeypatch):
         built.append((x, k))
         return _ad_block(x, k)
 
-    # the builder lives in cochains; cohomology assembles the matrices with it
-    monkeypatch.setattr(co, "_ad_block", counting)
+    # the builder lives in cochains, where _ad_matrix assembles the matrices with it
+    monkeypatch.setattr(cochains, "_ad_block", counting)
     zero_delta = P(S3, "lieder", {"bracket": gen.HEIS3}, {"delta": MultiMap.zero(S3, 1)})
     co.cohomology(co.ComplexSpec("lieder", zero_delta, 3))
     w = AltMap.from_multimap(gen.HEIS3)
@@ -894,7 +916,7 @@ def test_no_block_is_built_for_an_empty_structure_map(monkeypatch):
         assert check_structure(p) is None
         cx = co._Complex(flavor, p)
         built.clear()
-        cx.matrix(3, {})
+        cx.images(3, {}).transpose()
         # three parts, but each product block once per arity, each derivation's once
         products, derivations = cx.maps[:2], cx.maps[2:]
         expected = [(x, k) for x in products for k in (3, 2)] + [(x, 3) for x in derivations]

@@ -386,7 +386,7 @@ def test_coboundary_ranks_and_kernels_match_dense_oracles():
         for n in range(top + 1):
             if n == 0:
                 # D_0 as assembled, against d^0 written out densely
-                m, dense = cx.matrix(0, {}), _degree0_images(cx)
+                m, dense = cx.images(0, {}).transpose(), _degree0_images(cx)
             else:
                 images = [cx.d(n, b) for b in cx.basis(n)]
                 m = Matrix.from_columns(cx.dim(n + 1), map(sparse_coords, images))

@@ -95,6 +95,30 @@ def test_ad_blocks_neither_sort_nor_accumulate_per_term():
     assert calls        # the helpers themselves are still called elsewhere
 
 
+def _imported_or_read(tree, name):
+    """The lines that import name or read it as an attribute (cochains._ad_block)."""
+    return [node.lineno for node in ast.walk(tree)
+            if (isinstance(node, ast.ImportFrom) and any(a.name == name for a in node.names))
+            or (isinstance(node, ast.Attribute) and node.attr == name)]
+
+
+def test_ad_blocks_become_a_matrix_in_one_place():
+    # cochains._ad_matrix is the one place where ad blocks are built, scaled
+    # to integers over the lcm of the maps' denominators, signed and placed:
+    # it alone calls _ad_block, and neither cohomology nor structures imports
+    # the builder or integerises maps itself.
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    callers = [(module, where) for module, tree in trees.items()
+               for where, _ in _calls_by_function(tree, {"_ad_block"})]
+    assert callers == [("cochains.py", "_ad_matrix")]
+    # nor a way round that: an import of the builder, or cochains._ad_block
+    assert [(module, line) for module, tree in trees.items()
+            for line in _imported_or_read(tree, "_ad_block")] == []
+    assert _calls_by_function(trees["cohomology.py"], {"lcm"}) == []
+    assert _imported_or_read(trees["cohomology.py"], "lcm") == []
+
+
 def _defined_functions():
     """{module file name: the names of the functions it defines, repeats kept}."""
     return {path.name: [node.name for node in ast.walk(ast.parse(

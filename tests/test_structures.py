@@ -6,8 +6,9 @@ from math import comb
 
 import pytest
 
+from derpair import cochains
 from derpair.brackets import dc_bracket, gerstenhaber
-from derpair.cochains import AltMap, DerCochain, MultiMap
+from derpair.cochains import AltMap, DerCochain, MultiMap, _ad_block
 from derpair.errors import SchemaError, UnsupportedRoleError
 from derpair.linalg import Space, nullspace
 from derpair.structures import (_FAMILY_PRODUCTS, KIND_INFO, KINDS, Presentation,
@@ -439,6 +440,29 @@ def test_cross_derivation_system_without_products():
     m = cross_derivation_system(S3, [], [])
     assert (m.rows, m.cols) == (0, 18)
     assert len(nullspace(m)) == 18
+
+
+def test_derivation_system_without_products():
+    # as for the pair: no rows, and every delta is a solution
+    m = derivation_system(S3, [])
+    assert (m.rows, m.cols) == (0, 9)
+    assert len(nullspace(m)) == 9
+
+
+def test_cross_derivation_system_builds_each_product_block_once(monkeypatch):
+    # an aligned product enters two blocks of rows, under its own unknown and
+    # under the other one in the cross identity; its block is built once
+    built = []
+
+    def counting(x, k):
+        built.append((x, k))
+        return _ad_block(x, k)
+
+    monkeypatch.setattr(cochains, "_ad_block", counting)
+    first, second = [gen.NIL2, gen.AFF2B], [gen.AFF2A]
+    m = cross_derivation_system(S2, first, second)
+    assert m == cross_derivation_system_oracle(S2, first, second)
+    assert sorted(built, key=repr) == sorted(((x, 1) for x in first + second), key=repr)
 
 
 def test_fingerprint_changes_with_content():
