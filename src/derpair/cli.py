@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import functools
-import json
 import os
 import sys
 
@@ -58,25 +57,31 @@ def _write_output(text: str, out_path: str | None) -> None:
         raise SchemaError(f"cannot write {out_path}: {exc}") from exc
 
 
-def _report(command: str, verdict: str, provenance: dict, violations=(),
-            mc=None, cohomology_doc=None, timestamps: bool = False) -> dict:
-    if timestamps:
-        provenance = dict(provenance)
+def _emit(args, p, passed: bool, violation=None, mc=None, cohomology_doc=None,
+          fields=None) -> int:
+    """Write the report of a command on p to stdout or --out; return its exit code.
+
+    The verdict and the exit code both follow ``passed``.  The provenance
+    names the input and p's kind, then ``fields`` (by default p's
+    fingerprint; a base that fails its axioms is reported without one), and
+    with --timestamps the time of writing last.
+    """
+    provenance = {"input": args.path, "kind": p.kind,
+                  **({"fingerprint": fingerprint(p)} if fields is None else fields)}
+    if args.timestamps:
         provenance["timestamp"] = (
             datetime.datetime.now(datetime.timezone.utc).isoformat())
-    return {
+    _write_output(files.emit({
         "schema": SCHEMA,
-        "command": command,
-        "verdict": verdict,
-        "violations": list(violations),
+        "command": args.command,
+        "verdict": "pass" if passed else "fail",
+        "violations": ([] if violation is None
+                       else [files.violation_to_dict(violation, p.space)]),
         "mc": mc,
         "cohomology": cohomology_doc,
         "provenance": provenance,
-    }
-
-
-def _emit_report(doc: dict, out_path: str | None) -> None:
-    _write_output(json.dumps(doc, indent=2, ensure_ascii=False) + "\n", out_path)
+    }), args.out)
+    return EXIT_PASS if passed else EXIT_FINDING
 
 
 def _budget() -> int:
@@ -96,15 +101,7 @@ def _budget() -> int:
 def cmd_check(args) -> int:
     p = files.parse_presentation(_read(args.path), args.kind)
     violation = check_structure(p)
-    provenance = {"input": args.path, "kind": p.kind, "fingerprint": fingerprint(p)}
-    if violation is None:
-        _emit_report(_report("check", "pass", provenance,
-                             timestamps=args.timestamps), args.out)
-        return EXIT_PASS
-    _emit_report(_report("check", "fail", provenance,
-                         violations=[files.violation_to_dict(violation, p.space)],
-                         timestamps=args.timestamps), args.out)
-    return EXIT_FINDING
+    return _emit(args, p, violation is None, violation)
 
 
 def cmd_cohomology(args) -> int:
@@ -114,19 +111,9 @@ def cmd_cohomology(args) -> int:
         report = cohomology(spec, budget=_budget(),
                             include_kernel_bases=args.kernel_bases)
     except InvalidStructureError as exc:
-        provenance = {"input": args.path, "kind": p.kind}
-        violations = ([files.violation_to_dict(exc.violation, p.space)]
-                      if exc.violation is not None else [])
-        _emit_report(_report("cohomology", "fail", provenance,
-                             violations=violations,
-                             timestamps=args.timestamps), args.out)
-        return EXIT_FINDING
-    provenance = {"input": args.path, "kind": p.kind, "fingerprint": fingerprint(p)}
-    verdict = "pass" if report.dd_zero_certified else "fail"
-    _emit_report(_report("cohomology", verdict, provenance,
-                         cohomology_doc=files.cohomology_to_dict(report),
-                         timestamps=args.timestamps), args.out)
-    return EXIT_PASS if report.dd_zero_certified else EXIT_FINDING
+        return _emit(args, p, False, exc.violation, fields={})
+    return _emit(args, p, report.dd_zero_certified,
+                 cohomology_doc=files.cohomology_to_dict(report))
 
 
 def cmd_mc(args) -> int:
@@ -146,11 +133,7 @@ def cmd_mc(args) -> int:
         return to_top(p.products[name + i]), p.derivations.get("delta" + i, zero)
 
     verdict = pair(*part("1"), *part("2")) if args.pair else single(*part(""))
-    provenance = {"input": args.path, "kind": p.kind, "fingerprint": fingerprint(p)}
-    _emit_report(_report("mc", "pass" if verdict.holds else "fail", provenance,
-                         mc=files.mc_to_dict(verdict, p.space),
-                         timestamps=args.timestamps), args.out)
-    return EXIT_PASS if verdict.holds else EXIT_FINDING
+    return _emit(args, p, verdict.holds, mc=files.mc_to_dict(verdict, p.space))
 
 
 def cmd_dendrify(args) -> int:
@@ -166,13 +149,7 @@ def cmd_dendrify(args) -> int:
     try:
         result = dendrify(p, args.recipe, coefficients)
     except InvalidStructureError as exc:
-        provenance = {"input": args.path, "kind": p.kind, "recipe": args.recipe}
-        violations = ([files.violation_to_dict(exc.violation, p.space)]
-                      if exc.violation is not None else [])
-        _emit_report(_report("dendrify", "fail", provenance,
-                             violations=violations,
-                             timestamps=args.timestamps), args.out)
-        return EXIT_FINDING
+        return _emit(args, p, False, exc.violation, fields={"recipe": args.recipe})
     _write_output(files.emit_presentation(result), args.out)
     return EXIT_PASS
 

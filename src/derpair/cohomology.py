@@ -123,10 +123,12 @@ class CohomologyReport:
 # structure maps of a flavor
 # ---------------------------------------------------------------------------
 
-def _check_base(flavor: str, p: Presentation, what: str, check: bool) -> _Flavor:
+def _check_base(flavor: str, p: Presentation, what: str, check: bool = True) -> _Flavor:
     """The flavor's row, once p's kind is accepted and, with check, p is valid.
 
-    p is checked against the axioms of the row's base kind.
+    p is checked against the axioms of the row's base kind.  Every public
+    differential checks; only compat_assoc_degree0 does not, as _Complex calls
+    it on a base it has checked.
     """
     row = _FLAVORS[flavor]
     if p.kind not in row.kinds:
@@ -145,7 +147,7 @@ def _check_base(flavor: str, p: Presentation, what: str, check: bool) -> _Flavor
     return row
 
 
-def _structure(flavor: str, p: Presentation, what: str, check: bool) -> tuple:
+def _structure(flavor: str, p: Presentation, what: str, check: bool = True) -> tuple:
     """The structure maps of p in the cochain class of a flavor, checked as above.
 
     Products come first, then derivations, in the order of ``kind_shape`` of
@@ -153,8 +155,6 @@ def _structure(flavor: str, p: Presentation, what: str, check: bool) -> tuple:
     """
     row = _check_base(flavor, p, what, check)
     products, derivations = kind_shape(row.base)
-    if any(p.derivations[name].arity != 1 for name in derivations):
-        raise ShapeError("D needs a linear operator")
     if not row.alternating:
         return (*(p.products[name] for name in products),
                 *(p.derivations[name] for name in derivations))
@@ -264,41 +264,38 @@ def der_D(delta: MultiMap, f):
     return bracket(type(f)(f.space, 1, delta.coeffs), f).scale(-1)
 
 
-def _pair_d(flavor: str, p: Presentation, c, what: str, check: bool):
+def _pair_d(flavor: str, p: Presentation, c, what: str):
     """d of a flavor with a derivation, on a DerCochain or a CompatCochain."""
-    d = _Coboundary(flavor, _structure(flavor, p, what, check))
+    d = _Coboundary(flavor, _structure(flavor, p, what))
     pairs = CompatCochain if d.compatible else DerCochain
     if not isinstance(c, pairs):
         raise ShapeError(f"{what} takes a {pairs.__name__}")
     return pairs._from_slots(d.checked(c.degree, c._slots()))
 
 
-def hochschild_d(mu: MultiMap, f: MultiMap, check: bool = True) -> MultiMap:
+def hochschild_d(mu: MultiMap, f: MultiMap) -> MultiMap:
     """d^n f = (-1)^{n-1} [mu, f]; mu must be associative."""
-    if check:
-        _check_base("hochschild",
-                    Presentation(mu.space, {"mu": mu}, {}, "associative"),
-                    "hochschild_d", True)
+    _check_base("hochschild", Presentation(mu.space, {"mu": mu}, {}, "associative"),
+                "hochschild_d")
     return _Coboundary("hochschild", (mu,)).checked(f.arity, (f,))[0]
 
 
-def ce_d(w: AltMap, f: AltMap, check: bool = True) -> AltMap:
+def ce_d(w: AltMap, f: AltMap) -> AltMap:
     """d^n f = (-1)^{n-1} [w, f]; w must satisfy the Jacobi identity."""
-    if check:
-        _check_base("chevalley-eilenberg",
-                    Presentation(w.space, {"bracket": w.to_multimap()}, {}, "lie"),
-                    "ce_d", True)
+    _check_base("chevalley-eilenberg",
+                Presentation(w.space, {"bracket": w.to_multimap()}, {}, "lie"),
+                "ce_d")
     return _Coboundary("chevalley-eilenberg", (w,)).checked(f.arity, (f,))[0]
 
 
-def assder_d(p: Presentation, c: DerCochain, check: bool = True) -> DerCochain:
+def assder_d(p: Presentation, c: DerCochain) -> DerCochain:
     """Differential of the derivation-pair complex on the associative side."""
-    return _pair_d("assder", p, c, "assder_d", check)
+    return _pair_d("assder", p, c, "assder_d")
 
 
-def lieder_d(p: Presentation, c: DerCochain, check: bool = True) -> DerCochain:
+def lieder_d(p: Presentation, c: DerCochain) -> DerCochain:
     """Differential of the derivation-pair complex on the Lie side."""
-    return _pair_d("lieder", p, c, "lieder_d", check)
+    return _pair_d("lieder", p, c, "lieder_d")
 
 
 def compat_assoc_degree0(p: Presentation) -> list[tuple[Fraction, ...]]:
@@ -306,18 +303,19 @@ def compat_assoc_degree0(p: Presentation) -> list[tuple[Fraction, ...]]:
 
     That is the kernel of ad_mu1 - ad_mu2 = ad_{mu1-mu2} on vectors.
     """
-    mu1, mu2 = _structure("compatible-associative", p, "compat_assoc_degree0", False)
+    mu1, mu2 = _structure("compatible-associative", p, "compat_assoc_degree0",
+                          check=False)
     return nullspace(_ad_matrix(p.space, MultiMap, (mu1 - mu2,), [(0, [(0, 1, 0)])],
                                 p.space.dimension ** 2, {}).transpose())
 
 
-def compat_assoc_d(p: Presentation, c, check: bool = True) -> tuple:
+def compat_assoc_d(p: Presentation, c) -> tuple:
     """Staircase differential of the compatible-associative complex.
 
     Maps an n-tuple of arity-n cochains to the (n+1)-tuple with components
     (-1)^{n-1} ([mu2, f^{i-1}] + [mu1, f^i]), boundary terms dropping off.
     """
-    maps = _structure("compatible-associative", p, "compat_assoc_d", check)
+    maps = _structure("compatible-associative", p, "compat_assoc_d")
     parts = tuple(c)
     n = len(parts)
     if n == 0 or any(f.arity != n for f in parts):
@@ -325,14 +323,14 @@ def compat_assoc_d(p: Presentation, c, check: bool = True) -> tuple:
     return _Coboundary("compatible-associative", maps).checked(n, parts)
 
 
-def cad_d(p: Presentation, c: CompatCochain, check: bool = True) -> CompatCochain:
+def cad_d(p: Presentation, c: CompatCochain) -> CompatCochain:
     """Differential of the compatible derivation-pair complex, associative side."""
-    return _pair_d("cad", p, c, "cad_d", check)
+    return _pair_d("cad", p, c, "cad_d")
 
 
-def cldp_d(p: Presentation, c: CompatCochain, check: bool = True) -> CompatCochain:
+def cldp_d(p: Presentation, c: CompatCochain) -> CompatCochain:
     """Differential of the compatible derivation-pair complex, Lie side."""
-    return _pair_d("cldp", p, c, "cldp_d", check)
+    return _pair_d("cldp", p, c, "cldp_d")
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +344,7 @@ class _Complex(_Coboundary):
         if flavor not in _FLAVORS:
             raise SchemaError(f"unknown complex flavor {flavor!r}")
         validate_presentation(base)
-        super().__init__(flavor, _structure(flavor, base, flavor, True))
+        super().__init__(flavor, _structure(flavor, base, flavor))
         self.flavor = flavor
         # the compatible degree 0 is not the space but the vectors on which
         # both products' d^0 agree: this basis of them, as rows

@@ -155,17 +155,16 @@ def dendrify(p: Presentation, recipe: str, coefficients=None) -> Presentation:
                      {"k1": k1, "k2": k2, "p1": p1, "p2": p2})
 
 
-def nijenhuis_product(mu: MultiMap, n_op: MultiMap, check: bool = True) -> MultiMap:
+def nijenhuis_product(mu: MultiMap, n_op: MultiMap) -> MultiMap:
     """Deformed product mu_N(x,y) = mu(Nx,y) + mu(x,Ny) - N(mu(x,y)).
 
     Requires N to satisfy the integrability identity
     mu(Nx,Ny) = N(mu(Nx,y) + mu(x,Ny) - N(mu(x,y))); the outcome then forms a
     compatible associative pair with mu.
     """
-    if check:
-        host = Presentation(mu.space, {"mu": mu}, {}, "associative")
-        _require(check_structure(host), "product")
-        _require(check_operator(host, n_op, "nijenhuis"), "operator")
+    host = Presentation(mu.space, {"mu": mu}, {}, "associative")
+    _require(check_structure(host), "product")
+    _require(check_operator(host, n_op, "nijenhuis"), "operator")
     return evaluate(mu.space, _NIJENHUIS, 2, {"mu": mu, "N": n_op})
 
 

@@ -128,8 +128,13 @@ def presentation_to_dict(p: Presentation) -> dict:
     return doc
 
 
+def emit(doc: dict) -> str:
+    """The canonical text of a document: every file and report is written by this."""
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
 def emit_presentation(p: Presentation) -> str:
-    return json.dumps(presentation_to_dict(p), indent=2, ensure_ascii=False) + "\n"
+    return emit(presentation_to_dict(p))
 
 
 # -- cochain files -----------------------------------------------------------
@@ -214,8 +219,7 @@ def cochain_to_dict(c: DerCochain, with_shadow: bool) -> dict:
 
 
 def emit_cochain(c: DerCochain, with_shadow: bool) -> str:
-    return json.dumps(cochain_to_dict(c, with_shadow), indent=2,
-                      ensure_ascii=False) + "\n"
+    return emit(cochain_to_dict(c, with_shadow))
 
 
 # -- report fragments ---------------------------------------------------------

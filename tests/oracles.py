@@ -841,9 +841,7 @@ def derivation_system_oracle(space: Space, products) -> Matrix:
                         if pk:
                             row[b * d + k] -= pk
                     rows.append(row)
-    if not rows:
-        return Matrix.zero(1, d * d)
-    return Matrix.from_rows(rows)
+    return Matrix.from_rows(rows) if rows else Matrix.zero(0, d * d)
 
 
 def cross_derivation_system_oracle(space: Space, products1, products2) -> Matrix:
@@ -872,7 +870,7 @@ def cross_derivation_system_oracle(space: Space, products1, products2) -> Matrix
         cross2 = derivation_system_oracle(space, [p1])  # defect of delta2 on product1
         for i in range(cross1.rows):
             rows.append(list(cross1.row(i)) + list(cross2.row(i)))
-    return Matrix.from_rows(rows)
+    return Matrix.from_rows(rows) if rows else Matrix.zero(0, 2 * n)
 
 
 # -- transfers ------------------------------------------------------------------

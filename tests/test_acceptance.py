@@ -250,7 +250,7 @@ def test_criterion_5_pair_differential_equals_bracket_form():
         c = DerCochain(gen.rand_altmap(rng, p.space, degree),
                        gen.rand_altmap(rng, p.space, degree - 1)
                        if degree > 1 else None)
-        direct = co.lieder_d(p, c, check=False)
+        direct = co.lieder_d(p, c)
         via_bracket = dc_bracket(pair, c).scale((-1) ** (degree - 1))
         assert direct.top == via_bracket.top
         assert direct.shadow == via_bracket.shadow

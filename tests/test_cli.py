@@ -165,6 +165,51 @@ def test_timestamps_flag_adds_provenance(capsys, corpus):
     assert "timestamp" not in json.loads(plain)["provenance"]
 
 
+# (frozen report in corpus/reports, exit code, argv): a pass and a fail for
+# each report-writing command; the structure-failure reports of cohomology
+# and dendrify carry no fingerprint, and dendrify's carries the recipe
+FROZEN_REPORTS = [
+    ("check_compatible_lie", 0, ["check", "compatible_lie.json"]),
+    ("check_assoc_violation", 1, ["check", "assoc_violation.json"]),
+    ("mc_abelian1_lieder", 0, ["mc", "abelian1_lieder.json"]),
+    ("mc_assoc_violation", 1, ["mc", "assoc_violation.json"]),
+    ("cohomology_abelian1_lieder_lieder_top1", 0,
+     ["cohomology", "abelian1_lieder.json", "--complex", "lieder", "--max-degree", "1"]),
+    ("cohomology_assoc_violation_hochschild", 1,
+     ["cohomology", "assoc_violation.json", "--complex", "hochschild"]),
+    ("dendrify_assoc_violation_associative-to-lie", 1,
+     ["dendrify", "assoc_violation.json", "--recipe", "associative-to-lie"]),
+]
+
+
+frozen_reports = pytest.mark.parametrize("name, code, argv", FROZEN_REPORTS,
+                                         ids=[name for name, _, _ in FROZEN_REPORTS])
+
+
+@frozen_reports
+def test_reports_are_frozen(capsys, corpus, monkeypatch, tmp_path, name, code, argv):
+    # stdout and --out carry the same bytes, and nothing goes to stderr
+    monkeypatch.chdir(corpus)
+    frozen = (corpus / "reports" / f"{name}.json").read_text(encoding="utf-8")
+    assert run_cli(capsys, *argv) == (code, frozen, "")
+    out_path = tmp_path / "report.json"
+    assert run_cli(capsys, *argv, "--out", str(out_path)) == (code, "", "")
+    assert out_path.read_text(encoding="utf-8") == frozen
+
+
+@frozen_reports
+def test_timestamps_add_only_a_last_provenance_key(capsys, corpus, monkeypatch,
+                                                   name, code, argv):
+    monkeypatch.chdir(corpus)
+    frozen = (corpus / "reports" / f"{name}.json").read_text(encoding="utf-8")
+    got, out, _ = run_cli(capsys, *argv, "--timestamps")
+    assert got == code
+    doc = json.loads(out)
+    assert list(doc["provenance"])[-1] == "timestamp"
+    del doc["provenance"]["timestamp"]
+    assert files.emit(doc) == frozen
+
+
 # -- mc command ---------------------------------------------------------------------
 
 def test_mc_pair_on_anchor_example(capsys, corpus):

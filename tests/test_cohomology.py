@@ -92,8 +92,8 @@ def test_hochschild_d_squares_to_zero_and_matches_face_formula():
     for mu in (gen.NIL2, gen.IDEM2, gen.POLY3, gen.UNITAL3):
         for _ in range(6):
             f = gen.rand_multimap(rng, mu.space, rng.randint(1, 3))
-            df = co.hochschild_d(mu, f, check=False)
-            assert co.hochschild_d(mu, df, check=False).is_zero()
+            df = co.hochschild_d(mu, f)
+            assert co.hochschild_d(mu, df).is_zero()
             assert df == hochschild_face_d(mu, f)
 
 
@@ -109,9 +109,9 @@ def test_ce_d_matches_classical_formula():
         w = AltMap.from_multimap(br)
         for _ in range(6):
             f = gen.rand_altmap(rng, br.space, rng.randint(1, 3))
-            df = co.ce_d(w, f, check=False)
+            df = co.ce_d(w, f)
             assert df == ce_face_d(w, f)
-            assert co.ce_d(w, df, check=False).is_zero()
+            assert co.ce_d(w, df).is_zero()
 
 
 def test_ce_d_zero_and_abelian():
@@ -141,7 +141,7 @@ def test_assder_d_zero_cochain_and_dim1():
     p = _assder_instance(rng)
     for degree in (1, 2, 3):
         zero = DerCochain.zero(p.space, degree, "multi")
-        assert co.assder_d(p, zero, check=False).is_zero()
+        assert co.assder_d(p, zero).is_zero()
     trivial = P(S1, "assder", {"mu": MultiMap.zero(S1, 2)},
                 {"delta": MultiMap.zero(S1, 1)})
     f = MultiMap.identity(S1)
@@ -155,8 +155,8 @@ def test_assder_d_squares_to_zero():
         p = _assder_instance(rng)
         for degree in (1, 2):
             for b in DerCochain.basis(p.space, degree, "multi"):
-                db = co.assder_d(p, b, check=False)
-                assert co.assder_d(p, db, check=False).is_zero()
+                db = co.assder_d(p, b)
+                assert co.assder_d(p, db).is_zero()
 
 
 def test_lieder_d_matches_pair_bracket_form():
@@ -170,7 +170,7 @@ def test_lieder_d_matches_pair_bracket_form():
         c = DerCochain(gen.rand_altmap(rng, p.space, degree),
                        gen.rand_altmap(rng, p.space, degree - 1)
                        if degree > 1 else None)
-        direct = co.lieder_d(p, c, check=False)
+        direct = co.lieder_d(p, c)
         via_bracket = dc_bracket(pair, c).scale((-1) ** (degree - 1))
         assert direct.top == via_bracket.top
         assert direct.shadow == via_bracket.shadow
@@ -186,7 +186,7 @@ def test_assder_d_matches_pair_bracket_form():
         c = DerCochain(gen.rand_multimap(rng, p.space, degree),
                        gen.rand_multimap(rng, p.space, degree - 1)
                        if degree > 1 else None)
-        direct = co.assder_d(p, c, check=False)
+        direct = co.assder_d(p, c)
         via_bracket = assder_bracket(pair, c).scale((-1) ** (degree - 1))
         assert direct.top == via_bracket.top
         assert direct.shadow == via_bracket.shadow
@@ -199,7 +199,7 @@ def test_compat_assoc_d_degree_one_formula():
     m1, m2 = gen.compatible_assoc_products(rng)
     p = P(m1.space, "compatible-associative", {"mu1": m1, "mu2": m2})
     f = gen.rand_multimap(rng, m1.space, 1)
-    out = co.compat_assoc_d(p, (f,), check=False)
+    out = co.compat_assoc_d(p, (f,))
     assert out == (gerstenhaber(m1, f), gerstenhaber(m2, f))
 
 
@@ -209,21 +209,21 @@ def test_compat_assoc_d_zero_and_square():
         m1, m2 = gen.compatible_assoc_products(rng)
         p = P(m1.space, "compatible-associative", {"mu1": m1, "mu2": m2})
         zero = tuple(MultiMap.zero(m1.space, 2) for _ in range(2))
-        assert all(x.is_zero() for x in co.compat_assoc_d(p, zero, check=False))
+        assert all(x.is_zero() for x in co.compat_assoc_d(p, zero))
         for degree in (1, 2):
             for slot in range(degree):
                 for b in MultiMap.basis(m1.space, degree):
                     tup = tuple(b if i == slot else MultiMap.zero(m1.space, degree)
                                 for i in range(degree))
-                    first = co.compat_assoc_d(p, tup, check=False)
-                    second = co.compat_assoc_d(p, first, check=False)
+                    first = co.compat_assoc_d(p, tup)
+                    second = co.compat_assoc_d(p, first)
                     assert all(x.is_zero() for x in second)
 
 
 def _dd_zero(p, d_fn, flavor, max_source_degree):
     for degree in range(1, max_source_degree + 1):
         for b in CompatCochain.basis(p.space, degree, flavor):
-            if not d_fn(p, d_fn(p, b, check=False), check=False).is_zero():
+            if not d_fn(p, d_fn(p, b)).is_zero():
                 return False
     return True
 
@@ -233,7 +233,7 @@ def test_cad_d_zero_cochains():
     p = gen.compatible_assder_instances(rng, 1)[0]
     for degree in (1, 2):
         zero = CompatCochain.zero(p.space, degree, "multi")
-        assert co.cad_d(p, zero, check=False).is_zero()
+        assert co.cad_d(p, zero).is_zero()
 
 
 def test_cad_d_on_zero_structure():
@@ -277,7 +277,7 @@ def test_cad_last_shadow_sign_is_forced():
         return all(d(d(b)).is_zero() for degree in (1, 2, 3)
                    for b in CompatCochain.basis(S2, degree, "multi"))
 
-    assert dd_zero(lambda c: co.cad_d(p, c, check=False))
+    assert dd_zero(lambda c: co.cad_d(p, c))
     assert not dd_zero(flipped)
 
 
@@ -307,7 +307,7 @@ def test_cldp_d_degree_one_on_anchor_pair():
           {"delta1": zero, "delta2": zero})
     rng = random.Random(SEED + 13)
     f = gen.rand_altmap(rng, S2, 1)
-    out = co.cldp_d(p, CompatCochain([DerCochain(f, None)]), check=False)
+    out = co.cldp_d(p, CompatCochain([DerCochain(f, None)]))
     w1 = AltMap.from_multimap(gen.AFF2A)
     w2 = AltMap.from_multimap(gen.AFF2B)
     assert out.parts[0].top == nijenhuis_richardson(w1, f)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from derpair import constructions
 from derpair.cochains import MultiMap
 from derpair.constructions import (RECIPE_KINDS, RECIPES, dendrify,
                                    endo_brackets, nijenhuis_product,
@@ -12,7 +13,7 @@ from derpair.constructions import (RECIPE_KINDS, RECIPES, dendrify,
 from derpair.errors import InvalidStructureError, SchemaError
 from derpair.linalg import Space
 from derpair.structures import (KIND_INFO, Presentation, check_operator,
-                                check_structure)
+                                check_structure, evaluate)
 
 import gen
 import oracles
@@ -281,11 +282,11 @@ def test_nijenhuis_product_shift_example():
 
 def test_nijenhuis_product_rejects_non_integrable_operator():
     # diag(1,0) fails the integrability identity on mu(e1,e1)=e2, so the
-    # checked path refuses it even though the defining formula would print 2e2.
+    # product refuses it even though the defining formula would print 2e2.
     bad = gen.mm(S2, 1, [(0, 0, 1)])
     with pytest.raises(InvalidStructureError):
         nijenhuis_product(gen.NIL2, bad)
-    value = nijenhuis_product(gen.NIL2, bad, check=False)
+    value = evaluate(S2, constructions._NIJENHUIS, 2, {"mu": gen.NIL2, "N": bad})
     assert value.eval((0, 0)) == [0, Fraction(2)]
 
 

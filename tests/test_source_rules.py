@@ -24,9 +24,8 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
-def _calls_by_function(tree, names, keep=lambda call: True):
-    """(enclosing function or '<module>', called name) for the calls of the
-    names that keep accepts."""
+def _by_function(tree, match):
+    """(enclosing function or '<module>', node) for the nodes that match accepts."""
     found = []
 
     def visit(node, where):
@@ -34,13 +33,20 @@ def _calls_by_function(tree, names, keep=lambda call: True):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
-                    and child.func.id in names and keep(child)):
-                found.append((where, child.func.id))
+            if match(child):
+                found.append((where, child))
             visit(child, where)
 
     visit(tree, "<module>")
     return found
+
+
+def _calls_by_function(tree, names, keep=lambda call: True):
+    """(enclosing function or '<module>', called name) for the calls of the
+    names that keep accepts."""
+    return [(where, call.func.id) for where, call in _by_function(
+        tree, lambda node: isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in names and keep(node))]
 
 
 def test_linalg_builds_fractions_only_at_its_boundary():
@@ -164,6 +170,35 @@ def test_each_bracket_formula_is_written_once():
     composers = {where for where, name in calls if name != "linear_combination"}
     combiners = {where for where, name in calls if name == "linear_combination"}
     assert len(composers) == 1 and len(combiners) == 1, (composers, combiners)
+
+
+def _is_json_dumps(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "dumps" and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "json")
+
+
+def test_one_function_lays_out_json():
+    # files.emit writes every presentation, cochain and report in the one
+    # canonical layout; no other function calls json.dumps
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [(path.name, where) for where, _ in _by_function(tree, _is_json_dumps)]
+    assert found == [("files.py", "emit")]
+
+
+def test_cli_decides_verdict_and_exit_code_in_one_function():
+    # a report's schema, its verdict and the finding exit code are written in
+    # one function, so the verdict and the exit code cannot disagree
+    path = PACKAGE / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    reads = _by_function(tree, lambda node: isinstance(node, ast.Name)
+                         and isinstance(node.ctx, ast.Load)
+                         and node.id in ("EXIT_FINDING", "SCHEMA"))
+    assert {node.id for _, node in reads} == {"EXIT_FINDING", "SCHEMA"}
+    readers = {where for where, _ in reads}
+    assert len(readers) == 1 and "<module>" not in readers, readers
 
 
 def test_span_targets_resolve():

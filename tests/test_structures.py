@@ -432,6 +432,12 @@ def test_derivation_systems_match_dense_oracles():
             assert cross_derivation_system(space, first, second) == \
                 cross_derivation_system_oracle(space, first, second)
             checked += 1
+        # no products: no rows, over the same columns
+        for first, second in (([], []), ([], products[:1]), (products[:1], [])):
+            assert derivation_system(space, first) == \
+                derivation_system_oracle(space, first)
+            assert cross_derivation_system(space, first, second) == \
+                cross_derivation_system_oracle(space, first, second)
     assert checked == 12
 
 
