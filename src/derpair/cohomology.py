@@ -123,37 +123,34 @@ class CohomologyReport:
 # structure maps of a flavor
 # ---------------------------------------------------------------------------
 
-def _check_base(flavor: str, p: Presentation, what: str, check: bool = True) -> _Flavor:
-    """The flavor's row, once p's kind is accepted and, with check, p is valid.
+def _check_base(flavor: str, p: Presentation, what: str) -> _Flavor:
+    """The flavor's row, once p's kind is accepted and p is valid.
 
-    p is checked against the axioms of the row's base kind.  Every public
-    differential checks; only compat_assoc_degree0 does not, as _Complex calls
-    it on a base it has checked.
+    p is checked against the axioms of the row's base kind.
     """
     row = _FLAVORS[flavor]
     if p.kind not in row.kinds:
         raise SchemaError(f"{what} needs a presentation of kind in "
                           f"{sorted(row.kinds)}, got {p.kind!r}")
-    if check:
-        if p.kind != row.base:
-            # the base is the derivation-free part of p
-            products, _ = kind_shape(row.base)
-            p = Presentation(p.space, {name: p.products[name] for name in products},
-                             {}, row.base)
-        violation = check_structure(p)
-        if violation is not None:
-            raise InvalidStructureError(
-                f"base fails {violation.axiom} at {violation.witness}", violation)
+    if p.kind != row.base:
+        # the base is the derivation-free part of p
+        products, _ = kind_shape(row.base)
+        p = Presentation(p.space, {name: p.products[name] for name in products},
+                         {}, row.base)
+    violation = check_structure(p)
+    if violation is not None:
+        raise InvalidStructureError(
+            f"base fails {violation.axiom} at {violation.witness}", violation)
     return row
 
 
-def _structure(flavor: str, p: Presentation, what: str, check: bool = True) -> tuple:
+def _structure(flavor: str, p: Presentation, what: str) -> tuple:
     """The structure maps of p in the cochain class of a flavor, checked as above.
 
     Products come first, then derivations, in the order of ``kind_shape`` of
     the flavor's base kind.
     """
-    row = _check_base(flavor, p, what, check)
+    row = _check_base(flavor, p, what)
     products, derivations = kind_shape(row.base)
     if not row.alternating:
         return (*(p.products[name] for name in products),
@@ -301,12 +298,18 @@ def lieder_d(p: Presentation, c: DerCochain) -> DerCochain:
 def compat_assoc_degree0(p: Presentation) -> list[tuple[Fraction, ...]]:
     """Basis of the degree-0 space {y : mu1(x,y)-mu1(y,x) = mu2(x,y)-mu2(y,x)}.
 
-    That is the kernel of ad_mu1 - ad_mu2 = ad_{mu1-mu2} on vectors.
+    That is the kernel of ad_mu1 - ad_mu2 = ad_{mu1-mu2} on vectors; p must
+    be a valid compatible associative structure.
     """
-    mu1, mu2 = _structure("compatible-associative", p, "compat_assoc_degree0",
-                          check=False)
-    return nullspace(_ad_matrix(p.space, MultiMap, (mu1 - mu2,), [(0, [(0, 1, 0)])],
-                                p.space.dimension ** 2, {}).transpose())
+    return _degree0_kernel(*_structure("compatible-associative", p,
+                                       "compat_assoc_degree0"))
+
+
+def _degree0_kernel(mu1: MultiMap, mu2: MultiMap) -> list[tuple[Fraction, ...]]:
+    """``compat_assoc_degree0`` on products already checked."""
+    space = mu1.space
+    return nullspace(_ad_matrix(space, MultiMap, (mu1 - mu2,), [(0, [(0, 1, 0)])],
+                                space.dimension ** 2, {}).transpose())
 
 
 def compat_assoc_d(p: Presentation, c) -> tuple:
@@ -351,7 +354,7 @@ class _Complex(_Coboundary):
         self._c0 = None
         if self.compatible and not self.with_derivation:
             self._c0 = Matrix.from_columns(self.space.dimension, [
-                dict(enumerate(y)) for y in compat_assoc_degree0(base)]).transpose()
+                dict(enumerate(y)) for y in _degree0_kernel(*self.maps)]).transpose()
 
     def dim(self, n: int) -> int:
         if n == 0 and self._c0 is not None:

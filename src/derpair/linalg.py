@@ -13,13 +13,18 @@ that ``compose`` multiplies integer tables (and the denominators), and
 ``rank`` and ``nullspace`` share one sparse, fraction-free eliminator on the
 rows of the integer table: a row is updated as ``p*row - a*pivot_row`` and
 then divided by the gcd of its entries, so values stay integral and small and
-nothing is ever rounded.  ``rank`` picks its pivots Markowitz-style (the
+nothing is ever rounded.  ``rank`` first takes, without arithmetic, the
+pivots that the structure of the matrix gives away (structured Gaussian
+elimination, after LaMacchia and Odlyzko): a row with one entry, whose column
+is then deleted from the other rows, and a column with one nonzero, whose
+row then leaves; each cascades.  It picks the rest Markowitz-style (the
 shortest row, and in it a +-1 entry of the sparsest column), which keeps the
 fill-in low on sparse coboundary matrices; ``derpair.cohomology`` hands it
 the transpose of each coboundary matrix, whose rows are the images of the
-basis cochains, as that ranks faster than the matrix itself.  Its pivot
-rows are triangular on its pivot columns S, so the row space projects
-isomorphically onto the coordinates in S.  ``nullspace``
+basis cochains, as that ranks faster than the matrix itself.  Every pivot
+column is zero in each row taken after its pivot row, so the pivot rows are
+triangular on the pivot columns S in the order they are removed, and the
+row space projects isomorphically onto the coordinates in S.  ``nullspace``
 takes the columns in order and clears each pivot column above and below the
 pivot, which yields the reduced row echelon form; since that form is unique,
 so is the kernel basis read off from it.
@@ -263,23 +268,28 @@ class _Eliminator:
 
     ``rows[i]`` maps column -> nonzero int for every nonzero row i, and
     ``holders[c]`` is the set of rows with a nonzero entry in column c.  The
-    rows are the matrix's integer table, each divided by the gcd of its
-    entries; neither that nor the common denominator changes the row space.
-    Rows are replaced, never changed in place, so the table is shared.  Rows
-    in ``skip``, or outside ``keep`` when it is given, never enter.
+    rows enter as the matrix's integer table, which drops the common
+    denominator; a row is divided by the gcd of its entries only once
+    ``clear`` updates it.  Neither changes the row space.  Rows are replaced,
+    never changed in place, so the table is shared.  Rows in ``skip``, or
+    outside ``keep`` when it is given, never enter.
     """
 
     def __init__(self, m: Matrix, skip=(), keep=None):
-        self.rows = {}
-        self.holders = {}
+        self.rows = rows = {}
+        self.holders = holders = {}
         table = m._table
         for i, row in table.items() if keep is None else (
                 (i, table[i]) for i in keep if i in table):
             if i in skip:
                 continue
-            self.rows[i] = _primitive(row)
+            rows[i] = row
             for j in row:
-                self.holders.setdefault(j, set()).add(i)
+                held = holders.get(j)
+                if held is None:
+                    holders[j] = {i}
+                else:
+                    held.add(i)
 
     def drop(self, i: int) -> None:
         """Take row i out of the elimination."""
@@ -331,14 +341,17 @@ def _primitive(row: dict) -> dict:
 def rank(m: Matrix, skip=(), pivots: set | None = None) -> int:
     """Exact rank over the rationals by sparse fraction-free elimination.
 
-    Each step takes the shortest remaining row, and in it the column with the
-    fewest other nonzeros, preferring an entry of +-1, so that few rows are
-    touched and the rows that are touched gain few new entries.  Rows in
-    ``skip`` never enter.  A pivot row is chosen after every earlier pivot
-    column was cleared from it, so the pivot rows are triangular on the pivot
-    columns: they span the row space, which projects isomorphically onto
-    those coordinates.  ``pivots``, when given, receives the pivot columns,
-    and the rank is their number.
+    A structural pass comes first (``_structural``): rows with one entry and
+    columns with one nonzero are pivots that need no arithmetic, and taking
+    them cascades.  Each later step takes the shortest remaining row, and in
+    it the column with the fewest other nonzeros, preferring an entry of
+    +-1, so that few rows are touched and the rows that are touched gain few
+    new entries.  Rows in ``skip`` never enter.  Each step leaves its pivot
+    column zero in every remaining row, so the pivot rows are triangular on
+    the pivot columns in the order they are removed: they span the row
+    space, which projects isomorphically onto those coordinates.
+    ``pivots``, when given, receives the pivot columns, and the rank is
+    their number.
     """
     found = set(_pivots(_Eliminator(m, skip)))
     if pivots is not None:
@@ -346,8 +359,55 @@ def rank(m: Matrix, skip=(), pivots: set | None = None) -> int:
     return len(found)
 
 
+def _structural(work: _Eliminator):
+    """Yield the pivot columns that need no arithmetic, removing their rows.
+
+    A row with one entry, at column j, is a multiple of e_j: it is a pivot
+    on j, and j is deleted from every other row that holds it, which
+    subtracts a multiple of that row.  Deleting shrinks rows, so this
+    cascades until no row has one entry.  It leaves every other column's
+    holders as they were, so the free columns are taken after it: a column
+    held by one row makes that row a pivot on it, and the row leaves with
+    nothing to clear.  Its leaving can leave another column with one
+    holder, and never a row with one entry.  Either way the pivot column is
+    zero in every row that remains.
+    """
+    rows, holders = work.rows, work.holders
+    singles = [i for i, row in rows.items() if len(row) == 1]
+    while singles:
+        row = rows.pop(singles.pop(), None)
+        if row is None:
+            continue            # a multiple of an earlier singleton, deleted
+        (col,) = row
+        held = holders[col]
+        for t in held:
+            if t in rows:
+                new = dict(rows[t])
+                del new[col]
+                if new:
+                    rows[t] = new
+                    if len(new) == 1:
+                        singles.append(t)
+                else:
+                    del rows[t]
+        held.clear()
+        yield col
+    free = [j for j, held in holders.items() if len(held) == 1]
+    while free:
+        col = free.pop()
+        held = holders[col]
+        if len(held) != 1:
+            continue            # its one holder left as another column's pivot
+        (i,) = held
+        row = rows[i]
+        work.drop(i)
+        free += [j for j in row if len(holders[j]) == 1]
+        yield col
+
+
 def _pivots(work: _Eliminator):
     """Yield the pivot column of each step of ``rank``'s elimination."""
+    yield from _structural(work)
     holders = work.holders
     queue = [(len(row), i) for i, row in work.rows.items()]
     heapify(queue)

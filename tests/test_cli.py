@@ -157,14 +157,6 @@ def test_reports_byte_identical(capsys, corpus):
     assert first == second
 
 
-def test_timestamps_flag_adds_provenance(capsys, corpus):
-    _, out, _ = run_cli(capsys, "check", str(corpus / "compatible_lie.json"),
-                        "--timestamps")
-    assert "timestamp" in json.loads(out)["provenance"]
-    _, plain, _ = run_cli(capsys, "check", str(corpus / "compatible_lie.json"))
-    assert "timestamp" not in json.loads(plain)["provenance"]
-
-
 # (frozen report in corpus/reports, exit code, argv): a pass and a fail for
 # each report-writing command; the structure-failure reports of cohomology
 # and dendrify carry no fingerprint, and dendrify's carries the recipe

@@ -513,6 +513,16 @@ def test_cohomology_flavor_validation():
         co.cohomology(co.ComplexSpec("hochschild", bad, 2))
 
 
+def test_compat_assoc_degree0_rejects_an_invalid_base():
+    # mu1 is associative; under mu2, (e1 e1) e1 = e1 but e1 (e1 e1) = 0
+    mu1 = gen.mm(S2, 2, [(0, 0, 0, 1)])
+    mu2 = gen.mm(S2, 2, [(0, 0, 1, 1), (1, 0, 0, 1)])
+    p = P(S2, "compatible-associative", {"mu1": mu1, "mu2": mu2})
+    assert check_structure(p).axiom == "associativity(mu2)"
+    with pytest.raises(InvalidStructureError, match=r"associativity\(mu2\)"):
+        co.compat_assoc_degree0(p)
+
+
 # -- entry-driven D and the matrix certification of d o d ------------------------------
 
 def test_der_D_matches_dense_oracle_both_flavors():

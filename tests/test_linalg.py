@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from derpair import cohomology as co
 from derpair.cochains import dense_coords, sparse_coords
 from derpair.errors import SchemaError, ShapeError
-from derpair.linalg import (Matrix, Space, compose, format_scalar, kernel_dim,
-                            nullspace, parse_scalar, rank)
+from derpair.linalg import (Matrix, Space, _Eliminator, _structural, compose,
+                            format_scalar, kernel_dim, nullspace, parse_scalar, rank)
 from derpair.structures import Presentation
 
 import gen
@@ -290,22 +290,98 @@ def test_sparse_rank_and_kernel_match_dense_oracles_randomized():
         _assert_matches_oracles(m.transpose())
 
 
+def _assert_pivots_hold(m, skip):
+    kept = [m.row(i) for i in range(m.rows) if i not in skip]
+    pivots = set()
+    assert rank(m, skip, pivots) == len(pivots) == rank_oracle(Matrix.from_rows(kept))
+    # the kept rows on the pivot columns alone keep their rank
+    on_pivots = Matrix(len(kept), len(pivots),
+                       tuple(row[j] for row in kept for j in sorted(pivots)))
+    assert rank_oracle(on_pivots) == len(pivots)
+    # the rows of m at the pivots of its transpose span its row space
+    pivots = set()
+    rank(m.transpose(), pivots=pivots)
+    assert nullspace(m, pivots) == nullspace(m)
+
+
+def _random_skip(rng, m):
+    return set(rng.sample(range(m.rows), rng.randint(0, m.rows - 1)))
+
+
 def test_pivot_columns_are_independent_on_the_rows_taken():
     rng = random.Random(2315)
     for k in range(160):
         m = _random_matrix(rng) if k % 2 else _scaled_matrix(rng)
-        skip = set(rng.sample(range(m.rows), rng.randint(0, m.rows - 1))) if k % 4 else ()
-        kept = [m.row(i) for i in range(m.rows) if i not in skip]
+        _assert_pivots_hold(m, _random_skip(rng, m) if k % 4 else ())
+
+
+def _planted_matrix(rng):
+    """A sparse random matrix with the shapes the structural pass takes.
+
+    Planted: free columns (one nonzero), singleton rows, zero rows, repeated
+    rows (scaled copies), and a staircase of two-entry rows whose one end is
+    a singleton row or a free column, so that the pass cascades along it.
+    """
+    rows, cols = rng.randint(2, 24), rng.randint(2, 24)
+    density = rng.uniform(0.05, 0.4)
+    table = [[rng.choice((-2, -1, 1, 1, 3)) if rng.random() < density else 0
+              for _ in range(cols)] for _ in range(rows)]
+    for j in rng.sample(range(cols), rng.randint(0, cols // 3)):
+        keeper = rng.randrange(rows)
+        for i, row in enumerate(table):
+            row[j] = 0 if i != keeper else row[j] or rng.choice((-1, 2))
+    for i in rng.sample(range(rows), rng.randint(0, rows // 3)):
+        table[i] = [0] * cols
+        table[i][rng.randrange(cols)] = rng.choice((1, -1, 4))
+    length = rng.randint(2, min(rows, cols))
+    steps = rng.sample(range(cols), length)
+    stairs = [[0] * cols for _ in range(length)]
+    for k in range(length - 1):
+        stairs[k][steps[k]] = rng.choice((1, -1, 2))
+        stairs[k][steps[k + 1]] = rng.choice((1, -3))
+    stairs[-1][steps[-1]] = 1                       # the singleton end
+    if rng.random() < 0.5:
+        # drop the singleton: now the first step column has one holder
+        stairs.pop()
+        for row in table:
+            row[steps[0]] = 0
+    table += stairs
+    table += [[0] * cols for _ in range(rng.randint(0, 3))]
+    for _ in range(rng.randint(0, 4)):
+        scale = rng.choice((1, -1, 2, Fraction(1, 3)))
+        table.append([scale * x for x in rng.choice(table)])
+    rng.shuffle(table)
+    return Matrix.from_rows(table)
+
+
+def test_structural_pivots_match_the_dense_oracles():
+    rng = random.Random(2316)
+    for k in range(200):
+        m = _planted_matrix(rng)
+        _assert_pivots_hold(m, _random_skip(rng, m) if k % 2 else ())
+        _assert_pivots_hold(m.transpose(), ())
+        if k % 4 == 0:
+            _assert_matches_oracles(m)
+
+
+def test_structural_pass_cascades_without_arithmetic(monkeypatch):
+    # rows e_j - 2 e_{j+1}: no row has one entry, but the first column has
+    # one holder, and taking it leaves the next column with one; the
+    # transpose starts from a singleton row instead.  The pass alone ranks
+    # both, and clears nothing.
+    monkeypatch.setattr(_Eliminator, "clear", None)
+    n = 40
+    stairs = Matrix.from_rows([[1 if j == i else -2 if j == i + 1 else 0
+                                for j in range(n)] for i in range(n - 1)])
+    for m in (stairs, stairs.transpose()):
         pivots = set()
-        assert rank(m, skip, pivots) == len(pivots) == rank_oracle(Matrix.from_rows(kept))
-        # the kept rows on the pivot columns alone keep their rank
-        on_pivots = Matrix(len(kept), len(pivots),
-                           tuple(row[j] for row in kept for j in sorted(pivots)))
-        assert rank_oracle(on_pivots) == len(pivots)
-        # the rows of m at the pivots of its transpose span its row space
-        pivots = set()
-        rank(m.transpose(), pivots=pivots)
-        assert nullspace(m, pivots) == nullspace(m)
+        assert rank(m, (), pivots) == len(pivots) == n - 1
+    # a dependent row stays: the pass stops with no singleton row and no
+    # free column, and leaves the rest to the Markowitz loop
+    square = Matrix.from_rows([[1, 1, 0], [1, 0, 1], [0, 1, 1], [1, 1, 0]])
+    work = _Eliminator(square)
+    assert list(_structural(work)) == []
+    assert len(work.rows) == 4
 
 
 def test_compose_matches_dense_oracle_randomized():
