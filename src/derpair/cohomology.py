@@ -9,6 +9,11 @@ Nijenhuis-Richardson bracket or ``MultiMap`` cochains and the Gerstenhaber
 bracket), and its differential follows from two facts about the base kind:
 compatible or not, with a derivation or not.
 
+``_Complex`` is the one complex class; every public differential and
+``cohomology`` build one, so ``_structure`` checks every base: the schema of
+p's own kind first (a ``SchemaError``), then the axioms of the flavor's base
+kind (an ``InvalidStructureError``).
+
 A degree-n cochain is a flat tuple of slots, one map each, laid out by
 ``cochains._slot_arities``.  ``_terms`` yields
 d^n as (out slot, coefficient, structure map, in slot) terms with
@@ -56,15 +61,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 
 from .brackets import gerstenhaber, nijenhuis_richardson
 from .cochains import (AltMap, CompatCochain, DerCochain, MultiMap, _ad_matrix,
                        _slot_arities, _slots_basis, _slots_length, linear_combination)
-from .errors import DegreeBudgetError, InvalidStructureError, SchemaError, ShapeError
+from .errors import DegreeBudgetError, SchemaError, ShapeError
 from .linalg import Matrix, compose, nullspace, rank
 from .structures import (KIND_INFO, Presentation, check_structure, kind_shape,
-                         validate_presentation)
+                         require, validate_presentation)
 
 
 @dataclass(frozen=True)
@@ -123,44 +128,34 @@ class CohomologyReport:
 # structure maps of a flavor
 # ---------------------------------------------------------------------------
 
-def _check_base(flavor: str, p: Presentation, what: str) -> _Flavor:
-    """The flavor's row, once p's kind is accepted and p is valid.
+def _structure(flavor: str, p: Presentation, what: str) -> tuple:
+    """The structure maps of p in the cochain class of a flavor, once p is a base.
 
-    p is checked against the axioms of the row's base kind.
+    p must pass the schema of its kind, be of a kind the flavor accepts, and
+    satisfy the axioms of the flavor's base kind on its maps of that kind.
+    Products come first, then derivations, in the order of ``kind_shape`` of
+    the base kind.
     """
-    row = _FLAVORS[flavor]
+    row = _FLAVORS.get(flavor)
+    if row is None:
+        raise SchemaError(f"unknown complex flavor {flavor!r}")
+    validate_presentation(p)
     if p.kind not in row.kinds:
         raise SchemaError(f"{what} needs a presentation of kind in "
                           f"{sorted(row.kinds)}, got {p.kind!r}")
-    if p.kind != row.base:
-        # the base is the derivation-free part of p
-        products, _ = kind_shape(row.base)
-        p = Presentation(p.space, {name: p.products[name] for name in products},
-                         {}, row.base)
-    violation = check_structure(p)
-    if violation is not None:
-        raise InvalidStructureError(
-            f"base fails {violation.axiom} at {violation.witness}", violation)
-    return row
-
-
-def _structure(flavor: str, p: Presentation, what: str) -> tuple:
-    """The structure maps of p in the cochain class of a flavor, checked as above.
-
-    Products come first, then derivations, in the order of ``kind_shape`` of
-    the flavor's base kind.
-    """
-    row = _check_base(flavor, p, what)
     products, derivations = kind_shape(row.base)
+    # all of p, or its derivation-free part
+    base = Presentation(p.space, {name: p.products[name] for name in products},
+                        {name: p.derivations[name] for name in derivations}, row.base)
+    require(check_structure(base), "base")
     if not row.alternating:
-        return (*(p.products[name] for name in products),
-                *(p.derivations[name] for name in derivations))
-    return (*(AltMap.from_multimap(p.products[name]) for name in products),
-            *(AltMap(p.space, 1, p.derivations[name].coeffs) for name in derivations))
+        return (*base.products.values(), *base.derivations.values())
+    return (*map(AltMap.from_multimap, base.products.values()),
+            *(AltMap(p.space, 1, m.coeffs) for m in base.derivations.values()))
 
 
 # ---------------------------------------------------------------------------
-# the term table
+# the term table and the complex of a flavor
 # ---------------------------------------------------------------------------
 
 def _terms(compatible: bool, with_derivation: bool, n: int):
@@ -199,17 +194,31 @@ def _plan(compatible: bool, with_derivation: bool, n: int):
     return tuple(map(tuple, groups)), _slot_arities(compatible, with_derivation, n + 1)
 
 
-class _Coboundary:
-    """The differential of one flavor on slot tuples, for given structure maps."""
+class _Complex:
+    """One flavor's complex on a base: d, dims, slot-tuple bases, coordinates."""
 
-    def __init__(self, flavor: str, maps: tuple):
-        row = _FLAVORS[flavor]
+    def __init__(self, flavor: str, base: Presentation, what: str | None = None):
+        self.maps = _structure(flavor, base, what or flavor)
+        row, self.space = _FLAVORS[flavor], base.space
         info = KIND_INFO[row.base]
         self.compatible, self.with_derivation = info.compatible, info.with_derivation
-        self.maps = maps
-        self.space = maps[0].space
-        self._cls = AltMap if row.alternating else MultiMap
-        self._bracket = nijenhuis_richardson if row.alternating else gerstenhaber
+        self._cls, self._bracket = ((AltMap, nijenhuis_richardson) if row.alternating
+                                    else (MultiMap, gerstenhaber))
+
+    def _kernel0(self) -> list[tuple[Fraction, ...]]:
+        """The compatible degree-0 space, ker ad_{mu1-mu2} on vectors, as a basis."""
+        mu1, mu2 = self.maps
+        d = self.space.dimension
+        return nullspace(_ad_matrix(self.space, MultiMap, (mu1 - mu2,), [(0, [(0, 1, 0)])],
+                                    d * d, {}).transpose())
+
+    @cached_property
+    def _c0(self):
+        """The rows of a basis of the compatible degree-0 space; None elsewhere."""
+        if not self.compatible or self.with_derivation:
+            return None
+        return Matrix.from_columns(self.space.dimension, [
+            dict(enumerate(y)) for y in self._kernel0()]).transpose()
 
     def arities(self, n: int) -> tuple:
         return _slot_arities(self.compatible, self.with_derivation, n)
@@ -239,123 +248,6 @@ class _Coboundary:
             raise ShapeError("operands live on different spaces")
         return self.d(n, slots)
 
-
-# ---------------------------------------------------------------------------
-# the public differentials
-# ---------------------------------------------------------------------------
-
-def der_D(delta: MultiMap, f):
-    """Derivation insertion operator: sum_i f(..., delta in slot i, ...) - delta o f.
-
-    This is -[delta, f] in the bracket of f's flavor: Gerstenhaber for a
-    MultiMap, Nijenhuis-Richardson (delta read as an alternating 1-map) for
-    an AltMap.
-    """
-    if delta.arity != 1:
-        raise ShapeError("D needs a linear operator")
-    if not isinstance(f, (MultiMap, AltMap)):
-        raise ShapeError("D acts on a MultiMap or an AltMap")
-    if delta.space != f.space:
-        raise ShapeError("operands live on different spaces")
-    bracket = nijenhuis_richardson if isinstance(f, AltMap) else gerstenhaber
-    return bracket(type(f)(f.space, 1, delta.coeffs), f).scale(-1)
-
-
-def _pair_d(flavor: str, p: Presentation, c, what: str):
-    """d of a flavor with a derivation, on a DerCochain or a CompatCochain."""
-    d = _Coboundary(flavor, _structure(flavor, p, what))
-    pairs = CompatCochain if d.compatible else DerCochain
-    if not isinstance(c, pairs):
-        raise ShapeError(f"{what} takes a {pairs.__name__}")
-    return pairs._from_slots(d.checked(c.degree, c._slots()))
-
-
-def hochschild_d(mu: MultiMap, f: MultiMap) -> MultiMap:
-    """d^n f = (-1)^{n-1} [mu, f]; mu must be associative."""
-    _check_base("hochschild", Presentation(mu.space, {"mu": mu}, {}, "associative"),
-                "hochschild_d")
-    return _Coboundary("hochschild", (mu,)).checked(f.arity, (f,))[0]
-
-
-def ce_d(w: AltMap, f: AltMap) -> AltMap:
-    """d^n f = (-1)^{n-1} [w, f]; w must satisfy the Jacobi identity."""
-    _check_base("chevalley-eilenberg",
-                Presentation(w.space, {"bracket": w.to_multimap()}, {}, "lie"),
-                "ce_d")
-    return _Coboundary("chevalley-eilenberg", (w,)).checked(f.arity, (f,))[0]
-
-
-def assder_d(p: Presentation, c: DerCochain) -> DerCochain:
-    """Differential of the derivation-pair complex on the associative side."""
-    return _pair_d("assder", p, c, "assder_d")
-
-
-def lieder_d(p: Presentation, c: DerCochain) -> DerCochain:
-    """Differential of the derivation-pair complex on the Lie side."""
-    return _pair_d("lieder", p, c, "lieder_d")
-
-
-def compat_assoc_degree0(p: Presentation) -> list[tuple[Fraction, ...]]:
-    """Basis of the degree-0 space {y : mu1(x,y)-mu1(y,x) = mu2(x,y)-mu2(y,x)}.
-
-    That is the kernel of ad_mu1 - ad_mu2 = ad_{mu1-mu2} on vectors; p must
-    be a valid compatible associative structure.
-    """
-    return _degree0_kernel(*_structure("compatible-associative", p,
-                                       "compat_assoc_degree0"))
-
-
-def _degree0_kernel(mu1: MultiMap, mu2: MultiMap) -> list[tuple[Fraction, ...]]:
-    """``compat_assoc_degree0`` on products already checked."""
-    space = mu1.space
-    return nullspace(_ad_matrix(space, MultiMap, (mu1 - mu2,), [(0, [(0, 1, 0)])],
-                                space.dimension ** 2, {}).transpose())
-
-
-def compat_assoc_d(p: Presentation, c) -> tuple:
-    """Staircase differential of the compatible-associative complex.
-
-    Maps an n-tuple of arity-n cochains to the (n+1)-tuple with components
-    (-1)^{n-1} ([mu2, f^{i-1}] + [mu1, f^i]), boundary terms dropping off.
-    """
-    maps = _structure("compatible-associative", p, "compat_assoc_d")
-    parts = tuple(c)
-    n = len(parts)
-    if n == 0 or any(f.arity != n for f in parts):
-        raise ShapeError("expected an n-tuple of arity-n cochains")
-    return _Coboundary("compatible-associative", maps).checked(n, parts)
-
-
-def cad_d(p: Presentation, c: CompatCochain) -> CompatCochain:
-    """Differential of the compatible derivation-pair complex, associative side."""
-    return _pair_d("cad", p, c, "cad_d")
-
-
-def cldp_d(p: Presentation, c: CompatCochain) -> CompatCochain:
-    """Differential of the compatible derivation-pair complex, Lie side."""
-    return _pair_d("cldp", p, c, "cldp_d")
-
-
-# ---------------------------------------------------------------------------
-# complexes and reports
-# ---------------------------------------------------------------------------
-
-class _Complex(_Coboundary):
-    """One flavor's complex on a base: dims, slot-tuple bases, d, coordinates."""
-
-    def __init__(self, flavor: str, base: Presentation):
-        if flavor not in _FLAVORS:
-            raise SchemaError(f"unknown complex flavor {flavor!r}")
-        validate_presentation(base)
-        super().__init__(flavor, _structure(flavor, base, flavor))
-        self.flavor = flavor
-        # the compatible degree 0 is not the space but the vectors on which
-        # both products' d^0 agree: this basis of them, as rows
-        self._c0 = None
-        if self.compatible and not self.with_derivation:
-            self._c0 = Matrix.from_columns(self.space.dimension, [
-                dict(enumerate(y)) for y in _degree0_kernel(*self.maps)]).transpose()
-
     def dim(self, n: int) -> int:
         if n == 0 and self._c0 is not None:
             return self._c0.rows
@@ -383,6 +275,97 @@ class _Complex(_Coboundary):
         m = _ad_matrix(self.space, self._cls, self.maps, slots, width, blocks)
         return m if n or self._c0 is None else compose(self._c0, m)
 
+
+# ---------------------------------------------------------------------------
+# the public differentials
+# ---------------------------------------------------------------------------
+
+def der_D(delta: MultiMap, f):
+    """Derivation insertion operator: sum_i f(..., delta in slot i, ...) - delta o f.
+
+    This is -[delta, f] in the bracket of f's flavor: Gerstenhaber for a
+    MultiMap, Nijenhuis-Richardson (delta read as an alternating 1-map) for
+    an AltMap.
+    """
+    if delta.arity != 1:
+        raise ShapeError("D needs a linear operator")
+    if not isinstance(f, (MultiMap, AltMap)):
+        raise ShapeError("D acts on a MultiMap or an AltMap")
+    if delta.space != f.space:
+        raise ShapeError("operands live on different spaces")
+    bracket = nijenhuis_richardson if isinstance(f, AltMap) else gerstenhaber
+    return bracket(type(f)(f.space, 1, delta.coeffs), f).scale(-1)
+
+
+def _pair_d(flavor: str, p: Presentation, c, what: str):
+    """d of a flavor with a derivation, on a DerCochain or a CompatCochain."""
+    cx = _Complex(flavor, p, what)
+    pairs = CompatCochain if cx.compatible else DerCochain
+    if not isinstance(c, pairs):
+        raise ShapeError(f"{what} takes a {pairs.__name__}")
+    return pairs._from_slots(cx.checked(c.degree, c._slots()))
+
+
+def hochschild_d(mu: MultiMap, f: MultiMap) -> MultiMap:
+    """d^n f = (-1)^{n-1} [mu, f]; mu must be associative."""
+    cx = _Complex("hochschild", Presentation(mu.space, {"mu": mu}, {}, "associative"),
+                  "hochschild_d")
+    return cx.checked(f.arity, (f,))[0]
+
+
+def ce_d(w: AltMap, f: AltMap) -> AltMap:
+    """d^n f = (-1)^{n-1} [w, f]; w must satisfy the Jacobi identity."""
+    cx = _Complex("chevalley-eilenberg",
+                  Presentation(w.space, {"bracket": w.to_multimap()}, {}, "lie"), "ce_d")
+    return cx.checked(f.arity, (f,))[0]
+
+
+def assder_d(p: Presentation, c: DerCochain) -> DerCochain:
+    """Differential of the derivation-pair complex on the associative side."""
+    return _pair_d("assder", p, c, "assder_d")
+
+
+def lieder_d(p: Presentation, c: DerCochain) -> DerCochain:
+    """Differential of the derivation-pair complex on the Lie side."""
+    return _pair_d("lieder", p, c, "lieder_d")
+
+
+def compat_assoc_degree0(p: Presentation) -> list[tuple[Fraction, ...]]:
+    """Basis of the degree-0 space {y : mu1(x,y)-mu1(y,x) = mu2(x,y)-mu2(y,x)}.
+
+    That is the kernel of ad_mu1 - ad_mu2 = ad_{mu1-mu2} on vectors; p must
+    be a valid compatible associative structure.
+    """
+    return _Complex("compatible-associative", p, "compat_assoc_degree0")._kernel0()
+
+
+def compat_assoc_d(p: Presentation, c) -> tuple:
+    """Staircase differential of the compatible-associative complex.
+
+    Maps an n-tuple of arity-n cochains to the (n+1)-tuple with components
+    (-1)^{n-1} ([mu2, f^{i-1}] + [mu1, f^i]), boundary terms dropping off.
+    """
+    cx = _Complex("compatible-associative", p, "compat_assoc_d")
+    parts = tuple(c)
+    n = len(parts)
+    if n == 0 or any(f.arity != n for f in parts):
+        raise ShapeError("expected an n-tuple of arity-n cochains")
+    return cx.checked(n, parts)
+
+
+def cad_d(p: Presentation, c: CompatCochain) -> CompatCochain:
+    """Differential of the compatible derivation-pair complex, associative side."""
+    return _pair_d("cad", p, c, "cad_d")
+
+
+def cldp_d(p: Presentation, c: CompatCochain) -> CompatCochain:
+    """Differential of the compatible derivation-pair complex, Lie side."""
+    return _pair_d("cldp", p, c, "cldp_d")
+
+
+# ---------------------------------------------------------------------------
+# reports
+# ---------------------------------------------------------------------------
 
 def cohomology(spec: ComplexSpec, budget: int | None = None,
                include_kernel_bases: bool = False) -> CohomologyReport:

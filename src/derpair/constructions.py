@@ -25,10 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cochains import MultiMap
-from .errors import InvalidStructureError, SchemaError
+from .errors import SchemaError
 from .linalg import as_scalar
-from .structures import (KIND_INFO, Presentation, check_operator,
-                         check_structure, evaluate, fingerprint, kind_shape)
+from .structures import (KIND_INFO, Presentation, check_operator, check_structure,
+                         evaluate, fingerprint, kind_shape, require)
 
 
 @dataclass(frozen=True)
@@ -119,12 +119,6 @@ RECIPES = tuple(Recipe(name, input_kind, output_kind)
                 for input_kind, output_kind in sorted(RECIPE_KINDS[name].items()))
 
 
-def _require(violation, what: str) -> None:
-    if violation is not None:
-        raise InvalidStructureError(
-            f"{what} fails {violation.axiom} at {violation.witness}", violation)
-
-
 def _transfer(p: Presentation, name: str, out_kind: str, suffixes,
               products, derivations, extra) -> Presentation:
     """The presentation whose maps are the formulas on p's maps and extra."""
@@ -148,7 +142,7 @@ def dendrify(p: Presentation, recipe: str, coefficients=None) -> Presentation:
         raise SchemaError(f"unknown recipe {recipe!r}")
     if p.kind not in table:
         raise SchemaError(f"recipe {recipe!r} does not accept kind {p.kind!r}")
-    _require(check_structure(p), "input")
+    require(check_structure(p), "input")
     k1, k2, p1, p2 = ((1, 1, 1, 1) if coefficients is None
                       else map(as_scalar, coefficients))
     return _transfer(p, recipe, *table[p.kind],
@@ -163,8 +157,8 @@ def nijenhuis_product(mu: MultiMap, n_op: MultiMap) -> MultiMap:
     compatible associative pair with mu.
     """
     host = Presentation(mu.space, {"mu": mu}, {}, "associative")
-    _require(check_structure(host), "product")
-    _require(check_operator(host, n_op, "nijenhuis"), "operator")
+    require(check_structure(host), "product")
+    require(check_operator(host, n_op, "nijenhuis"), "operator")
     return evaluate(mu.space, _NIJENHUIS, 2, {"mu": mu, "N": n_op})
 
 
@@ -172,8 +166,8 @@ def _construct(name: str, p: Presentation, op: MultiMap) -> Presentation:
     function, in_kind, out_kind, role, products = _OPERATORS[name]
     if p.kind != in_kind:
         raise SchemaError(f"{function} needs a {in_kind} presentation")
-    _require(check_structure(p), "input")
-    _require(check_operator(p, op, role), "operator")
+    require(check_structure(p), "input")
+    require(check_operator(p, op, role), "operator")
     return _transfer(p, name, out_kind, ("1", "2"), products, _CARRIED,
                      {"T": op})
 

@@ -270,17 +270,8 @@ def cohomology_to_dict(report) -> dict:
         "flavor": report.flavor,
         "max_degree": report.max_degree,
         "dd_zero_certified": report.dd_zero_certified,
-        "degrees": [
-            {
-                "degree": row.degree,
-                "dim_cochains": row.dim_cochains,
-                "rank_d": row.rank_d,
-                "dim_closed": row.dim_closed,
-                "dim_exact": row.dim_exact,
-                "dim_cohomology": row.dim_cohomology,
-            }
-            for row in report.degrees
-        ],
+        # the fields in order; dataclasses.asdict would deep-copy every int
+        "degrees": [dict(vars(row)) for row in report.degrees],
     }
     if report.kernel_bases:
         doc["kernel_bases"] = {

@@ -16,6 +16,8 @@ structure constants, not d^arity.  The residual lhs - rhs is nonzero exactly
 where the two tensors differ; axioms are taken in table order, and the
 witness is the smallest tuple carrying a nonzero residual.
 ``check_operator`` and ``check_morphism`` use the same table and evaluator.
+``require`` raises the ``InvalidStructureError`` of every failed structure
+precondition in ``cohomology`` and ``constructions``.
 ``evaluate`` returns one such sum as a map, so the transfers and operator
 constructions of ``derpair.constructions`` are written in the same terms.
 
@@ -48,8 +50,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 
-from .cochains import AltMap, MultiMap, _ad_matrix
-from .errors import SchemaError, ShapeError, UnsupportedRoleError, _quote
+from .cochains import AltMap, MultiMap, _ad_matrix, accumulate
+from .errors import (InvalidStructureError, SchemaError, ShapeError, UnsupportedRoleError,
+                     _quote)
 from .linalg import Matrix, Space, as_scalar
 
 _FAMILY_PRODUCTS = {
@@ -302,19 +305,20 @@ def _tensor(tree, maps) -> dict:
             for (values, out), value in _tensor(child, maps).items():
                 by_out.setdefault(out, []).append((values, value))
         inner.append(by_out)
-    acc = {}
-    for (args, out), value in coeffs.items():
-        partial = [((), value)]
-        for a, by_out in zip(args, inner):
-            if by_out is None:
-                partial = [(values + (a,), x) for values, x in partial]
-            else:
-                partial = [(values + more, x * y) for values, x in partial
-                           for more, y in by_out.get(a, ())]
-        for values, x in partial:
-            key = (values, out)
-            acc[key] = acc.get(key, 0) + x
-    return {key: value for key, value in acc.items() if value}
+
+    def terms():
+        for (args, out), value in coeffs.items():
+            partial = [((), value)]
+            for a, by_out in zip(args, inner):
+                if by_out is None:
+                    partial = [(values + (a,), x) for values, x in partial]
+                else:
+                    partial = [(values + more, x * y) for values, x in partial
+                               for more, y in by_out.get(a, ())]
+            for values, x in partial:
+                yield (values, out), x
+
+    return accumulate({}, terms())
 
 
 def _side(side: str, arity: int, maps) -> dict:
@@ -329,10 +333,9 @@ def _side(side: str, arity: int, maps) -> dict:
         if factor == 0:
             continue
         slots = [order.index(i) for i in identity]
-        for (values, out), value in _tensor(tree, maps).items():
-            key = (tuple(values[s] for s in slots), out)
-            acc[key] = acc.get(key, 0) + factor * value
-    return {key: value for key, value in acc.items() if value}
+        accumulate(acc, [((tuple(values[s] for s in slots), out), factor * value)
+                         for (values, out), value in _tensor(tree, maps).items()])
+    return acc
 
 
 def _tables(maps) -> dict:
@@ -405,6 +408,13 @@ def _structure_axioms(p: Presentation) -> list:
                                "P1": p.products[name + "1"], "P2": p.products[name + "2"]},
                               P=name)
     return axioms
+
+
+def require(violation, what: str) -> None:
+    """Raise InvalidStructureError ``{what} fails {axiom} at {witness}`` on a violation."""
+    if violation is not None:
+        raise InvalidStructureError(
+            f"{what} fails {violation.axiom} at {violation.witness}", violation)
 
 
 def check_structure(p: Presentation):

@@ -237,6 +237,29 @@ ZINBIEL_CATALOG = (MultiMap.zero(S2, 2), ZIN2, MultiMap.zero(S3, 2), ZIN3, ZIN3B
 PRELIE_CATALOG = ASSOCIATIVE_CATALOG
 
 
+def matrix_units(m, strict=False):
+    """E_ij E_jk = E_ik on the m x m matrices, or on the strictly upper-triangular ones.
+
+    The basis is the E_ij, with i < j when strict, in row-major order.
+    """
+    units = [(i, j) for i in range(m) for j in range(m) if not strict or i < j]
+    index = {unit: n for n, unit in enumerate(units)}
+    return MultiMap(Space.of_dim(len(units)), 2, {
+        ((index[i, j], index[j, k]), index[i, k]): 1
+        for i, j in units for k in range(m) if (j, k) in index and (i, k) in index})
+
+
+def inner_derivation(mu, a):
+    """x -> e_a x - x e_a, a derivation of the associative product mu."""
+    terms = []
+    for ((x, y), out), value in mu.coeffs.items():
+        if x == a:
+            terms.append((((y,), out), value))
+        if y == a:
+            terms.append((((x,), out), -value))
+    return MultiMap(mu.space, 1, accumulate({}, terms))
+
+
 def zinbiel_split(star):
     return swapped(star), star    # (prec, succ)
 

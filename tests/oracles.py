@@ -14,7 +14,10 @@ derivation insertion it used before its entry-driven kernels;
 ``check_morphism_oracle`` are its per-tuple axiom checkers from before the
 residual tensors.  ``transfer_oracle`` writes every transfer recipe and
 operator construction out from its displayed formula, basis pair by basis
-pair.
+pair.  ``antisymmetrizer_oracle`` writes the commutator cochain map k!
+``AltMap.from_multimap`` out as a sparse matrix from the coordinate layout,
+and ``sparse_product_oracle`` multiplies sparse row tables without
+``linalg.compose``.
 """
 
 import itertools
@@ -407,6 +410,48 @@ def _integer_rows(m: Matrix) -> list[list[int]]:
             d = x.denominator
             scale = scale * d // gcd(scale, d)
         rows.append([int(x * scale) for x in row])
+    return rows
+
+
+def sparse_rows(m: Matrix) -> dict:
+    """{row: {column: Fraction}} of a matrix, its nonzero entries only."""
+    return {i: {j: Fraction(x, m.den) for j, x in row.items()}
+            for i, row in m._table.items()}
+
+
+def sparse_product_oracle(a: dict, b: dict) -> dict:
+    """The product of two {row: {column: value}} tables, zero entries dropped."""
+    out = {}
+    for i, row in a.items():
+        acc = {}
+        for j, x in row.items():
+            for k, y in b.get(j, {}).items():
+                acc[k] = acc.get(k, 0) + x * y
+        acc = {k: v for k, v in acc.items() if v}
+        if acc:
+            out[i] = acc
+    return out
+
+
+def antisymmetrizer_oracle(d: int, arities) -> dict:
+    """A = k! AltMap.from_multimap slot by slot, from multi to alt coordinates.
+
+    Row args * d + j, args read in base d, is the basis map e_{args -> j}.  With
+    distinct indices it goes to the sign of the permutation sorting args, at
+    the alternating coordinate of (sorted args, j): the rank of sorted args
+    among the increasing tuples, times d, plus j.  Each slot's block sits at
+    the offsets of the slots before it.
+    """
+    rows, row0, col0 = {}, 0, 0
+    for k in arities:
+        alt = {key: i for i, key in enumerate(itertools.combinations(range(d), k))}
+        for position, args in enumerate(itertools.product(range(d), repeat=k)):
+            key = tuple(sorted(args))
+            if key in alt:
+                sign = _perm_sign(sorted(range(k), key=args.__getitem__))
+                for j in range(d):
+                    rows[row0 + position * d + j] = {col0 + alt[key] * d + j: sign}
+        row0, col0 = row0 + d ** (k + 1), col0 + len(alt) * d
     return rows
 
 

@@ -19,8 +19,9 @@ from derpair.linalg import Matrix, Space, compose, nullspace, rank
 from derpair.structures import Presentation, check_structure, kind_shape
 
 import gen
-from oracles import (ce_face_d, circle_g_oracle, circle_nr_oracle, compat_pair_d_oracle,
-                     der_D_oracle, der_pair_d_oracle, hochschild_face_d, map_d_oracle,
+from oracles import (antisymmetrizer_oracle, ce_face_d, circle_g_oracle, circle_nr_oracle,
+                     compat_pair_d_oracle, der_D_oracle, der_pair_d_oracle,
+                     hochschild_face_d, map_d_oracle, sparse_product_oracle, sparse_rows,
                      staircase_d_oracle)
 from test_linalg import _assert_matches_oracles, _catalog_complexes, _degree0_images
 
@@ -523,6 +524,33 @@ def test_compat_assoc_degree0_rejects_an_invalid_base():
         co.compat_assoc_degree0(p)
 
 
+def test_a_malformed_presentation_is_a_schema_error_before_its_base_is_read():
+    # the schema of p's own kind comes first: a compatible-assder without mu2
+    # once reached its base products as a bare KeyError
+    zero = MultiMap.zero(S2, 1)
+    p = P(S2, "compatible-assder", {"mu1": gen.NIL2}, {"delta1": zero, "delta2": zero})
+    missing = r"needs products \['mu1', 'mu2'\], got \['mu1'\]"
+    with pytest.raises(SchemaError, match=missing):
+        co.compat_assoc_d(p, (MultiMap.zero(S2, 1),))
+    with pytest.raises(SchemaError, match=missing):
+        co.compat_assoc_degree0(p)
+    for flavor in ("compatible-associative", "cad"):
+        with pytest.raises(SchemaError, match=missing):
+            co._Complex(flavor, p)
+
+
+def test_a_base_that_fails_its_axioms_names_the_first_violation():
+    bad = gen.mm(S2, 2, [(0, 0, 1, 1), (1, 0, 0, 1)])
+    message = "base fails associativity(mu) at (0, 0, 0)"
+    for call in (lambda: co.hochschild_d(bad, MultiMap.zero(S2, 1)),
+                 lambda: co.cohomology(co.ComplexSpec(
+                     "hochschild", P(S2, "associative", {"mu": bad}), 2))):
+        with pytest.raises(InvalidStructureError) as info:
+            call()
+        assert str(info.value) == message
+        assert info.value.violation.axiom == "associativity(mu)"
+
+
 # -- entry-driven D and the matrix certification of d o d ------------------------------
 
 def test_der_D_matches_dense_oracle_both_flavors():
@@ -981,3 +1009,53 @@ def test_pair_differentials_reject_the_other_pair_class():
             co.cad_d(cad, DerCochain.zero(S2, degree, "multi"))
         with pytest.raises(ShapeError):
             co.assder_d(assder, CompatCochain.zero(S2, degree, "multi"))
+
+
+# -- the commutator cochain map --------------------------------------------------------
+
+def _commutator_pairs(rng):
+    """(associative flavor, Lie flavor, base, the base with commutator brackets).
+
+    The bases are M_2, M_2 in a unimodular basis, and the strictly
+    upper-triangular 4x4 matrices, each with delta = ad_{E12}; the compatible
+    ones pair mu with 2 mu and delta with itself.
+    """
+    m2, upper = gen.matrix_units(2), gen.matrix_units(4, strict=True)
+    bases = [P(mu.space, "assder", {"mu": mu}, {"delta": gen.inner_derivation(mu, a)})
+             for mu, a in ((m2, 1), (upper, 0))]
+    bases.insert(1, gen.conjugate_presentation(rng, bases[0]))
+    for p in bases:
+        mu, delta = p.products["mu"], p.derivations["delta"]
+        bracket = mu - gen.swapped(mu)
+        q = P(p.space, "lieder", {"bracket": bracket}, {"delta": delta})
+        both = {"delta1": delta, "delta2": delta}
+        yield "hochschild", "chevalley-eilenberg", p, q
+        yield "assder", "lieder", p, q
+        yield ("cad", "cldp",
+               P(p.space, "compatible-assder", {"mu1": mu, "mu2": mu.scale(2)}, both),
+               P(p.space, "compatible-lieder",
+                 {"bracket1": bracket, "bracket2": bracket.scale(2)}, both))
+
+
+def test_antisymmetrization_maps_each_associative_complex_to_its_lie_complex():
+    # The commutator bracket makes A = k! AltMap.from_multimap, slot by slot, a
+    # cochain map from each associative complex to the Lie complex of the
+    # commutator: A_{n+1} D_n = D_n A_n, or, on the images of the basis
+    # cochains, images_H[n] A_{n+1} = A_n images_L[n], both products taken by
+    # the oracles.
+    rng = random.Random(SEED + 50)
+    checked = set()
+    for assoc, lie, p, q in _commutator_pairs(rng):
+        assert check_structure(p) is None and check_structure(q) is None
+        h, lie_cx = co._Complex(assoc, p), co._Complex(lie, q)
+        d = p.space.dimension
+        for n in range(4):
+            left = sparse_product_oracle(sparse_rows(h.images(n, {})),
+                                         antisymmetrizer_oracle(d, h.arities(n + 1)))
+            right = sparse_product_oracle(antisymmetrizer_oracle(d, h.arities(n)),
+                                          sparse_rows(lie_cx.images(n, {})))
+            assert left == right, (assoc, d, n)
+            if left:
+                checked.add((assoc, n))
+    assert checked == {(assoc, n) for assoc in ("hochschild", "assder", "cad")
+                       for n in range(4) if n or assoc == "hochschild"}

@@ -80,6 +80,27 @@ def test_recipe_errors():
         dendrify(bad, "associative-to-lie")
 
 
+def test_failed_preconditions_name_what_failed_and_where():
+    bad = gen.mm(S2, 2, [(0, 0, 1, 1), (1, 0, 0, 1)])
+    zero = MultiMap.zero(S2, 1)
+    pair = P(S2, "compatible-assder", {"mu1": gen.NIL2, "mu2": gen.NIL2},
+             {"delta1": zero, "delta2": zero})
+    cases = (
+        (lambda: dendrify(P(S2, "associative", {"mu": bad}), "associative-to-lie"),
+         "input fails associativity(mu) at (0, 0, 0)"),
+        (lambda: nijenhuis_product(bad, zero), "product fails associativity(mu) at (0, 0, 0)"),
+        (lambda: nijenhuis_product(gen.NIL2, gen.mm(S2, 1, [(0, 0, 1)])),
+         "operator fails nijenhuis(mu) at (0, 0)"),
+        (lambda: rb_deform_assder(pair, gen.mm(S2, 1, [(1, 0, 1)])),
+         "operator fails rota-baxter(mu1) at (0, 1)"),
+    )
+    for call, message in cases:
+        with pytest.raises(InvalidStructureError) as info:
+            call()
+        assert str(info.value) == message
+        assert info.value.violation is not None
+
+
 # -- transfer soundness -----------------------------------------------------------
 
 def _sources(rng, recipe, count):

@@ -201,6 +201,24 @@ def test_cli_decides_verdict_and_exit_code_in_one_function():
     assert len(readers) == 1 and "<module>" not in readers, readers
 
 
+def test_one_complex_class_checks_every_base_on_one_path():
+    # cohomology holds one complex class, with d and the matrices of every
+    # flavor; a base is checked only in _structure, and an
+    # InvalidStructureError carries a Violation only from structures.require
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    cohomology = trees["cohomology.py"]
+    assert [node.name for node in cohomology.body if isinstance(node, ast.ClassDef)
+            and any(isinstance(item, ast.FunctionDef) for item in node.body)] == ["_Complex"]
+    assert _calls_by_function(cohomology, {"check_structure"}) == [
+        ("_structure", "check_structure")]
+    with_violation = [(module, where) for module, tree in trees.items()
+                      for where, _ in _calls_by_function(
+                          tree, {"InvalidStructureError"},
+                          lambda call: len(call.args) + len(call.keywords) > 1)]
+    assert with_violation == [("structures.py", "require")]
+
+
 def test_span_targets_resolve():
     # perfbench/spans.py times the package by replacing the functions it
     # names; a renamed function would silently drop out of its metrics.
