@@ -16,7 +16,6 @@ DERPAIR_DEGREE_BUDGET.
 from __future__ import annotations
 
 import argparse
-import datetime
 import functools
 import os
 import sys
@@ -69,6 +68,7 @@ def _emit(args, p, passed: bool, violation=None, mc=None, cohomology_doc=None,
     provenance = {"input": args.path, "kind": p.kind,
                   **({"fingerprint": fingerprint(p)} if fields is None else fields)}
     if args.timestamps:
+        import datetime
         provenance["timestamp"] = (
             datetime.datetime.now(datetime.timezone.utc).isoformat())
     _write_output(files.emit({

@@ -59,7 +59,7 @@ basis cochain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache, cached_property
 
@@ -72,11 +72,11 @@ from .structures import (KIND_INFO, Presentation, check_structure, kind_shape,
                          require, validate_presentation)
 
 
-@dataclass(frozen=True)
-class _Flavor:
-    kinds: tuple[str, ...]      # presentation kinds accepted
-    base: str                   # the kind the base is validated as
-    alternating: bool           # AltMap and [,]_NR, else MultiMap and [,]_G
+_Flavor = namedtuple("_Flavor", (
+    "kinds",        # presentation kinds accepted
+    "base",         # the kind the base is validated as
+    "alternating",  # AltMap and [,]_NR, else MultiMap and [,]_G
+))
 
 
 _FLAVORS = {
@@ -96,32 +96,19 @@ FLAVORS = tuple(_FLAVORS)
 DEFAULT_COORD_BUDGET = 20000
 
 
-@dataclass(frozen=True)
-class ComplexSpec:
+class ComplexSpec(namedtuple("ComplexSpec", "flavor base max_degree")):
     """Which complex to build: flavor, base presentation, top degree."""
 
-    flavor: str
-    base: Presentation
-    max_degree: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DegreeData:
-    degree: int
-    dim_cochains: int
-    rank_d: int
-    dim_closed: int
-    dim_exact: int
-    dim_cohomology: int
+DegreeData = namedtuple(
+    "DegreeData",
+    "degree dim_cochains rank_d dim_closed dim_exact dim_cohomology")
 
-
-@dataclass
-class CohomologyReport:
-    flavor: str
-    max_degree: int
-    degrees: list[DegreeData]
-    dd_zero_certified: bool
-    kernel_bases: dict = field(default_factory=dict)
+CohomologyReport = namedtuple(
+    "CohomologyReport",
+    "flavor max_degree degrees dd_zero_certified kernel_bases")
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +392,7 @@ def cohomology(spec: ComplexSpec, budget: int | None = None,
 
     report = CohomologyReport(
         flavor=spec.flavor, max_degree=top, degrees=degrees,
-        dd_zero_certified=all(dd_zero.values()))
+        dd_zero_certified=all(dd_zero.values()), kernel_bases={})
     if include_kernel_bases:
         for n in range(top + 1):
             report.kernel_bases[n] = nullspace(images[n].transpose(), pivots[n])

@@ -22,7 +22,7 @@ their inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cochains import MultiMap
 from .errors import SchemaError
@@ -31,11 +31,7 @@ from .structures import (KIND_INFO, Presentation, check_operator, check_structur
                          evaluate, fingerprint, kind_shape, require)
 
 
-@dataclass(frozen=True)
-class Recipe:
-    name: str
-    input_kind: str
-    output_kind: str
+Recipe = namedtuple("Recipe", "name input_kind output_kind")
 
 
 # (recipe, input family, output family, {output product: formula}, whether

@@ -270,8 +270,7 @@ def cohomology_to_dict(report) -> dict:
         "flavor": report.flavor,
         "max_degree": report.max_degree,
         "dd_zero_certified": report.dd_zero_certified,
-        # the fields in order; dataclasses.asdict would deep-copy every int
-        "degrees": [dict(vars(row)) for row in report.degrees],
+        "degrees": [row._asdict() for row in report.degrees],
     }
     if report.kernel_bases:
         doc["kernel_bases"] = {

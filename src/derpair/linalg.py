@@ -33,7 +33,7 @@ so is the kernel basis read off from it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
@@ -81,26 +81,31 @@ def format_scalar(value) -> str:
     return str(value)
 
 
-@dataclass(frozen=True)
-class Space:
+class Space(namedtuple("Space", "dimension labels")):
     """A based finite-dimensional vector space with named basis elements."""
 
-    dimension: int
-    labels: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.dimension < 1:
+    def __new__(cls, dimension: int, labels):
+        labels = tuple(labels)
+        if dimension < 1:
             raise SchemaError("space dimension must be >= 1")
-        if len(self.labels) != self.dimension:
+        if len(labels) != dimension:
             raise SchemaError("label count must equal the dimension")
-        if len(set(self.labels)) != self.dimension:
+        if len(set(labels)) != dimension:
             raise SchemaError("basis labels must be distinct")
+        return super().__new__(cls, dimension, labels)
+
+    @classmethod
+    def _make(cls, iterable):
+        # so that _replace checks the new fields too
+        return cls(*iterable)
 
     @staticmethod
     def of_dim(dimension: int, labels=None) -> "Space":
         if labels is None:
             labels = tuple(f"e{i + 1}" for i in range(dimension))
-        return Space(dimension, tuple(labels))
+        return Space(dimension, labels)
 
     def basis_vector(self, index: int) -> tuple[Fraction, ...]:
         return tuple(ONE if i == index else ZERO for i in range(self.dimension))

@@ -15,7 +15,7 @@ its flavor ("lieder" or "assder") picks the pair bracket by one lookup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .brackets import assder_bracket, dc_bracket
@@ -23,12 +23,10 @@ from .cochains import AltMap, DerCochain, MultiMap
 from .errors import InvalidStructureError, SchemaError, ShapeError
 
 
-@dataclass
-class McVerdict:
+class McVerdict(namedtuple("McVerdict", "holds residuals")):
     """Outcome of a square-zero check: holds iff no residuals survive."""
 
-    holds: bool
-    residuals: list[tuple[str, object]] = field(default_factory=list)
+    __slots__ = ()
 
 
 def _verdict(named_values) -> McVerdict:

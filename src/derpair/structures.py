@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 
@@ -72,11 +72,7 @@ _DER_KIND = {
 }
 
 
-@dataclass(frozen=True)
-class KindInfo:
-    family: str
-    compatible: bool
-    with_derivation: bool
+KindInfo = namedtuple("KindInfo", "family compatible with_derivation")
 
 
 def _build_kind_table():
@@ -108,25 +104,21 @@ def kind_shape(kind: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
     return products, derivations
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(namedtuple("Violation", "axiom witness lhs rhs")):
     """First failing instance of one axiom: where, and both side values."""
 
-    axiom: str
-    witness: tuple[int, ...]
-    lhs: tuple[Fraction, ...]
-    rhs: tuple[Fraction, ...]
+    __slots__ = ()
 
 
-@dataclass
-class Presentation:
+class Presentation(namedtuple("Presentation",
+                              "space products derivations kind provenance")):
     """Named products and derivations over one space, with a claimed kind."""
 
-    space: Space
-    products: dict[str, MultiMap]
-    derivations: dict[str, MultiMap]
-    kind: str
-    provenance: dict = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, space, products, derivations, kind, provenance=None):
+        return super().__new__(cls, space, products, derivations, kind,
+                               {} if provenance is None else provenance)
 
 
 def validate_presentation(p: Presentation) -> None:

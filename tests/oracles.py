@@ -480,7 +480,8 @@ def rank_oracle(m: Matrix) -> int:
             for j in range(c + 1, n_cols):
                 num = row_r[c] * row_i[j] - head * row_r[j]
                 q, rem = divmod(num, prev)
-                assert rem == 0, "Bareiss division must be exact"
+                if rem:
+                    raise ArithmeticError("Bareiss division must be exact")
                 row_i[j] = q
             row_i[c] = 0
         prev = a[r][c]

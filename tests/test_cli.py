@@ -639,6 +639,21 @@ def test_console_script_runs(corpus):
     assert json.loads(result.stdout)["verdict"] == "pass"
 
 
+def test_cli_import_skips_dataclasses_inspect_and_datetime():
+    # Each CLI call pays for its import graph.  The modules a fresh interpreter
+    # holds before the import are subtracted, so what a site hook loads does
+    # not count; --timestamps loads datetime when it runs.
+    probe = ("import sys; before = set(sys.modules); import derpair.cli; "
+             "print(' '.join(sorted(set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                            text=True, env=env, check=True)
+    added = set(result.stdout.split())
+    assert "derpair.cli" in added
+    assert added.isdisjoint(
+        {"dataclasses", "inspect", "ast", "tokenize", "datetime", "typing"})
+
+
 def test_one_process_runs_commands_like_fresh_processes(capsys, corpus, monkeypatch):
     # main() reuses one parser; no command's options or defaults may carry
     # over into the next call

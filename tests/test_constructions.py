@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import zlib
 from fractions import Fraction
@@ -151,7 +150,7 @@ def _rational(rng, p):
 
 
 def _without_derivations(p):
-    info = dataclasses.replace(KIND_INFO[p.kind], with_derivation=False)
+    info = KIND_INFO[p.kind]._replace(with_derivation=False)
     kind = next(k for k, i in KIND_INFO.items() if i == info)
     return Presentation(p.space, dict(p.products), {}, kind)
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from derpair import cohomology as co
-from derpair.cochains import dense_coords, sparse_coords
+from derpair.cochains import MultiMap, dense_coords, sparse_coords
 from derpair.errors import SchemaError, ShapeError
 from derpair.linalg import (Matrix, Space, _Eliminator, _structural, compose,
                             format_scalar, kernel_dim, nullspace, parse_scalar, rank)
@@ -133,6 +133,15 @@ def test_space_validation():
         Space.of_dim(0)
     with pytest.raises(SchemaError):
         Space(2, ("a", "a"))
+    with pytest.raises(SchemaError):
+        Space.of_dim(2)._replace(dimension=3)
+    # labels given as a list are stored as a tuple: hashable, and equal to the
+    # same space built by of_dim, so maps over the two add
+    listed = Space(2, ["a", "b"])
+    assert listed.labels == ("a", "b") and hash(listed) == hash(Space.of_dim(2, ["a", "b"]))
+    assert listed == Space.of_dim(2, ["a", "b"])
+    assert MultiMap.identity(listed) + MultiMap.identity(Space.of_dim(2, ["a", "b"])) \
+        == MultiMap.identity(listed).scale(2)
     space = Space.of_dim(3)
     assert space.labels == ("e1", "e2", "e3")
     assert space.basis_vector(1) == (0, 1, 0)
