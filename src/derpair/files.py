@@ -86,8 +86,14 @@ def _entries_to_map(space: Space, arity: int, entries, where: str) -> MultiMap:
 
 
 def _map_to_entries(m) -> list:
-    return [[*args, out, format_scalar(value)]
-            for (args, out), value in sorted(m.coeffs.items())]
+    # sorted [*args, out, value] rows, an AltMap's with every ordering of each
+    # key and its sign, made from its own entries (none for an empty map)
+    orders = m._slot_orders() if m.coeffs else ()
+    entries = sorted([*map(args.__getitem__, order), out, sign * value]
+                     for (args, out), value in m.coeffs.items() for order, sign in orders)
+    for entry in entries:
+        entry[-1] = format_scalar(entry[-1])
+    return entries
 
 
 def presentation_from_dict(doc: dict, kind_override: str | None = None) -> Presentation:
@@ -204,8 +210,7 @@ def cochain_to_dict(c: DerCochain, with_shadow: bool) -> dict:
              or sum(map(_emitted_entries, written)) <= MAX_EMITTED_ENTRIES,
              "the cochain would be written as more than the limit of {} entries",
              MAX_EMITTED_ENTRIES)
-    top, *shadow = [_map_to_entries(m.to_multimap() if isinstance(m, AltMap) else m)
-                    for m in written]
+    top, *shadow = map(_map_to_entries, written)
     doc = {
         "dimension": c.space.dimension,
         "labels": list(c.space.labels),

@@ -10,8 +10,9 @@ exhaustive), and both sides there.
 Every axiom is one entry of a table: a name, an arity and two signed sums of
 compositions of the structure maps, such as ``mu(mu(x0,x1),x2)`` or
 ``T(P(T(x0),x1))``.  Each side is evaluated as a sparse tensor
-{(tuple, out): value} by matching the stored entries of each outer map with
-the entries of its inner maps, so the cost follows the number of nonzero
+{(tuple, out): value} slot by slot: from the outer map's stored entries,
+each inner tree's tensor is substituted into its argument slot in turn, one
+``accumulate`` pass per inner tree, so the cost follows the number of nonzero
 structure constants, not d^arity.  The residual lhs - rhs is nonzero exactly
 where the two tensors differ; axioms are taken in table order, and the
 witness is the smallest tuple carrying a nonzero residual.
@@ -49,6 +50,7 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache
+from operator import itemgetter
 
 from .cochains import AltMap, MultiMap, _ad_matrix, accumulate
 from .errors import (InvalidStructureError, SchemaError, ShapeError, UnsupportedRoleError,
@@ -237,7 +239,9 @@ _TOKEN = re.compile(r"\w+|\S")
 def _parse(side: str) -> tuple:
     """A side as ((sign, scalar name or None, tree, variables in leaf order), ...).
 
-    A tree is a variable index or (map name, child trees).
+    A tree is a variable index or (map name, children).  A child is a
+    variable index or (slot, inner tree): the slot the inner tree fills in its
+    outer map's arguments once the inner trees to its left are substituted.
     """
     tokens = _TOKEN.findall(side)[::-1]
 
@@ -251,17 +255,15 @@ def _parse(side: str) -> tuple:
     def tree():
         name = take()
         if name[0] == "x" and name[1:].isdigit():
-            return int(name[1:])
+            order.append(int(name[1:]))
+            return order[-1]
         take("(")
-        children = [tree()]
-        while take(",", ")") == ",":
-            children.append(tree())
+        first, children = len(order), []
+        while not children or take(",", ")") == ",":
+            at = len(order) - first     # the variables of the children before it
+            node = tree()
+            children.append(node if isinstance(node, int) else (at, node))
         return name, tuple(children)
-
-    def leaves(node):
-        if isinstance(node, int):
-            return (node,)
-        return tuple(i for child in node[1] for i in leaves(child))
 
     if tokens == ["0"]:
         return ()
@@ -274,59 +276,52 @@ def _parse(side: str) -> tuple:
         if len(tokens) > 1 and tokens[-2] == "*":
             scalar = take()
             take("*")
-        node = tree()
-        terms.append((sign, scalar, node, leaves(node)))
+        order = []
+        terms.append((sign, scalar, tree(), tuple(order)))
     return tuple(terms)
+
+
+@cache
+def _picker(order: tuple):
+    """The itemgetter putting a term's leaf-order values in variable order, or None."""
+    variables = sorted(order)
+    return None if order == tuple(variables) else itemgetter(*map(order.index, variables))
 
 
 def _tensor(tree, maps) -> dict:
     """{(values of the tree's variables in leaf order, out): value} of a tree.
 
-    Entries of the outer map meet the entries of each inner tree whose output
-    is the outer argument, so the cost follows the stored entries.
+    Each inner tree is substituted into its slot of the outer table in turn:
+    an entry (args, out) meets every entry of the inner tensor whose output
+    is args[slot], so the cost follows the stored entries.
     """
     name, children = tree
-    coeffs = maps[name]
-    if all(isinstance(child, int) for child in children):
-        return coeffs
-    inner = []
+    table = maps[name]
     for child in children:
-        by_out = None
-        if not isinstance(child, int):
-            by_out = {}
-            for (values, out), value in _tensor(child, maps).items():
-                by_out.setdefault(out, []).append((values, value))
-        inner.append(by_out)
-
-    def terms():
-        for (args, out), value in coeffs.items():
-            partial = [((), value)]
-            for a, by_out in zip(args, inner):
-                if by_out is None:
-                    partial = [(values + (a,), x) for values, x in partial]
-                else:
-                    partial = [(values + more, x * y) for values, x in partial
-                               for more, y in by_out.get(a, ())]
-            for values, x in partial:
-                yield (values, out), x
-
-    return accumulate({}, terms())
+        if isinstance(child, int):
+            continue
+        at, inner = child
+        by_out = {}
+        for (values, out), value in _tensor(inner, maps).items():
+            by_out.setdefault(out, []).append((values, value))
+        table = accumulate({}, (((args[:at] + values + args[at + 1:], out), x * y)
+                                for (args, out), x in table.items()
+                                for values, y in by_out.get(args[at], ())))
+    return table
 
 
-def _side(side: str, arity: int, maps) -> dict:
+def _side(side: str, maps) -> dict:
     """{(tuple, out): value} of one side of an axiom; zeros are not stored."""
     terms = _parse(side)
-    identity = tuple(range(arity))
-    if len(terms) == 1 and terms[0][:2] == (1, None) and terms[0][3] == identity:
+    if len(terms) == 1 and terms[0][:2] == (1, None) and _picker(terms[0][3]) is None:
         return _tensor(terms[0][2], maps)
     acc = {}
     for sign, scalar, tree, order in terms:
-        factor = sign if scalar is None else sign * maps[scalar]
-        if factor == 0:
-            continue
-        slots = [order.index(i) for i in identity]
-        accumulate(acc, [((tuple(values[s] for s in slots), out), factor * value)
-                         for (values, out), value in _tensor(tree, maps).items()])
+        factor, pick = sign if scalar is None else sign * maps[scalar], _picker(order)
+        entries = _tensor(tree, maps).items() if factor else ()
+        accumulate(acc, entries if factor == 1 and pick is None else (
+            ((values if pick is None else pick(values), out), factor * value)
+            for (values, out), value in entries))
     return acc
 
 
@@ -343,8 +338,8 @@ def _tables(maps) -> dict:
 def _axioms(group: str, maps, **tags) -> list:
     """The axioms of one group, with maps resolved to {key: value} tables."""
     tables = _tables(maps)
-    return [(name.format(**tags), arity, lhs, rhs, tables)
-            for key, name, arity, lhs, rhs in _AXIOMS if key == group]
+    return [(name.format(**tags), lhs, rhs, tables)
+            for key, name, _, lhs, rhs in _AXIOMS if key == group]
 
 
 def evaluate(space: Space, formula: str, arity: int, maps) -> MultiMap:
@@ -355,7 +350,7 @@ def evaluate(space: Space, formula: str, arity: int, maps) -> MultiMap:
     as a lone term such as ``delta(x0)`` is the named map's own table.
     """
     named = {name: maps[name] for name in maps.keys() & _TOKEN.findall(formula)}
-    return MultiMap._of(space, arity, dict(_side(formula, arity, _tables(named))))
+    return MultiMap._of(space, arity, dict(_side(formula, _tables(named))))
 
 
 def _first_violation(space: Space, axioms):
@@ -365,8 +360,8 @@ def _first_violation(space: Space, axioms):
     tensors differ; the witness is the smallest tuple among them, and the
     Violation reads both sides there as dense vectors.
     """
-    for name, arity, lhs, rhs, maps in axioms:
-        left, right = _side(lhs, arity, maps), _side(rhs, arity, maps)
+    for name, lhs, rhs, maps in axioms:
+        left, right = _side(lhs, maps), _side(rhs, maps)
         if left == right:
             continue
         witness = min(key for key in left.keys() | right.keys()

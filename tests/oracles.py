@@ -14,7 +14,9 @@ derivation insertion it used before its entry-driven kernels;
 ``check_morphism_oracle`` are its per-tuple axiom checkers from before the
 residual tensors.  ``transfer_oracle`` writes every transfer recipe and
 operator construction out from its displayed formula, basis pair by basis
-pair.  ``antisymmetrizer_oracle`` writes the commutator cochain map k!
+pair.  ``formula_oracle`` reads any formula of the axiom and transfer
+tables (``table_formulas``) from its parsed tree, one basis tuple at a
+time.  ``antisymmetrizer_oracle`` writes the commutator cochain map k!
 ``AltMap.from_multimap`` out as a sparse matrix from the coordinate layout,
 and ``sparse_product_oracle`` multiplies sparse row tables without
 ``linalg.compose``.
@@ -1011,3 +1013,47 @@ def transfer_oracle(p: Presentation, name: str, op: MultiMap = None,
     products = {out + s: output(formula, s)
                 for s in suffixes for out, formula in formulas.items()}
     return products, dict(p.derivations)
+
+
+def table_formulas():
+    """(where, formula, arity) for every formula of the axiom and transfer tables."""
+    from derpair import constructions, structures
+    for _, name, arity, lhs, rhs in structures._AXIOMS:
+        yield name, lhs, arity
+        yield name, rhs, arity
+    for recipe, rows in constructions._RECIPE_TABLE.items():
+        for kind, (_, _, products, derivations) in rows.items():
+            for arity, formulas in ((2, products), (1, derivations)):
+                for out, formula in formulas.items():
+                    yield f"{recipe}[{kind}].{out}", formula, arity
+    for name, (*_, products) in constructions._OPERATORS.items():
+        for out, formula in products.items():
+            yield f"{name}.{out}", formula, 2
+    yield "nijenhuis", constructions._NIJENHUIS, 2
+
+
+def formula_oracle(space: Space, formula: str, arity: int, maps) -> dict:
+    """{(args, out): value} of a formula in the axiom table's syntax, dense.
+
+    Each term's parsed tree is applied to the basis vectors of one tuple at a
+    time, every map by ``apply_oracle``, and the terms are summed as vectors;
+    no stored entry is matched against another.
+    """
+    from derpair.structures import _parse
+    d = space.dimension
+
+    def value(node, args):
+        if isinstance(node, int):
+            return list(space.basis_vector(args[node]))
+        name, children = node       # a child: a variable index or (slot, inner tree)
+        return apply_oracle(maps[name], [value(c if isinstance(c, int) else c[1], args)
+                                         for c in children])
+
+    table = {}
+    for args in itertools.product(range(d), repeat=arity):
+        total = [ZERO] * d
+        for sign, scalar, node, _ in _parse(formula):
+            factor = sign * (ONE if scalar is None else maps[scalar])
+            total = [t + factor * x for t, x in zip(total, value(node, args))]
+        table.update({(args, j): x for j, x in enumerate(total) if x})
+    return table

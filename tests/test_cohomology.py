@@ -1059,3 +1059,24 @@ def test_antisymmetrization_maps_each_associative_complex_to_its_lie_complex():
                 checked.add((assoc, n))
     assert checked == {(assoc, n) for assoc in ("hochschild", "assder", "cad")
                        for n in range(4) if n or assoc == "hochschild"}
+
+
+@pytest.mark.parametrize("flavor, base_flavor, kind, name, catalog", [
+    ("assder", "hochschild", "assder", "mu", gen.ASSOCIATIVE_CATALOG),
+    ("lieder", "chevalley-eilenberg", "lieder", "bracket", gen.LIE_CATALOG)])
+def test_zero_derivation_splits_into_the_base_complex_and_its_shift(flavor, base_flavor,
+                                                                   kind, name, catalog):
+    # The shadows (0, g) form a subcomplex, d(0, g) = (0, -s[P, g]): the base
+    # complex from degree 1 up, shifted up one degree, with the base complex
+    # as the quotient.  With delta = 0 the connecting map g -> [delta, g] of
+    # the long exact sequence vanishes, so with H'^1 = dim Z^1 and H'^n =
+    # dim H^n (n >= 2) of the base, H^1 = H'^1 and H^n = H'^n + H'^{n-1}.
+    top = 5
+    for product in catalog:
+        p = P(product.space, kind, {name: product}, {"delta": MultiMap.zero(product.space, 1)})
+        base = co.cohomology(co.ComplexSpec(base_flavor, p, top)).degrees
+        found = co.cohomology(co.ComplexSpec(flavor, p, top)).degrees
+        shifted = [None, base[1].dim_closed] + [base[n].dim_cohomology
+                                                for n in range(2, top + 1)]
+        assert [found[n].dim_cohomology for n in range(1, top + 1)] == [shifted[1]] + [
+            shifted[n] + shifted[n - 1] for n in range(2, top + 1)], (flavor, product.coeffs)

@@ -9,6 +9,8 @@ import pytest
 
 import derpair
 
+from oracles import table_formulas
+
 PACKAGE = pathlib.Path(derpair.__file__).parent
 TESTS = pathlib.Path(__file__).parent
 
@@ -102,6 +104,26 @@ def test_ad_blocks_neither_sort_nor_accumulate_per_term():
     builders = {"_ad_block", "_alt_terms", "_multi_terms"}
     assert [(where, name) for where, name in calls if where in builders] == []
     assert calls        # the helpers themselves are still called elsewhere
+
+
+def _writes_a_sum(node):
+    # t[k] += v, t[k] = <arithmetic>, or a sum() call: a sum loop of its own
+    return ((isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Subscript))
+            or (isinstance(node, ast.Assign) and isinstance(node.value, ast.BinOp)
+                and any(isinstance(target, ast.Subscript) for target in node.targets))
+            or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "sum"))
+
+
+def test_structures_sums_only_through_accumulate():
+    # The evaluator keeps the package's one accumulate loop: every sparse sum
+    # in structures (each inner tree's substitution, and a side's terms) goes
+    # through cochains.accumulate, and structures writes no sum of its own.
+    path = PACKAGE / "structures.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert [(where, node.lineno) for where, node in _by_function(tree, _writes_a_sum)] == []
+    assert {where for where, _ in _calls_by_function(tree, {"accumulate"})} == {
+        "_tensor", "_side"}
 
 
 def _imported_or_read(tree, name):
@@ -247,29 +269,12 @@ def test_span_targets_resolve():
     assert missing == []
 
 
-def _formulas():
-    """(where, formula, arity) for every formula of the axiom and transfer tables."""
-    from derpair import constructions, structures
-    for _, name, arity, lhs, rhs in structures._AXIOMS:
-        yield name, lhs, arity
-        yield name, rhs, arity
-    for recipe, rows in constructions._RECIPE_TABLE.items():
-        for kind, (_, _, products, derivations) in rows.items():
-            for arity, formulas in ((2, products), (1, derivations)):
-                for out, formula in formulas.items():
-                    yield f"{recipe}[{kind}].{out}", formula, arity
-    for name, (*_, products) in constructions._OPERATORS.items():
-        for out, formula in products.items():
-            yield f"{name}.{out}", formula, 2
-    yield "nijenhuis", constructions._NIJENHUIS, 2
-
-
 def test_every_table_formula_holds_each_variable_once():
     # The evaluator reads each term's variables in leaf order, so a typo such
     # as star(x1,x1) would give wrong keys without any error.
     from derpair.structures import _parse
     bad = []
-    for where, formula, arity in _formulas():
+    for where, formula, arity in table_formulas():
         try:
             terms = _parse(formula)
         except Exception as exc:

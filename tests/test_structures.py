@@ -12,14 +12,14 @@ from derpair.cochains import AltMap, DerCochain, MultiMap, _ad_block
 from derpair.errors import SchemaError, UnsupportedRoleError
 from derpair.linalg import Space, nullspace
 from derpair.structures import (_FAMILY_PRODUCTS, KIND_INFO, KINDS, Presentation,
-                                Violation, check_morphism, check_operator,
+                                Violation, _parse, check_morphism, check_operator,
                                 check_structure, cross_derivation_system,
-                                derivation_system, fingerprint, kind_shape)
+                                derivation_system, evaluate, fingerprint, kind_shape)
 
 import gen
 from oracles import (check_morphism_oracle, check_operator_oracle,
                      check_structure_oracle, cross_derivation_system_oracle,
-                     derivation_system_oracle)
+                     derivation_system_oracle, formula_oracle, table_formulas)
 
 S2 = Space.of_dim(2)
 S3 = Space.of_dim(3)
@@ -650,3 +650,68 @@ def test_check_morphism_matches_per_tuple_oracle():
                 outcomes.add(expected is None)
             assert check_morphism(src, dst, phi) is None
     assert outcomes == {True, False}
+
+
+def _named(formula):
+    """{map name: arity} and the scalar names of a formula's parsed terms."""
+    arities, scalars = {}, set()
+
+    def walk(node):
+        arities[node[0]] = len(node[1])
+        for child in node[1]:
+            if not isinstance(child, int):
+                walk(child[1])      # (slot, inner tree)
+
+    for _, scalar, node, _ in _parse(formula):
+        walk(node)
+        scalars.add(scalar)
+    return arities, scalars - {None}
+
+
+def _formula_maps(rng, space, arities, scalars, case):
+    # "sparse": seeded sparse rational maps; "zero": every map zero;
+    # "cancel": every value +-1 on every key, and a map named with suffix 2
+    # the negative of its suffix-1 twin, so sums inside and across terms cancel
+    maps = {}
+    for name, arity in sorted(arities.items()):
+        if case == "zero":
+            maps[name] = MultiMap.zero(space, arity)
+        elif case == "sparse":
+            maps[name] = gen.rand_rational_map(rng, MultiMap, space, arity, False)
+        else:
+            maps[name] = MultiMap(space, arity, {
+                (args, out): rng.choice((1, -1))
+                for args in itertools.product(range(space.dimension), repeat=arity)
+                for out in range(space.dimension)})
+    if case == "cancel":
+        for name in arities:
+            if name.endswith("2") and name[:-1] + "1" in maps:
+                maps[name] = maps[name[:-1] + "1"].scale(-1)
+    # scalars, the Rota-Baxter weight w among them, are nonzero
+    maps.update({name: gen.rand_rational(rng) or Fraction(-2, 3) for name in scalars})
+    return maps
+
+
+def test_evaluate_matches_dense_formula_oracle_on_every_table_formula():
+    # whole tables, not only a first violation: every side of every axiom and
+    # every transfer formula, evaluated by substituting inner trees slot by
+    # slot, equals the same parsed tree applied one basis tuple at a time
+    rng = random.Random(SEED + 10)
+    cases = {1: ("sparse", "zero"), 2: ("sparse", "cancel"), 3: ("sparse", "cancel"),
+             4: ("sparse",)}
+    # every table side holding a 3-cycle of its variables holds the inverse
+    # cycle too, on the same tree, so lone 3-cycles pin the reordering's sense
+    formulas = list(table_formulas()) + [("3-cycle", "mu(mu(x1,x2),x0)", 3),
+                                         ("3-cycle", "w*mu(x2,mu(x0,x1))", 3)]
+    cancelled = 0
+    for where, formula, arity in formulas:
+        arities, scalars = _named(formula)
+        for d, kinds in cases.items():
+            space = Space.of_dim(d)
+            for case in kinds:
+                maps = _formula_maps(rng, space, arities, scalars, case)
+                got = evaluate(space, formula, arity, maps).coeffs
+                assert got == formula_oracle(space, formula, arity, maps), (where, d, case)
+                cancelled += not got and case == "cancel" and formula != "0"
+    # the twins' terms cancel to an empty table on some formulas
+    assert len(formulas) > 60 and cancelled > 4
