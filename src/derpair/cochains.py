@@ -208,6 +208,8 @@ class _SparseMap(_Linear):
         if len(vectors) != self.arity:
             raise ShapeError("argument count != arity")
         out = [ZERO] * self.space.dimension
+        if not self.coeffs:
+            return out          # before the orderings: an AltMap's are k! long
         orders = self._slot_orders()
         supports = [{i: x for i, x in enumerate(vec) if x} for vec in vectors]
         for (args, j), value in self.coeffs.items():

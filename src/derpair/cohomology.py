@@ -41,20 +41,21 @@ and none for an empty map, and places each term as its block, signed and
 shifted to the term's output slot.  The result is the transpose of D_n over
 the denominator L, one row per image of a basis cochain; the compatible D_0
 is then taken on the basis of the kernel, and ``compat_assoc_degree0`` finds
-that kernel from the same assembler, with the one term ad_{mu1-mu2}.  The
-rank of each D_n is computed exactly on those images by
-the sparse eliminator of ``derpair.linalg``.  im D_{n-1} projects
-isomorphically onto the coordinates at the pivot columns S_{n-1} of its
-rank, so the basis cochains outside S_{n-1} span a complement of it: where
+that kernel from the same assembler, with the one term ad_{mu1-mu2}.
+
+``cohomology`` assembles every degree first, then takes one at a time.  At
+n >= 1 it certifies D_n D_{n-1} = 0 as the exact sparse product of the
+assembled matrices, its transpose; as D_n is the matrix of d and coordinates
+are exact, that product vanishes exactly when d o d kills every basis
+cochain of degree n-1.  It ranks D_n exactly on its images with the sparse
+eliminator of ``derpair.linalg``, whose ``Elimination`` record holds the
+(row, column) pivots.  im D_{n-1} projects isomorphically onto the
+coordinates at the pivot columns S_{n-1} of the record one degree lower, so
+the basis cochains outside S_{n-1} span a complement of it: where
 D_n D_{n-1} = 0, D_n is ranked on the rows outside S_{n-1} alone, and on
 all rows otherwise.  For the same reason the rows S_n of D_n have its kernel
 and row space, so its kernel basis, read off the unique reduced row echelon
-form, is reduced from those rows alone.  Reports carry per-degree
-dimensions and a certification that d o d = 0, checked as the exact sparse
-product of the assembled matrices, the transpose of D_{n+1} D_n, for every
-degree below the requested one.  Since D_n is the matrix of d and
-coordinates are exact, that product vanishes exactly when d o d kills every
-basis cochain.
+form, is reduced from those rows alone.
 """
 
 from __future__ import annotations
@@ -368,32 +369,20 @@ def cohomology(spec: ComplexSpec, budget: int | None = None,
             raise DegreeBudgetError(dim_n, budget)
 
     blocks = {}
-    images = {n: cx.images(n, blocks) for n in range(top + 1)}
+    images = [cx.images(n, blocks) for n in range(top + 1)]
     del blocks      # not needed past assembly; freed before the eliminations
-    # D_n D_{n-1} is the transpose of the product of the images
-    dd_zero = {n: compose(images[n - 1], images[n]).is_zero() for n in range(1, top + 1)}
-
-    ranks, pivots = {}, {}
-    for n in range(top + 1):
-        # the basis cochains outside the pivots of degree n-1 span a complement
-        # of im D_{n-1}, which D_n kills when d o d = 0
-        skip = pivots[n - 1] if dd_zero.get(n) else ()
-        pivots[n] = set()
-        ranks[n] = rank(images[n], skip, pivots[n])
-    degrees = []
-    for n in range(top + 1):
-        dim_n = cx.dim(n)
-        closed = dim_n - ranks[n]
-        exact = ranks[n - 1] if n > 0 else 0
-        degrees.append(DegreeData(
-            degree=n, dim_cochains=dim_n, rank_d=ranks[n],
-            dim_closed=closed, dim_exact=exact,
-            dim_cohomology=closed - exact))
-
-    report = CohomologyReport(
-        flavor=spec.flavor, max_degree=top, degrees=degrees,
-        dd_zero_certified=all(dd_zero.values()), kernel_bases={})
-    if include_kernel_bases:
-        for n in range(top + 1):
-            report.kernel_bases[n] = nullspace(images[n].transpose(), pivots[n])
-    return report
+    degrees, kernel_bases, dd_zero = [], {}, []
+    for n, m in enumerate(images):
+        if n:
+            # D_n D_{n-1} is the transpose of the product of the images
+            dd_zero.append(compose(images[n - 1], m).is_zero())
+        # where it vanishes, the basis cochains outside the pivot columns of
+        # degree n-1 span a complement of im D_{n-1}, which D_n kills
+        record = rank(m, columns if n and dd_zero[-1] else ())
+        columns = {col for _, col in record.pivots}
+        closed = cx.dim(n) - record.rank
+        exact = degrees[-1].rank_d if n else 0
+        degrees.append(DegreeData(n, cx.dim(n), record.rank, closed, exact, closed - exact))
+        if include_kernel_bases:
+            kernel_bases[n] = nullspace(m.transpose(), columns)
+    return CohomologyReport(spec.flavor, top, degrees, all(dd_zero), kernel_bases)

@@ -24,10 +24,12 @@ the transpose of each coboundary matrix, whose rows are the images of the
 basis cochains, as that ranks faster than the matrix itself.  Every pivot
 column is zero in each row taken after its pivot row, so the pivot rows are
 triangular on the pivot columns S in the order they are removed, and the
-row space projects isomorphically onto the coordinates in S.  ``nullspace``
-takes the columns in order and clears each pivot column above and below the
-pivot, which yields the reduced row echelon form; since that form is unique,
-so is the kernel basis read off from it.
+row space projects isomorphically onto the coordinates in S.  ``rank``
+returns an ``Elimination``: the rank, and the pivots as (row, column) pairs
+in the order they are removed.  ``nullspace`` takes the columns in order and
+clears each pivot column above and below the pivot, which yields the reduced
+row echelon form; since that form is unique, so is the kernel basis read off
+from it.
 """
 
 from __future__ import annotations
@@ -343,7 +345,11 @@ def _primitive(row: dict) -> dict:
     return {j: x // content for j, x in row.items()}
 
 
-def rank(m: Matrix, skip=(), pivots: set | None = None) -> int:
+# What ``rank`` did: its rank, and its (row, column) pivots in removal order.
+Elimination = namedtuple("Elimination", "rank pivots")
+
+
+def rank(m: Matrix, skip=()) -> Elimination:
     """Exact rank over the rationals by sparse fraction-free elimination.
 
     A structural pass comes first (``_structural``): rows with one entry and
@@ -354,18 +360,16 @@ def rank(m: Matrix, skip=(), pivots: set | None = None) -> int:
     new entries.  Rows in ``skip`` never enter.  Each step leaves its pivot
     column zero in every remaining row, so the pivot rows are triangular on
     the pivot columns in the order they are removed: they span the row
-    space, which projects isomorphically onto those coordinates.
-    ``pivots``, when given, receives the pivot columns, and the rank is
-    their number.
+    space, which projects isomorphically onto those coordinates.  The
+    ``Elimination`` holds the (row, column) pivots in that order, and the
+    rank is their number.
     """
-    found = set(_pivots(_Eliminator(m, skip)))
-    if pivots is not None:
-        pivots |= found
-    return len(found)
+    pivots = tuple(_pivots(_Eliminator(m, skip)))
+    return Elimination(len(pivots), pivots)
 
 
 def _structural(work: _Eliminator):
-    """Yield the pivot columns that need no arithmetic, removing their rows.
+    """Yield the (row, column) pivots that need no arithmetic, removing their rows.
 
     A row with one entry, at column j, is a multiple of e_j: it is a pivot
     on j, and j is deleted from every other row that holds it, which
@@ -380,7 +384,8 @@ def _structural(work: _Eliminator):
     rows, holders = work.rows, work.holders
     singles = [i for i, row in rows.items() if len(row) == 1]
     while singles:
-        row = rows.pop(singles.pop(), None)
+        i = singles.pop()
+        row = rows.pop(i, None)
         if row is None:
             continue            # a multiple of an earlier singleton, deleted
         (col,) = row
@@ -396,7 +401,7 @@ def _structural(work: _Eliminator):
                 else:
                     del rows[t]
         held.clear()
-        yield col
+        yield i, col
     free = [j for j, held in holders.items() if len(held) == 1]
     while free:
         col = free.pop()
@@ -407,11 +412,11 @@ def _structural(work: _Eliminator):
         row = rows[i]
         work.drop(i)
         free += [j for j in row if len(holders[j]) == 1]
-        yield col
+        yield i, col
 
 
 def _pivots(work: _Eliminator):
-    """Yield the pivot column of each step of ``rank``'s elimination."""
+    """Yield the (row, column) pivot of each step of ``rank``'s elimination."""
     yield from _structural(work)
     holders = work.holders
     queue = [(len(row), i) for i, row in work.rows.items()]
@@ -428,12 +433,12 @@ def _pivots(work: _Eliminator):
         for t in targets:
             if t in work.rows:
                 heappush(queue, (len(work.rows[t]), t))
-        yield col
+        yield i, col
 
 
 def kernel_dim(m: Matrix) -> int:
     """Dimension of the right kernel: cols - rank."""
-    return m.cols - rank(m)
+    return m.cols - rank(m).rank
 
 
 def nullspace(m: Matrix, keep=None) -> list[tuple[Fraction, ...]]:

@@ -18,8 +18,9 @@ pair.  ``formula_oracle`` reads any formula of the axiom and transfer
 tables (``table_formulas``) from its parsed tree, one basis tuple at a
 time.  ``antisymmetrizer_oracle`` writes the commutator cochain map k!
 ``AltMap.from_multimap`` out as a sparse matrix from the coordinate layout,
-and ``sparse_product_oracle`` multiplies sparse row tables without
-``linalg.compose``.
+``sparse_product_oracle`` multiplies sparse row tables without
+``linalg.compose``, and ``weight0_images`` picks the weight-0 part of an
+assembled coboundary matrix under a grading derivation.
 """
 
 import itertools
@@ -419,6 +420,25 @@ def sparse_rows(m: Matrix) -> dict:
     """{row: {column: Fraction}} of a matrix, its nonzero entries only."""
     return {i: {j: Fraction(x, m.den) for j, x in row.items()}
             for i, row in m._table.items()}
+
+
+def weight0_images(cx, weights, n: int) -> Matrix:
+    """The rows of ``cx.images(n)`` at the basis cochains of weight 0.
+
+    Under the grading derivation e_i -> weights[i] e_i, the basis map that
+    sends (e_a1, ..., e_ak) to e_j has weight weights[j] - sum weights[a_t],
+    and a basis cochain is one such map in one slot.  The structure maps
+    have weight 0, so these rows are D_n on the weight-0 part of the
+    complex; the columns they leave zero are dropped.
+    """
+    rows = [k for k, slots in enumerate(cx.basis(n))
+            if not any(weights[j] - sum(weights[a] for a in args)
+                       for f in slots for args, j in f.coeffs)]
+    images, columns = cx.images(n, {}), {}
+    for r, i in enumerate(rows):
+        for j, x in images._table.get(i, {}).items():
+            columns.setdefault(j, {})[r] = Fraction(x, images.den)
+    return Matrix.from_columns(len(rows), columns.values())
 
 
 def sparse_product_oracle(a: dict, b: dict) -> dict:

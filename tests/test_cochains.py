@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from derpair import cochains
 from derpair.cochains import (AltMap, CompatCochain, DerCochain, MultiMap,
                               circle_g, circle_nr, dense_coords, linear_combination,
                               sparse_coords)
@@ -347,6 +348,22 @@ def test_apply_matches_dense_oracle_on_vectors_with_zeros():
 def test_apply_arity_mismatch():
     with pytest.raises(ShapeError):
         AltMap.identity(S2).apply([S2.basis_vector(0), S2.basis_vector(1)])
+
+
+def test_apply_of_an_empty_map_builds_no_orderings(monkeypatch):
+    # an AltMap entry is read once per signed ordering of its key, and there
+    # are k! of them; an empty map has no entry to read
+    def refuse(k):
+        raise RuntimeError(f"built the {k}! signed orderings for an empty map")
+
+    monkeypatch.setattr(cochains, "_signed_permutations", refuse)
+    space = Space.of_dim(12)
+    vectors = [space.basis_vector(k) for k in range(12)]
+    for cls in (AltMap, MultiMap):
+        empty = cls.zero(space, 12)
+        assert empty.apply(vectors) == [0] * 12
+        with pytest.raises(ShapeError):
+            empty.apply(vectors[1:])
 
 
 def test_public_constructors_reject_bad_keys():

@@ -22,7 +22,7 @@ import gen
 from oracles import (antisymmetrizer_oracle, ce_face_d, circle_g_oracle, circle_nr_oracle,
                      compat_pair_d_oracle, der_D_oracle, der_pair_d_oracle,
                      hochschild_face_d, map_d_oracle, sparse_product_oracle, sparse_rows,
-                     staircase_d_oracle)
+                     staircase_d_oracle, weight0_images)
 from test_linalg import _assert_matches_oracles, _catalog_complexes, _degree0_images
 
 S1 = Space.of_dim(1)
@@ -420,7 +420,7 @@ def test_cad_report_matches_dense_oracle():
     report = co.cohomology(co.ComplexSpec("cad", p, 2))
     assert report.dd_zero_certified
     matrices = _oracle_cad_matrices(p, 2)
-    expected_rank = {n: rank(m) for n, m in matrices.items()}
+    expected_rank = {n: rank(m).rank for n, m in matrices.items()}
     for row in report.degrees:
         if row.degree == 0:
             assert row.dim_cochains == 0
@@ -457,7 +457,7 @@ def test_hochschild_report_dims_match_face_formula_assembly():
         rows = len(cols[0])
         m = Matrix(rows, len(cols),
                    tuple(col[i] for i in range(rows) for col in cols))
-        assert report.degrees[n].rank_d == rank(m)
+        assert report.degrees[n].rank_d == rank(m).rank
 
 
 def test_ce_cohomology_of_semisimple_algebra_vanishes():
@@ -826,9 +826,10 @@ def test_pruned_ranks_and_kernels_equal_those_on_all_rows(monkeypatch, last_shad
     _use_last_shadow_sign(monkeypatch, last_shadow_sign)
     calls = []
 
-    def recording(m, skip=(), pivots=None):
-        calls.append((skip, pivots))
-        return rank(m, skip, pivots)
+    def recording(m, skip=()):
+        record = rank(m, skip)
+        calls.append((skip, record))
+        return record
 
     monkeypatch.setattr(co, "rank", recording)
     rng = random.Random(SEED + 35)
@@ -845,22 +846,24 @@ def test_pruned_ranks_and_kernels_equal_those_on_all_rows(monkeypatch, last_shad
                    for n in range(top + 1)]
         assert report.dd_zero_certified == all(dd_zero[1:])
         for n, data in enumerate(report.degrees):
-            full = rank(images[n])
+            full = rank(images[n]).rank
             assert data.rank_d == full, (flavor, n)
             assert report.kernel_bases[n] == nullspace(images[n].transpose()), (flavor, n)
             skip = calls[n][0]
+            previous = n and {col for _, col in calls[n - 1][1].pivots}
             if dd_zero[n]:
-                assert skip is calls[n - 1][1], (flavor, n)
+                assert skip == previous, (flavor, n)
             else:
                 assert skip == (), (flavor, n)
                 if n:
-                    needed += rank(images[n], calls[n - 1][1]) != full
+                    needed += rank(images[n], previous).rank != full
     assert (needed > 0) == (last_shadow_sign == +1)
 
 
 def test_each_degree_is_ranked_and_reduced_through_the_public_names(monkeypatch):
     # the benchmark's trace wraps linalg.rank and linalg.nullspace by name and
-    # reads the matrix from the first positional argument
+    # reads the matrix from the first positional argument; each degree is
+    # ranked, then reduced, before the next
     calls = []
     for name in ("rank", "nullspace"):
         def counting(m, *args, _name=name, _fn=getattr(co, name)):
@@ -870,7 +873,7 @@ def test_each_degree_is_ranked_and_reduced_through_the_public_names(monkeypatch)
     p = P(S3, "lieder", {"bracket": gen.HEIS3},
           {"delta": gen.mm(S3, 1, [(0, 0, 1), (1, 1, 1), (2, 2, 2)])})
     co.cohomology(co.ComplexSpec("lieder", p, 3), include_kernel_bases=True)
-    assert calls == [("rank", Matrix)] * 4 + [("nullspace", Matrix)] * 4
+    assert calls == [("rank", Matrix), ("nullspace", Matrix)] * 4
 
 
 def _scaled_apart(p, scales):
@@ -1080,3 +1083,49 @@ def test_zero_derivation_splits_into_the_base_complex_and_its_shift(flavor, base
                                                 for n in range(2, top + 1)]
         assert [found[n].dim_cohomology for n in range(1, top + 1)] == [shifted[1]] + [
             shifted[n] + shifted[n - 1] for n in range(2, top + 1)], (flavor, product.coeffs)
+
+
+def _graded(d, coefficient):
+    """e_i e_j = coefficient(i, j) e_{i+j+1} on d basis vectors, and its weights i + 1."""
+    return gen.mm(Space.of_dim(d), 2, [(i, j, i + j + 1, coefficient(i, j))
+                                       for i in range(d) for j in range(d)
+                                       if i + j + 1 < d and coefficient(i, j)]), range(1, d + 1)
+
+
+def _heisenberg(d):
+    """[e_i, e_{k+i}] = e_{d-1} for i < k = (d-1)//2, and its weights."""
+    k = (d - 1) // 2
+    return gen.mm(Space.of_dim(d), 2, [entry for i in range(k) for entry in (
+        (i, k + i, d - 1, 1), (k + i, i, d - 1, -1))]), [1] * (d - 1) + [2]
+
+
+def _strict_upper(m):
+    """The strictly upper-triangular m x m matrices, E_ij of weight j - i."""
+    return gen.matrix_units(m, strict=True), [j - i for i in range(m) for j in range(i + 1, m)]
+
+
+@pytest.mark.parametrize("flavor, base_flavor, name, graded, top", [
+    ("assder", "hochschild", "mu", _graded(11, lambda i, j: 1), 3),
+    ("assder", "hochschild", "mu", _strict_upper(4), 4),
+    ("lieder", "chevalley-eilenberg", "bracket", _graded(13, lambda i, j: j - i), 4),
+    ("lieder", "chevalley-eilenberg", "bracket", _heisenberg(13), 4)])
+def test_grading_derivation_leaves_the_weight0_part_of_the_base_complex(
+        flavor, base_flavor, name, graded, top):
+    # With delta the grading derivation, the connecting map g -> [delta, g]
+    # of the long exact sequence multiplies a class of weight w by -w: the
+    # classes of weight w != 0 cancel, and weight 0 splits as with delta = 0.
+    # So with H'^1 = dim Z^1 and H'^n = dim H^n (n >= 2) of the weight-0 part
+    # of the base, H^1 = H'^1 and H^n = H'^n + H'^{n-1}.
+    product, weights = graded
+    weights = list(weights)
+    delta = gen.mm(product.space, 1, [(i, i, w) for i, w in enumerate(weights)])
+    p = P(product.space, flavor, {name: product}, {"delta": delta})
+    found = co.cohomology(co.ComplexSpec(flavor, p, top), budget=10 ** 6).degrees
+    base = co._Complex(base_flavor, p)
+    dims, ranks = {}, {0: 0}
+    for n in range(1, top + 1):
+        m = weight0_images(base, weights, n)
+        dims[n], ranks[n] = m.rows, rank(m).rank
+    shifted = {n: dims[n] - ranks[n] - ranks[n - 1] for n in dims}
+    assert [found[n].dim_cohomology for n in dims] == [shifted[1]] + [
+        shifted[n] + shifted[n - 1] for n in range(2, top + 1)], (flavor, dims)

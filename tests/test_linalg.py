@@ -18,16 +18,16 @@ from oracles import compose_oracle, degree0_oracle, nullspace_oracle, rank_oracl
 
 
 def test_rank_identity():
-    assert rank(Matrix.identity(3)) == 3
+    assert rank(Matrix.identity(3)).rank == 3
 
 
 def test_rank_zero():
-    assert rank(Matrix.zero(2, 3)) == 0
+    assert rank(Matrix.zero(2, 3)).rank == 0
 
 
 def test_rank_dependent_rows():
     m = Matrix.from_rows([[1, 2], [2, 4]])
-    assert rank(m) == 1
+    assert rank(m).rank == 1
 
 
 def test_kernel_dims():
@@ -55,10 +55,10 @@ def test_compose_shape_error():
 def test_rank_with_fractions():
     singular = Matrix.from_rows([[Fraction(1, 2), Fraction(1, 3)],
                                  [Fraction(3, 2), Fraction(1, 1)]])
-    assert rank(singular) == 1
+    assert rank(singular).rank == 1
     regular = Matrix.from_rows([[Fraction(1, 2), Fraction(1, 3)],
                                 [Fraction(1, 5), Fraction(1, 7)]])
-    assert rank(regular) == 2
+    assert rank(regular).rank == 2
 
 
 def test_nullspace_members():
@@ -81,7 +81,7 @@ def test_nullspace_members():
 def test_rank_equals_rank_of_transpose(rows, cols, rnd):
     m = Matrix.from_rows([[rnd.randint(-5, 5) for _ in range(cols)]
                           for _ in range(rows)])
-    assert rank(m) == rank(m.transpose())
+    assert rank(m).rank == rank(m.transpose()).rank
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -89,7 +89,7 @@ def test_rank_equals_rank_of_transpose(rows, cols, rnd):
 def test_rank_nullity(rows, cols, rnd):
     m = Matrix.from_rows([[rnd.randint(-3, 3) for _ in range(cols)]
                           for _ in range(rows)])
-    assert rank(m) + kernel_dim(m) == cols
+    assert rank(m).rank + kernel_dim(m) == cols
 
 
 _rationals = st.builds(Fraction, st.integers(-50, 50),
@@ -264,7 +264,7 @@ def _random_matrix(rng):
 
 
 def _assert_matches_oracles(m):
-    assert rank(m) == rank_oracle(m)
+    assert rank(m).rank == rank_oracle(m)
     assert repr(nullspace(m)) == repr(nullspace_oracle(m))
 
 
@@ -299,18 +299,21 @@ def test_sparse_rank_and_kernel_match_dense_oracles_randomized():
         _assert_matches_oracles(m.transpose())
 
 
+def _columns(record):
+    return {col for _, col in record.pivots}
+
+
 def _assert_pivots_hold(m, skip):
     kept = [m.row(i) for i in range(m.rows) if i not in skip]
-    pivots = set()
-    assert rank(m, skip, pivots) == len(pivots) == rank_oracle(Matrix.from_rows(kept))
+    record = rank(m, skip)
+    pivots = _columns(record)
+    assert record.rank == len(pivots) == rank_oracle(Matrix.from_rows(kept))
     # the kept rows on the pivot columns alone keep their rank
     on_pivots = Matrix(len(kept), len(pivots),
                        tuple(row[j] for row in kept for j in sorted(pivots)))
     assert rank_oracle(on_pivots) == len(pivots)
     # the rows of m at the pivots of its transpose span its row space
-    pivots = set()
-    rank(m.transpose(), pivots=pivots)
-    assert nullspace(m, pivots) == nullspace(m)
+    assert nullspace(m, _columns(rank(m.transpose()))) == nullspace(m)
 
 
 def _random_skip(rng, m):
@@ -373,6 +376,28 @@ def test_structural_pivots_match_the_dense_oracles():
             _assert_matches_oracles(m)
 
 
+def test_recorded_pivots_are_a_nonsingular_minor_of_the_rows_taken():
+    # the pairs rank records hold distinct rows outside skip and distinct
+    # columns, as many as the rank of the rows taken; the minor at those rows
+    # and columns is nonsingular, a lower bound on the rank that owes nothing
+    # to the eliminator
+    rng = random.Random(2317)
+    for k in range(240):
+        m = (_random_matrix, _scaled_matrix, _planted_matrix)[k % 3](rng)
+        if k % 2:
+            m = m.transpose()
+        skip = _random_skip(rng, m) if k % 4 else set()
+        record = rank(m, skip)
+        rows = [i for i, _ in record.pivots]
+        cols = [j for _, j in record.pivots]
+        assert len(set(rows)) == len(rows) and not skip & set(rows)
+        assert len(set(cols)) == len(cols)
+        kept = [m.row(i) for i in range(m.rows) if i not in skip]
+        assert record.rank == len(rows) == rank_oracle(Matrix.from_rows(kept))
+        minor = Matrix(len(rows), len(cols), tuple(m.entry(i, j) for i in rows for j in cols))
+        assert rank_oracle(minor) == len(rows)
+
+
 def test_structural_pass_cascades_without_arithmetic(monkeypatch):
     # rows e_j - 2 e_{j+1}: no row has one entry, but the first column has
     # one holder, and taking it leaves the next column with one; the
@@ -383,8 +408,8 @@ def test_structural_pass_cascades_without_arithmetic(monkeypatch):
     stairs = Matrix.from_rows([[1 if j == i else -2 if j == i + 1 else 0
                                 for j in range(n)] for i in range(n - 1)])
     for m in (stairs, stairs.transpose()):
-        pivots = set()
-        assert rank(m, (), pivots) == len(pivots) == n - 1
+        record = rank(m, ())
+        assert record.rank == len(_columns(record)) == n - 1
     # a dependent row stays: the pass stops with no singleton row and no
     # free column, and leaves the rest to the Markowitz loop
     square = Matrix.from_rows([[1, 1, 0], [1, 0, 1], [0, 1, 1], [1, 1, 0]])
