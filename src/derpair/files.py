@@ -15,16 +15,26 @@ delta(e_i) has coefficient p/q on e_j.  Indices are 0-based in files even
 though reports print 1-based labels e1..en.  Rationals are strings "p/q", or
 "p" when the denominator is 1.  Duplicate index keys, unknown kinds and
 dimensions above MAX_DIMENSION are rejected; zero coefficients are dropped on
-input and never emitted.
+input and never emitted.  Text that is not JSON, arrays nested past the
+decoder's recursion limit and integer literals past the interpreter's digit
+limit are schema errors too.
 
 Emission is canonical (sorted entries, fixed key order, two-space indent), so
 parse followed by emit is the identity on anything this module emitted.
+`emit` writes every file and report through this module's own writer,
+`_write_json`, which takes dicts with str keys, lists, str, int, float, bool
+and None, and raises TypeError on any other type.  It escapes strings with
+json's C escaper `encode_basestring` and writes a list of scalars with one
+join, and its bytes are those of `json.dumps(doc, indent=2,
+ensure_ascii=False)` plus a newline.  json.dumps is not used: when it
+indents it runs its pure-Python encoder, which is slower and holds more memory.
 """
 
 from __future__ import annotations
 
 import json
-from math import factorial
+from json.encoder import encode_basestring
+from math import factorial, inf
 
 from .cochains import AltMap, DerCochain, MultiMap, _insert
 from .errors import SchemaError
@@ -40,7 +50,10 @@ def _require(condition: bool, message: str, *args) -> None:
 def _load_document(text: str) -> dict:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: bad syntax (JSONDecodeError), or an integer literal past
+        # the interpreter's digit limit; RecursionError: arrays or objects
+        # nested deeper than the decoder's recursion limit
         raise SchemaError(f"invalid JSON: {exc}") from exc
     _require(isinstance(doc, dict), "top-level JSON value must be an object")
     return doc
@@ -67,21 +80,33 @@ def _space_from(doc: dict) -> Space:
 
 
 def _entries_to_map(space: Space, arity: int, entries, where: str) -> MultiMap:
-    _require(isinstance(entries, list), f"{where}: entries must be a list")
-    d, table, parsed = space.dimension, {}, {}      # parsed: each distinct string once
+    # each entry is checked in full, in this order, before the next one, so
+    # the first defect of the file is the one reported
+    if not isinstance(entries, list):
+        raise SchemaError(f"{where}: entries must be a list")
+    d, size, table, parsed = space.dimension, arity + 2, {}, {}    # parsed: each string once
     for entry in entries:
-        _require(isinstance(entry, list) and len(entry) == arity + 2, "{}: each entry needs "
-                 "{} input indices, one output index, and a coefficient", where, arity)
-        *indices, coefficient = entry
-        _require(all(type(i) is int for i in indices), "{}: indices must be integers", where)
-        _require(min(indices) >= 0 and max(indices) < d,
-                 "{}: index out of range for dimension {}", where, d)
-        key = (tuple(indices[:-1]), indices[-1])
-        _require(key not in table, "{}: duplicate entry for {}", where, indices)
-        _require(isinstance(coefficient, str), "{}: coefficients must be rational strings", where)
-        if coefficient not in parsed:
-            parsed[coefficient] = parse_scalar(coefficient)
-        table[key] = parsed[coefficient]
+        if not isinstance(entry, list) or len(entry) != size:
+            raise SchemaError(f"{where}: each entry needs {arity} input indices, "
+                              "one output index, and a coefficient")
+        indices, inside = entry[:-1], True
+        for i in indices:
+            if type(i) is not int:
+                raise SchemaError(f"{where}: indices must be integers")
+            if not 0 <= i < d:
+                inside = False
+        if not inside:
+            raise SchemaError(f"{where}: index out of range for dimension {d}")
+        key = (tuple(entry[:arity]), entry[arity])
+        if key in table:
+            raise SchemaError(f"{where}: duplicate entry for {indices}")
+        coefficient = entry[-1]
+        if not isinstance(coefficient, str):
+            raise SchemaError(f"{where}: coefficients must be rational strings")
+        value = parsed.get(coefficient)
+        if value is None:
+            value = parsed[coefficient] = parse_scalar(coefficient)
+        table[key] = value
     return MultiMap._of(space, arity, {key: value for key, value in table.items() if value})
 
 
@@ -134,9 +159,68 @@ def presentation_to_dict(p: Presentation) -> dict:
     return doc
 
 
+def _float(x: float) -> str:
+    # as json writes a float: NaN and the infinities by their JavaScript names
+    if x != x:
+        return "NaN"
+    if x == inf or x == -inf:
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+# the text of a scalar, by its type: the types json writes
+_SCALARS = {str: encode_basestring, int: int.__repr__, float: _float,
+            bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
+
+
+def _write_json(value, indent: str, parts: list) -> None:
+    # append value's text to parts; indent is the newline and spaces before
+    # its closing bracket, and its members are indented two spaces more
+    kind = type(value)
+    if kind is not dict and kind is not list:
+        if kind not in _SCALARS:
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+        parts.append(_SCALARS[kind](value))
+        return
+    if not value:
+        parts.append("{}" if kind is dict else "[]")
+        return
+    inner = indent + "  "
+    if kind is list:
+        types = set(map(type, value))
+        if types.issubset(_SCALARS):      # a list of scalars is one join
+            texts = (map(_SCALARS[types.pop()], value) if len(types) == 1
+                     else [_SCALARS[type(x)](x) for x in value])
+            parts.append(f"[{inner}{(',' + inner).join(texts)}{indent}]")
+            return
+        opening = "[" + inner
+        for item in value:
+            parts.append(opening)
+            _write_json(item, inner, parts)
+            opening = "," + inner
+        parts.append(indent + "]")
+        return
+    opening = "{" + inner
+    for key, item in value.items():
+        if type(key) is not str:
+            raise TypeError(f"keys must be str, not {type(key).__name__}")
+        parts.append(f"{opening}{encode_basestring(key)}: ")
+        _write_json(item, inner, parts)
+        opening = "," + inner
+    parts.append(indent + "}")
+
+
 def emit(doc: dict) -> str:
-    """The canonical text of a document: every file and report is written by this."""
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    """The canonical text of a document: every file and report is written by this.
+
+    The text is that of ``json.dumps(doc, indent=2, ensure_ascii=False)``
+    plus a newline.  doc holds dicts with str keys, lists, str, int, float,
+    bool and None; any other type raises TypeError.
+    """
+    parts = []
+    _write_json(doc, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
 
 
 def emit_presentation(p: Presentation) -> str:

@@ -527,6 +527,24 @@ def _assert_schema_exit(code, err, message):
     assert "Traceback" not in err
 
 
+def test_undecodable_files_exit_2_from_every_command(capsys, tmp_path):
+    # arrays nested past the decoder's recursion limit, an integer literal past
+    # the interpreter's digit limit, and a byte that is not UTF-8 are schema
+    # errors: exit 2 with one message, never a traceback and the finding code
+    cases = {"deep.json": (b"[" * 200_000 + b"]" * 200_000, "invalid JSON: "),
+             "digits.json": (b'{"dimension": ' + b"1" * 4301 + b"}", "invalid JSON: "),
+             "latin1.json": (b'{"dimension": 1}\xff', "cannot read ")}
+    for name, (content, message) in cases.items():
+        path = tmp_path / name
+        path.write_bytes(content)
+        for argv in (["check", path], ["cohomology", path, "--complex", "hochschild"],
+                     ["mc", path], ["dendrify", path, "--recipe", "associative-to-lie"],
+                     ["bracket", "--kind", "g", path, path]):
+            code, out, err = run_cli(capsys, *map(str, argv))
+            _assert_schema_exit(code, err, message)
+            assert out == "" and err.count("\n") == 1, (name, argv)
+
+
 def test_boolean_dimension_is_rejected(capsys, tmp_path):
     doc = {"dimension": True, "kind": "associative",
            "products": {"mu": [[0, 0, 0, "1"]]}, "derivations": {}}
@@ -595,6 +613,31 @@ def test_each_entry_defect_gives_its_first_error(capsys, tmp_path):
                "derivations": {}}
         code, _, err = run_cli(capsys, "check", _cochain_file(tmp_path, f"{i}.json", doc))
         _assert_schema_exit(code, err, message)
+
+
+def test_an_earlier_entry_defect_is_reported_before_a_later_one(capsys, tmp_path):
+    # each entry is checked in full before the next, so of two defects in two
+    # entries the earlier entry's is the one reported, whatever their kinds;
+    # the valid first entry lets a duplicate stand in either place
+    shape = "products.mu: each entry needs 2 input indices, one output index, and a coefficient"
+    defects = {
+        "ragged": ([0, 1, "1"], shape),
+        "not a list": ("0 0 1 1", shape),
+        "string index": ([0, "1", 0, "1"], "products.mu: indices must be integers"),
+        "boolean index": ([0, True, 0, "1"], "products.mu: indices must be integers"),
+        "out of range": ([0, 2, 1, "1"], "products.mu: index out of range for dimension 2"),
+        "duplicate": ([1, 1, 1, "2"], "products.mu: duplicate entry for [1, 1, 1]"),
+        "integer coefficient": ([0, 0, 1, 1],
+                                "products.mu: coefficients must be rational strings"),
+        "bad literal": ([1, 0, 0, "1.5"], "bad rational literal '1.5'"),
+    }
+    for i, (first, second) in enumerate(itertools.permutations(defects, 2)):
+        (entry, message), (later, _) = defects[first], defects[second]
+        doc = {"dimension": 2, "kind": "associative",
+               "products": {"mu": [[1, 1, 1, "1"], entry, later]}, "derivations": {}}
+        code, out, err = run_cli(capsys, "check",
+                                 _cochain_file(tmp_path, f"{i}.json", doc))
+        assert (code, out, err) == (2, "", f"derpair: {message}\n"), (first, second)
 
 
 def test_error_messages_quote_a_bounded_excerpt_of_the_input(capsys, corpus, tmp_path,

@@ -197,20 +197,51 @@ def test_each_bracket_formula_is_written_once():
     assert len(composers) == 1 and len(combiners) == 1, (composers, combiners)
 
 
-def _is_json_dumps(node):
-    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "dumps" and isinstance(node.func.value, ast.Name)
-            and node.func.value.id == "json")
+def _names(node):
+    """The names a node reads or imports: a Name, an attribute, or an import."""
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return {alias.name.rpartition(".")[2] for alias in node.names}
+    return set()
+
+
+def _statement_name(statement):
+    """A module-level statement by what it binds: 'import', or its targets."""
+    if isinstance(statement, (ast.Import, ast.ImportFrom)):
+        return "import"
+    targets = statement.targets if isinstance(statement, ast.Assign) else []
+    return ",".join(target.id for target in targets if isinstance(target, ast.Name))
 
 
 def test_one_function_lays_out_json():
     # files.emit writes every presentation, cochain and report in the one
-    # canonical layout; no other function calls json.dumps
-    found = []
+    # canonical layout, through files._write_json: nothing in the package
+    # calls or imports json's writers, json's string escaper is imported once
+    # and read only by the writer's scalar table and _write_json, and only
+    # emit starts a layout
+    writers = {"dump", "dumps", "JSONEncoder", "make_encoder", "c_make_encoder"}
+    found = {"writers": [], "escaper": [], "layout": []}
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found += [(path.name, where) for where, _ in _by_function(tree, _is_json_dumps)]
-    assert found == [("files.py", "emit")]
+        found["writers"] += [(path.name, where, node.lineno) for where, node in _by_function(
+            tree, lambda node: bool(_names(node) & writers))]
+        # a module-level read is named by the statement that holds it
+        holder = {id(node): _statement_name(statement) for statement in tree.body
+                  for node in ast.walk(statement)}
+        found["escaper"] += [(path.name, holder[id(node)] if where == "<module>" else where)
+                             for where, node in _by_function(
+                                 tree, lambda node: "encode_basestring" in _names(node))]
+        found["layout"] += [(path.name, where) for where, _ in _calls_by_function(
+            tree, {"_write_json"})]
+    assert found == {
+        "writers": [],
+        "escaper": [("files.py", "import"), ("files.py", "_SCALARS"),
+                    ("files.py", "_write_json")],
+        "layout": [("files.py", "_write_json"), ("files.py", "_write_json"),
+                   ("files.py", "emit")]}
 
 
 def test_cli_decides_verdict_and_exit_code_in_one_function():
