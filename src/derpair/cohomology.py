@@ -47,7 +47,8 @@ that kernel from the same assembler, with the one term ad_{mu1-mu2}.
 n >= 1 it certifies D_n D_{n-1} = 0 as the exact sparse product of the
 assembled matrices, its transpose; as D_n is the matrix of d and coordinates
 are exact, that product vanishes exactly when d o d kills every basis
-cochain of degree n-1.  It ranks D_n exactly on its images with the sparse
+cochain of degree n-1.  The certificate rests on the assembly alone, not on
+the eliminator.  It ranks D_n exactly on its images with the sparse
 eliminator of ``derpair.linalg``, whose ``Elimination`` record holds the
 (row, column) pivots.  im D_{n-1} projects isomorphically onto the
 coordinates at the pivot columns S_{n-1} of the record one degree lower, so
@@ -61,7 +62,6 @@ form, is reduced from those rows alone.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import cache, cached_property
 
 from .brackets import gerstenhaber, nijenhuis_richardson
@@ -193,7 +193,7 @@ class _Complex:
         self._cls, self._bracket = ((AltMap, nijenhuis_richardson) if row.alternating
                                     else (MultiMap, gerstenhaber))
 
-    def _kernel0(self) -> list[tuple[Fraction, ...]]:
+    def _kernel0(self) -> list[tuple]:
         """The compatible degree-0 space, ker ad_{mu1-mu2} on vectors, as a basis."""
         mu1, mu2 = self.maps
         d = self.space.dimension
@@ -318,7 +318,7 @@ def lieder_d(p: Presentation, c: DerCochain) -> DerCochain:
     return _pair_d("lieder", p, c, "lieder_d")
 
 
-def compat_assoc_degree0(p: Presentation) -> list[tuple[Fraction, ...]]:
+def compat_assoc_degree0(p: Presentation) -> list[tuple]:
     """Basis of the degree-0 space {y : mu1(x,y)-mu1(y,x) = mu2(x,y)-mu2(y,x)}.
 
     That is the kernel of ad_mu1 - ad_mu2 = ad_{mu1-mu2} on vectors; p must

@@ -8,7 +8,11 @@ one positive denominator: its values are table / den.  The constructors
 bring ints and ``Fraction``s over the lcm of their denominators once; after
 that ``compose`` multiplies integer tables (and the denominators), and
 ``Fraction``s appear again only in the dense views ``entry``, ``row`` and
-``entries`` and in the kernel basis.
+``entries`` and at the non-integral entries of a kernel basis.
+
+``compose`` multiplies row by row into one reused list of ints indexed by
+column, and reads each row back at the positions it touched;
+``derpair.cohomology`` certifies d o d = 0 as such a product.
 
 ``rank`` and ``nullspace`` share one sparse, fraction-free eliminator on the
 rows of the integer table: a row is updated as ``p*row - a*pivot_row`` and
@@ -129,6 +133,7 @@ class Matrix:
     __slots__ = ("rows", "cols", "den", "_table")
 
     def __init__(self, rows: int, cols: int, entries):
+        _check_shape(rows, cols)
         entries = tuple(entries)
         if len(entries) != rows * cols:
             raise ShapeError("entry count must equal rows*cols")
@@ -166,6 +171,7 @@ class Matrix:
     def from_columns(rows: int, columns) -> "Matrix":
         """The rows x len(columns) matrix whose column j is {row index: value}."""
         columns = list(columns)
+        _check_shape(rows, len(columns))
         table = {}
         for j, column in enumerate(columns):
             for i, x in column.items():
@@ -186,10 +192,12 @@ class Matrix:
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
+        _check_shape(rows, cols)
         return Matrix._of(rows, cols, {})
 
     @staticmethod
     def identity(n: int) -> "Matrix":
+        _check_shape(n, n)
         return Matrix._of(n, n, {i: {i: 1} for i in range(n)})
 
     @property
@@ -239,6 +247,11 @@ class Matrix:
         return compose(self, other)
 
 
+def _check_shape(rows: int, cols: int) -> None:
+    if rows < 0 or cols < 0:
+        raise ShapeError(f"a matrix cannot be {rows}x{cols}: sizes must be >= 0")
+
+
 def _over_one_denominator(table: dict) -> tuple[dict, int]:
     """(integer table, den) whose quotient is a table of ints and Fractions.
 
@@ -252,21 +265,38 @@ def _over_one_denominator(table: dict) -> tuple[dict, int]:
 
 
 def compose(a: Matrix, b: Matrix) -> Matrix:
-    """Exact matrix product a*b: the integer tables multiply, and so do the dens."""
+    """Exact matrix product a*b: the integer tables multiply, and so do the dens.
+
+    Each row of the product goes into one reused list of b.cols ints indexed
+    by column, made when a row of a first reaches a row of b, so a product
+    that reaches b holds memory linear in b's width.  The row is read back
+    at the positions it touched, in the order it first touched them, and
+    those are reset to zero.
+    """
     if a.cols != b.rows:
         raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     b_table = b._table
     table = {}
+    acc = None
     for i, row in a._table.items():
-        acc = {}
+        used = []
         for k, x in row.items():
             b_row = b_table.get(k)
             if b_row is not None:
+                if acc is None:
+                    acc = [0] * b.cols
+                used.append(b_row)
                 for j, y in b_row.items():
-                    acc[j] = acc.get(j, 0) + x * y
-        acc = {j: v for j, v in acc.items() if v}
-        if acc:
-            table[i] = acc
+                    acc[j] += x * y
+        out = {}
+        for b_row in used:
+            for j in b_row:
+                v = acc[j]
+                if v:
+                    out[j] = v
+                    acc[j] = 0
+        if out:
+            table[i] = out
     return Matrix._reduced(a.rows, b.cols, table, a.den * b.den)
 
 
@@ -426,7 +456,9 @@ def _pivots(work: _Eliminator):
         row = work.rows.get(i)
         if row is None or len(row) != length:
             continue            # a stale entry: the row was updated or used
-        col = min(row, key=lambda j: (abs(row[j]) != 1, len(holders[j]), j))
+        # a +-1 entry, then the fewest holders, then the lowest column
+        cands = [j for j, x in row.items() if x == 1 or x == -1] or row
+        col = min(zip(map(len, map(holders.__getitem__, cands)), cands))[1]
         work.drop(i)
         targets = list(holders[col])
         work.clear(row, col, targets)
@@ -441,13 +473,14 @@ def kernel_dim(m: Matrix) -> int:
     return m.cols - rank(m).rank
 
 
-def nullspace(m: Matrix, keep=None) -> list[tuple[Fraction, ...]]:
+def nullspace(m: Matrix, keep=None) -> list[tuple]:
     """A basis of the right kernel {v : m v = 0}, one vector per free column.
 
     The vector for free column f has a 1 at f, zeros at the other free
-    columns and minus the reduced row echelon entries at the pivot columns.
-    With ``keep``, only those rows are reduced: rows that span the row space
-    give the same basis.
+    columns and minus the reduced row echelon entries at the pivot columns,
+    each an int when integral and a Fraction otherwise, as ``as_scalar``
+    gives them.  With ``keep``, only those rows are reduced: rows that span
+    the row space give the same basis.
     """
     work = _Eliminator(m, keep=keep)
     pivots = []             # (column, row index), in column order
@@ -466,11 +499,12 @@ def nullspace(m: Matrix, keep=None) -> list[tuple[Fraction, ...]]:
     for f in range(m.cols):
         if f in pivot_cols:
             continue
-        v = [ZERO] * m.cols
-        v[f] = ONE
+        v = [0] * m.cols
+        v[f] = 1
         for c, i in pivots:
             row = work.rows[i]
             if f in row:
-                v[c] = Fraction(-row[f], row[c])
+                q, r = divmod(-row[f], row[c])
+                v[c] = Fraction(-row[f], row[c]) if r else q
         basis.append(tuple(v))
     return basis

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 from derpair import cohomology as co
 from derpair.cochains import MultiMap, dense_coords, sparse_coords
 from derpair.errors import SchemaError, ShapeError
-from derpair.linalg import (Matrix, Space, _Eliminator, _structural, compose,
-                            format_scalar, kernel_dim, nullspace, parse_scalar, rank)
+from derpair.linalg import (Matrix, Space, _Eliminator, _structural, as_scalar,
+                            compose, format_scalar, kernel_dim, nullspace,
+                            parse_scalar, rank)
 from derpair.structures import Presentation
 
 import gen
@@ -240,6 +242,19 @@ def test_from_columns_rejects_row_index_out_of_range():
         Matrix.from_columns(2, [{-1: 1}])
 
 
+def test_every_constructor_rejects_a_negative_size():
+    # (-2)(-3) = 6 entries once passed the entry count check
+    for build in (lambda: Matrix(-2, -3, [0] * 6), lambda: Matrix(-1, 0, []),
+                  lambda: Matrix(0, -1, []), lambda: Matrix.zero(-1, 4),
+                  lambda: Matrix.zero(4, -1), lambda: Matrix.identity(-3),
+                  lambda: Matrix.from_columns(-1, [])):
+        with pytest.raises(ShapeError):
+            build()
+    # empty shapes stay valid
+    assert Matrix(0, 3, []).is_zero() and Matrix.zero(3, 0).is_zero()
+    assert Matrix.identity(0) == Matrix.from_columns(0, []) == Matrix.from_rows([])
+
+
 # -- the sparse eliminator against the dense oracles ------------------------------------
 
 def _random_matrix(rng):
@@ -265,7 +280,8 @@ def _random_matrix(rng):
 
 def _assert_matches_oracles(m):
     assert rank(m).rank == rank_oracle(m)
-    assert repr(nullspace(m)) == repr(nullspace_oracle(m))
+    # equal entries, each an int when integral and a Fraction otherwise
+    assert repr(nullspace(m)) == repr([tuple(map(as_scalar, v)) for v in nullspace_oracle(m)])
 
 
 def _scaled_matrix(rng):
@@ -418,6 +434,35 @@ def test_structural_pass_cascades_without_arithmetic(monkeypatch):
     assert len(work.rows) == 4
 
 
+def test_markowitz_pivots_are_units_of_the_sparsest_column(monkeypatch):
+    # each Markowitz step pivots on a +-1 entry whenever its row holds one,
+    # and among those (or among all entries, without one) on a column with
+    # the fewest holders, the lowest such column.  The loop's clear sees the
+    # holders after the pivot row left them, one fewer in each of its columns.
+    steps = []
+    clear = _Eliminator.clear
+
+    def record(work, pivot_row, col, targets):
+        units = [j for j, x in pivot_row.items() if abs(x) == 1]
+        candidates = units or list(pivot_row)
+        fewest = min(len(work.holders[j]) for j in candidates)
+        steps.append(col == min(j for j in candidates if len(work.holders[j]) == fewest))
+        clear(work, pivot_row, col, targets)
+
+    rng = random.Random(2318)
+    matrices = [(_random_matrix, _scaled_matrix, _planted_matrix)[k % 3](rng)
+                for k in range(150)]
+    matrices += [m.transpose() for m in matrices[::2]]
+    # built before the patch, as nullspace clears too
+    matrices += [co._Complex(flavor, p).images(2, {})
+                 for flavor, p in _catalog_complexes(random.Random(2312))
+                 if p.space.dimension == 2]
+    monkeypatch.setattr(_Eliminator, "clear", record)
+    for m in matrices:
+        rank(m)
+    assert len(steps) > 500 and all(steps)
+
+
 def test_compose_matches_dense_oracle_randomized():
     # random products, and products with a kernel basis, which must vanish
     rng = random.Random(2312)
@@ -434,12 +479,66 @@ def test_compose_matches_dense_oracle_randomized():
             k = Matrix.from_columns(a.cols, [dict(enumerate(v)) for v in kernel])
             assert compose(a, k).is_zero()
             assert compose(a, k) == compose_oracle(a, k)
+            # after the zero rows, a first nonzero product row comes last
+            row = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(a.cols)]
+            last = Matrix.from_rows([list(a.row(i)) for i in range(a.rows)] + [row])
+            assert compose(last, k) == compose_oracle(last, k)
     rng = random.Random(2314)
     for _ in range(60):
         a, b = _scaled_matrix(rng), _scaled_matrix(rng)
         b = Matrix.from_rows([[b.entry(k % b.rows, j) for j in range(b.cols)]
                               for k in range(a.cols)])
         assert compose(a, b) == compose_oracle(a, b)
+
+
+def test_compose_edge_cases():
+    big = 2 ** 70
+    cases = [
+        # rows whose products cancel, then a first nonzero in the last row
+        (Matrix.from_rows([[1, 1], [2, 2]]), Matrix.from_rows([[1, -1], [-1, 1]]), True),
+        (Matrix.from_rows([[1, 1], [1, 1], [1, 2]]), Matrix.from_rows([[1, -1], [-1, 1]]),
+         False),
+        # entries past 2**64 that cancel only exactly
+        (Matrix.from_rows([[big, big + 1]]), Matrix.from_rows([[big + 1], [-big]]), True),
+        (Matrix.from_rows([[big, big + 1]]), Matrix.from_rows([[big + 1], [1 - big]]), False),
+        # den > 1 on either side
+        (Matrix.from_rows([[Fraction(1, 2), Fraction(1, 3)]]), Matrix.from_rows([[2], [-3]]),
+         True),
+        (Matrix.from_rows([[Fraction(1, 2), Fraction(1, 3)]]),
+         Matrix.from_rows([[Fraction(2, 7)], [Fraction(-3, 5)]]), False),
+        # empty tables and 0 x n shapes
+        (Matrix.zero(3, 4), Matrix.from_rows([[1] * 5] * 4), True),
+        (Matrix.from_rows([[1] * 4] * 3), Matrix.zero(4, 5), True),
+        (Matrix.zero(0, 4), Matrix.zero(4, 2), True),
+        (Matrix.zero(3, 0), Matrix.zero(0, 2), True),
+        (Matrix.identity(3), Matrix.zero(3, 0), True),
+    ]
+    # a wide b and short rows: each product row is read back at the columns
+    # of every row of b it reached, not only of the last one
+    first, second = [0] * 400, [0] * 400
+    first[5], first[7], second[7] = 1, 1, -1
+    wide = Matrix.from_rows([first, second])
+    cases += [(Matrix.from_rows([[1, 1]]), wide, False),
+              (Matrix.from_rows([[0, 0], [1, 1], [2, 2]]), wide, False)]
+    for a, b, zero in cases:
+        assert compose(a, b) == compose_oracle(a, b)
+        assert compose(a, b).is_zero() == zero
+
+
+def test_compose_of_a_wide_sparse_matrix_is_sparse_until_it_reaches_b():
+    # the accumulator, one int per column of b, is made only once a row of a
+    # reaches a row of b: a zero product with a wide b allocates next to nothing
+    width = 10 ** 6
+    b = Matrix.from_columns(width, [{}, {5: 3}]).transpose()     # 2 x width, row 1 = 3 e_5
+    tracemalloc.start()
+    try:
+        assert compose(Matrix.from_rows([[1, 0]]), b) == Matrix.zero(1, width)
+        assert compose(Matrix.zero(4, 2), b) == Matrix.zero(4, width)
+        assert tracemalloc.get_traced_memory()[1] < width
+    finally:
+        tracemalloc.stop()
+    product = compose(Matrix.from_rows([[0, 2]]), b)
+    assert (product.rows, product.cols, product._table) == (1, width, {0: {5: 6}})
 
 
 def _catalog_complexes(rng):

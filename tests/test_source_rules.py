@@ -275,6 +275,52 @@ def test_one_complex_class_checks_every_base_on_one_path():
     assert with_violation == [("structures.py", "require")]
 
 
+def _accumulates_a_product(node):
+    # t[j] += x * y, or t[j] = <...> + x * y: one term of a row product
+    if isinstance(node, ast.AugAssign):
+        target, op, value = node.target, node.op, node.value
+        products = [value]
+    elif isinstance(node, ast.Assign) and isinstance(node.value, ast.BinOp):
+        target, op = node.targets[0], node.value.op
+        products = [node.value.left, node.value.right]
+    else:
+        return False
+    return (isinstance(target, ast.Subscript) and isinstance(op, ast.Add)
+            and any(isinstance(p, ast.BinOp) and isinstance(p.op, ast.Mult)
+                    for p in products))
+
+
+def test_linalg_writes_its_row_product_once():
+    # linalg.compose holds the one sparse row product of linalg: no other
+    # function there accumulates a row of products
+    path = PACKAGE / "linalg.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert {where for where, _ in _by_function(tree, _accumulates_a_product)} == {"compose"}
+
+
+def test_cohomology_certifies_d_squared_as_the_exact_product():
+    # cohomology() certifies D_n D_{n-1} = 0 as compose(...).is_zero(), the
+    # exact product of the assembled matrices, and images composes D_0 with
+    # the compatible degree-0 basis; nothing else in cohomology.py multiplies
+    path = PACKAGE / "cohomology.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert sorted(_calls_by_function(tree, {"compose"})) == [
+        ("cohomology", "compose"), ("images", "compose")]
+    assert [where for where, node in _by_function(
+        tree, lambda node: isinstance(node, ast.Attribute) and node.attr == "is_zero")] == [
+        "cohomology"]
+
+
+def test_markowitz_pivots_are_chosen_without_a_key_function():
+    # _pivots compares (holder count, column) pairs, with no Python call per
+    # entry of the pivot row
+    path = PACKAGE / "linalg.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert [where for where, _ in _by_function(
+        tree, lambda node: isinstance(node, ast.Lambda)) if where == "_pivots"] == []
+    assert "_pivots" in {where for where, _ in _calls_by_function(tree, {"min"})}
+
+
 def test_span_targets_resolve():
     # perfbench/spans.py times the package by replacing the functions it
     # names; a renamed function would silently drop out of its metrics.
