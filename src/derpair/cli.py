@@ -22,7 +22,7 @@ import sys
 
 from . import files
 from .brackets import assder_bracket, dc_bracket, gerstenhaber, nijenhuis_richardson
-from .cochains import AltMap, DerCochain, MultiMap
+from .cochains import DerCochain, MultiMap
 from .cohomology import DEFAULT_COORD_BUDGET, ComplexSpec, FLAVORS, cohomology
 from .constructions import RECIPE_KINDS, dendrify
 from .errors import (DegreeBudgetError, DerpairError, InvalidStructureError,
@@ -120,9 +120,10 @@ def cmd_mc(args) -> int:
     p = files.parse_presentation(_read(args.path))
     info = KIND_INFO[p.kind]
     # family -> (product name, top from a product, single check, pair check),
-    # read per call so that a replaced module function is the one called
-    checks = {"lie": ("bracket", AltMap.from_multimap, mc_lieder, mc_pair_lieder),
-              "associative": ("mu", lambda mu: mu, mc_assder, mc_pair_assder)}
+    # read per call so that a replaced module function is the one called; a
+    # Lie bracket is read as an alternating table, not antisymmetrized
+    checks = {"lie": ("bracket", files._as_alternating, mc_lieder, mc_pair_lieder),
+              "associative": ("mu", lambda mu, where: mu, mc_assder, mc_pair_assder)}
     if info.family not in checks or info.compatible != args.pair:
         what = "mc --pair" if args.pair else "mc (single)"
         raise SchemaError(f"{what} does not support kind {p.kind!r}")
@@ -130,7 +131,8 @@ def cmd_mc(args) -> int:
     zero = MultiMap.zero(p.space, 1)
 
     def part(i):
-        return to_top(p.products[name + i]), p.derivations.get("delta" + i, zero)
+        return (to_top(p.products[name + i], f"products.{name + i}"),
+                p.derivations.get("delta" + i, zero))
 
     verdict = pair(*part("1"), *part("2")) if args.pair else single(*part(""))
     return _emit(args, p, verdict.holds, mc=files.mc_to_dict(verdict, p.space))

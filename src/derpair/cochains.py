@@ -33,8 +33,10 @@ tuples).
 basis maps of one arity as sparse columns in that order, adding each term
 into its column as it is made.  ``_ad_matrix`` is the one place where blocks
 become a matrix: the coboundary matrices of ``derpair.cohomology``, degree 0
-included, and the derivation systems of ``derpair.structures`` are stacks of
-these blocks, signed and placed at offsets, in integers over one denominator.
+included, and the derivation systems of ``derpair.structures`` are term
+lists over slot arities, and it alone lays the slots out, placing each
+term's block, signed, at its out slot's offset, in integers over one
+denominator.
 
 Every alternating sign is the sign of sorting an index tuple, taken by one
 function: ``_insert(key, extra)`` inserts extra, in any order, into the
@@ -664,34 +666,38 @@ def dense_coords(cochain) -> list[Fraction]:
 # ad_x blocks: the bracket with one map, as sparse columns in coordinate order
 # ---------------------------------------------------------------------------
 
-def _ad_matrix(space: Space, cls, maps, slots, width: int, blocks: dict) -> Matrix:
+def _ad_matrix(space: Space, cls, maps, terms, in_arities, out_arities,
+               blocks: dict) -> Matrix:
     """The matrix whose rows are signed, shifted sums of ad blocks.
 
-    ``slots`` lists (arity, terms) per input slot, in coordinate order; the
-    slot has one row per basis map b of class cls and that arity, and its row
-    is the sum over terms (offset, coefficient, map index x) of coefficient *
-    [maps[x], b], shifted right by offset, in a matrix of width columns.  A
-    slot reaches each offset through at most one term, so the pieces do not
-    overlap.  With L the lcm of the denominators of maps, each term is linear
-    in one map and ad_{Lx} = L ad_x, so the blocks are built from the integer
-    maps L x and the result is their table over L.  ``blocks`` holds them by
-    (map index, arity), built on first use and shared by every slot and call
-    that passes it; an empty map has none.  A slot whose one term is +1 at
+    ``terms`` are (out slot, coefficient, map index x, in slot) rows, as
+    ``derpair.cohomology._terms`` yields them, over slots of class cls laid
+    out in coordinate order by in_arities and out_arities.  In slot s has one
+    row per basis map b of arity in_arities[s]: the sum over its terms of
+    coefficient * [maps[x], b], shifted to the offset of the out slot.  An in
+    slot reaches each out slot through at most one term, so the pieces do
+    not overlap; they are added in the order of ``terms``.  With L the lcm
+    of the denominators of maps, each term is linear in one map and
+    ad_{Lx} = L ad_x, so the blocks are built from the integer maps L x and
+    the result is their table over L.  ``blocks`` holds them by (map index,
+    arity), built on first use and shared by every slot and call that
+    passes it; an empty map has none.  An in slot whose one term is +1 at
     offset 0 shares the block's columns as rows: ``Matrix._reduced``,
     ``compose``, ``transpose`` and the eliminator never change a row in place.
     """
     den = lcm(*(v.denominator for m in maps for v in m.coeffs.values()))
+    offsets = [0, *itertools.accumulate(cls.coord_length(space, a) for a in out_arities)]
+    groups = [[] for _ in in_arities]
+    for out, coeff, x, slot in terms:
+        m, arity = maps[x], in_arities[slot]
+        if m.coeffs:
+            if (x, arity) not in blocks:
+                blocks[x, arity] = _ad_block(type(m)._of(m.space, m.arity, {
+                    key: v.numerator * (den // v.denominator)
+                    for key, v in m.coeffs.items()}), arity)
+            groups[slot].append((offsets[out], coeff, blocks[x, arity]))
     table, start = {}, 0
-    for arity, terms in slots:
-        pieces = []
-        for offset, coeff, x in terms:
-            m = maps[x]
-            if m.coeffs:
-                if (x, arity) not in blocks:
-                    blocks[x, arity] = _ad_block(type(m)._of(m.space, m.arity, {
-                        key: v.numerator * (den // v.denominator)
-                        for key, v in m.coeffs.items()}), arity)
-                pieces.append((offset, coeff, blocks[x, arity]))
+    for arity, pieces in zip(in_arities, groups):
         for offset, coeff, block in pieces:
             shared = len(pieces) == 1 and not offset and coeff == 1
             for c, col in enumerate(block):
@@ -700,7 +706,7 @@ def _ad_matrix(space: Space, cls, maps, slots, width: int, blocks: dict) -> Matr
                     if table.setdefault(start + c, row) is not row:
                         table[start + c].update(row)
         start += cls.coord_length(space, arity)
-    return Matrix._reduced(start, width, table, den)
+    return Matrix._reduced(start, offsets[-1], table, den)
 
 
 def _ad_block(x, k: int) -> list:

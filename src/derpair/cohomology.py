@@ -32,16 +32,17 @@ the kernel of ad_{P_0} - ad_{P_1} (``compat_assoc_degree0``).
 On cochains, ``d`` computes each output slot of degree n >= 1 as one linear
 combination of brackets; a term whose input slot or structure map is empty
 computes none.  Each coboundary matrix D_n, degree 0 included, is assembled
-from blocks instead, in integers: ``_Complex.images`` hands the plan's terms,
-with the offsets of their output slots, to ``cochains._ad_matrix``, the one
-place where ad blocks become a matrix.  With L the lcm of the denominators
-of the structure maps, it builds ad_{Lx} = L ad_x on the basis maps of one
-arity as sparse integer columns, once per (structure map, arity) of a report
-and none for an empty map, and places each term as its block, signed and
-shifted to the term's output slot.  The result is the transpose of D_n over
-the denominator L, one row per image of a basis cochain; the compatible D_0
-is then taken on the basis of the kernel, and ``compat_assoc_degree0`` finds
-that kernel from the same assembler, with the one term ad_{mu1-mu2}.
+from blocks instead, in integers: ``_Complex.images`` hands the same terms,
+with the slot arities of degrees n and n + 1, to ``cochains._ad_matrix``,
+the one place where ad blocks become a matrix and where output slots get
+their offsets.  With L the lcm of the denominators of the structure maps, it
+builds ad_{Lx} = L ad_x on the basis maps of one arity as sparse integer
+columns, once per (structure map, arity) of a report and none for an empty
+map, and places each term as its block, signed and shifted to the term's
+output slot.  The result is the transpose of D_n over the denominator L,
+one row per image of a basis cochain; the compatible D_0 is then taken on
+the basis of the kernel, and ``compat_assoc_degree0`` finds that kernel from
+the same assembler, with the one term ad_{mu1-mu2}.
 
 ``cohomology`` assembles every degree first, then takes one at a time.  At
 n >= 1 it certifies D_n D_{n-1} = 0 as the exact sparse product of the
@@ -62,7 +63,7 @@ form, is reduced from those rows alone.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cache, cached_property
+from functools import cached_property
 
 from .brackets import gerstenhaber, nijenhuis_richardson
 from .cochains import (AltMap, CompatCochain, DerCochain, MultiMap, _ad_matrix,
@@ -173,15 +174,6 @@ def _terms(compatible: bool, with_derivation: bool, n: int):
                     yield out + 1, -s, r, top + 1
 
 
-@cache
-def _plan(compatible: bool, with_derivation: bool, n: int):
-    """Per in slot, its (out slot, coefficient, map) terms; the out arities."""
-    groups = [[] for _ in _slot_arities(compatible, with_derivation, n)]
-    for out, coeff, x, slot in _terms(compatible, with_derivation, n):
-        groups[slot].append((out, coeff, x))
-    return tuple(map(tuple, groups)), _slot_arities(compatible, with_derivation, n + 1)
-
-
 class _Complex:
     """One flavor's complex on a base: d, dims, slot-tuple bases, coordinates."""
 
@@ -196,32 +188,28 @@ class _Complex:
     def _kernel0(self) -> list[tuple]:
         """The compatible degree-0 space, ker ad_{mu1-mu2} on vectors, as a basis."""
         mu1, mu2 = self.maps
-        d = self.space.dimension
-        return nullspace(_ad_matrix(self.space, MultiMap, (mu1 - mu2,), [(0, [(0, 1, 0)])],
-                                    d * d, {}).transpose())
+        return nullspace(_ad_matrix(self.space, MultiMap, (mu1 - mu2,), [(0, 1, 0, 0)],
+                                    (0,), (1,), {}).transpose())
 
     @cached_property
     def _c0(self):
         """The rows of a basis of the compatible degree-0 space; None elsewhere."""
         if not self.compatible or self.with_derivation:
             return None
-        return Matrix.from_columns(self.space.dimension, [
-            dict(enumerate(y)) for y in self._kernel0()]).transpose()
+        kernel = self._kernel0()
+        return Matrix(len(kernel), self.space.dimension, [x for y in kernel for x in y])
 
     def arities(self, n: int) -> tuple:
         return _slot_arities(self.compatible, self.with_derivation, n)
 
     def d(self, n: int, slots) -> tuple:
         """d^n of a slot tuple, n >= 1, as a slot tuple, one bracket per term."""
-        groups, arities = _plan(self.compatible, self.with_derivation, n)
-        maps, bracket = self.maps, self._bracket
+        arities = self.arities(n + 1)
         out = [[] for _ in arities]
-        for f, group in zip(slots, groups):
-            if f.coeffs:
-                for slot, coeff, x in group:
-                    m = maps[x]
-                    if m.coeffs:
-                        out[slot].append((coeff, bracket(m, f)))
+        for out_slot, coeff, x, in_slot in _terms(self.compatible, self.with_derivation, n):
+            f, m = slots[in_slot], self.maps[x]
+            if f.coeffs and m.coeffs:
+                out[out_slot].append((coeff, self._bracket(m, f)))
         result = []
         for terms, arity in zip(out, arities):
             result.append(linear_combination(terms) if terms
@@ -248,19 +236,14 @@ class _Complex:
     def images(self, n: int, blocks: dict) -> Matrix:
         """The transpose of D_n, one row per image of a basis cochain.
 
-        ``cochains._ad_matrix`` places the plan of degree n: each in slot's
-        terms, with the offset of their output slot.  ``blocks`` holds the ad
-        blocks by (map index, arity) and is shared by every part and degree.
-        The compatible D_0 is -ad_mu1 on the basis of its degree-0 space.
+        ``cochains._ad_matrix`` places the terms of degree n between the
+        slots of degrees n and n + 1.  ``blocks`` holds the ad blocks by (map
+        index, arity) and is shared by every part and degree.  The compatible
+        D_0 is -ad_mu1 on the basis of its degree-0 space.
         """
-        groups, out_arities = _plan(self.compatible, self.with_derivation, n)
-        offsets, width = [], 0
-        for arity in out_arities:
-            offsets.append(width)
-            width += self._cls.coord_length(self.space, arity)
-        slots = [(arity, [(offsets[out], coeff, x) for out, coeff, x in group])
-                 for arity, group in zip(self.arities(n), groups)]
-        m = _ad_matrix(self.space, self._cls, self.maps, slots, width, blocks)
+        m = _ad_matrix(self.space, self._cls, self.maps,
+                       _terms(self.compatible, self.with_derivation, n),
+                       self.arities(n), self.arities(n + 1), blocks)
         return m if n or self._c0 is None else compose(self._c0, m)
 
 

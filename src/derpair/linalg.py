@@ -82,9 +82,9 @@ def parse_scalar(text: str):
         raise SchemaError(f"bad rational literal {_quote(text)}") from exc
 
 
-def format_scalar(value) -> str:
-    """Render as "p/q", or "p" when the denominator is 1."""
-    return str(value)
+# Render a scalar as "p/q", or "p" when the denominator is 1: that is the
+# str of the ints and lowest-terms Fractions that as_scalar gives.
+format_scalar = str
 
 
 class Space(namedtuple("Space", "dimension labels")):

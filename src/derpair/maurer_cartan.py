@@ -114,11 +114,10 @@ def deformation_check(w: AltMap, delta: MultiMap,
         raise InvalidStructureError("base pair fails its own square-zero check")
     p = lie_pair(w, delta)
     q = lie_pair(w1, delta1)
+    # both pairs have degree 2, so their brackets have a shadow
     total = dc_bracket(p, q) + dc_bracket(q, q).scale(Fraction(1, 2))
-    named = [("deformation[top]", total.top)]
-    if total.shadow is not None:
-        named.append(("deformation[shadow]", total.shadow))
-    return _verdict(named)
+    return _verdict([("deformation[top]", total.top),
+                     ("deformation[shadow]", total.shadow)])
 
 
 def bidifferential_check(pair1: DerCochain, pair2: DerCochain,

@@ -25,8 +25,9 @@ constructions of ``derpair.constructions`` are written in the same terms.
 ``derivation_system`` and ``cross_derivation_system`` are the linear systems
 whose kernels are derivations.  A linear map D is a derivation of a product
 P exactly when [P, D] = 0, so each system is a stack of ad blocks -ad_P on
-linear maps, made a matrix by ``cochains._ad_matrix`` as the coboundaries of
-``derpair.cohomology`` are.
+linear maps: one term per (product, unknown), from the unknown's linear slot
+to one bilinear out slot, made a matrix by ``cochains._ad_matrix`` as the
+coboundaries of ``derpair.cohomology`` are.
 
 Supported kinds, with the product/derivation names each requires:
 
@@ -481,10 +482,9 @@ def derivation_system(space: Space, products) -> Matrix:
     (e_i to e_j) in the order of the unknowns, one block per product P.
     """
     products = list(products)
-    rows = MultiMap.coord_length(space, 2)
     return _ad_matrix(space, MultiMap, products,
-                      [(1, [(k * rows, -1, k) for k in range(len(products))])],
-                      len(products) * rows, {}).transpose()
+                      [(k, -1, k, 0) for k in range(len(products))],
+                      (1,), (2,) * len(products), {}).transpose()
 
 
 def cross_derivation_system(space: Space, products1, products2) -> Matrix:
@@ -504,8 +504,7 @@ def cross_derivation_system(space: Space, products1, products2) -> Matrix:
     # (block of rows, product) per unknown: its own products, then the pairs
     delta1 = [(k, k) for k in range(first)] + [(both + k, first + k) for k in pairs]
     delta2 = [(k, k) for k in range(first, both)] + [(both + k, k) for k in pairs]
-    rows = MultiMap.coord_length(space, 2)
     return _ad_matrix(space, MultiMap, products,
-                      [(1, [(block * rows, -1, x) for block, x in unknown])
-                       for unknown in (delta1, delta2)],
-                      (both + len(pairs)) * rows, {}).transpose()
+                      [(block, -1, x, unknown) for unknown, rows in enumerate((delta1, delta2))
+                       for block, x in rows],
+                      (1, 1), (2,) * (both + len(pairs)), {}).transpose()

@@ -226,6 +226,29 @@ def test_mc_single_failure(capsys, tmp_path):
         "args": ["e1", "e2"], "out": "e1", "value": "-2"}
 
 
+@pytest.mark.parametrize("entries", [[[0, 1, 1, "1"]], [[0, 0, 1, "1"]]],
+                         ids=["lone-entry", "repeated-index"])
+def test_mc_refuses_a_bracket_that_is_not_alternating(capsys, tmp_path, entries):
+    # check finds the bracket not skew; mc reads it as it stands, neither
+    # antisymmetrizing a lone [e1,e2] nor dropping [e1,e1], alone or in a pair
+    skew = [[0, 1, 1, "1"], [1, 0, 1, "-1"]]
+    for kind, products, pair in (
+            ("lieder", {"bracket": entries}, []),
+            ("compatible-lieder", {"bracket1": skew, "bracket2": entries}, ["--pair"])):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps({
+            "dimension": 2, "kind": kind, "products": products,
+            "derivations": {name.replace("bracket", "delta"): [] for name in products}}))
+        name = list(products)[-1]
+        code, out, _ = run_cli(capsys, "check", str(path))
+        assert code == 1
+        assert json.loads(out)["violations"][0]["axiom"] == f"skew-symmetry({name})"
+        code, out, err = run_cli(capsys, "mc", str(path), *pair)
+        _assert_schema_exit(code, err, f"products.{name}: an 'alt' cochain table "
+                                       "must be alternating")
+        assert out == "" and len(err.splitlines()) == 1
+
+
 # -- cohomology command ----------------------------------------------------------------
 
 def test_cohomology_abelian_line(capsys, corpus):

@@ -2,7 +2,6 @@ import itertools
 import json
 import random
 from fractions import Fraction
-from functools import cache
 from math import lcm
 
 import pytest
@@ -287,8 +286,7 @@ def _use_last_shadow_sign(monkeypatch, sign):
 
     That term maps the last in slot 2n-1 (the last part's shadow) to the last
     out slot 2n+1 of a compatible complex with a derivation; its sign is -1,
-    and +1 (the displayed sources' sign) breaks d o d = 0.  The term plan is
-    cached, so a fresh cache serves the patched table while the test runs.
+    and +1 (the displayed sources' sign) breaks d o d = 0.
     """
     terms = co._terms
 
@@ -298,7 +296,6 @@ def _use_last_shadow_sign(monkeypatch, sign):
             yield out, -sign * coeff if last else coeff, x, slot
 
     monkeypatch.setattr(co, "_terms", patched)
-    monkeypatch.setattr(co, "_plan", cache(co._plan.__wrapped__))
 
 
 def test_cldp_d_degree_one_on_anchor_pair():

@@ -137,7 +137,10 @@ def test_ad_blocks_become_a_matrix_in_one_place():
     # cochains._ad_matrix is the one place where ad blocks are built, scaled
     # to integers over the lcm of the maps' denominators, signed and placed:
     # it alone calls _ad_block, and neither cohomology nor structures imports
-    # the builder or integerises maps itself.
+    # the builder or integerises maps itself.  It alone lays out the slots
+    # too: the callers hand it _terms-style rows and slot arities, so neither
+    # module works out a coordinate length, and the terms are grouped by in
+    # slot nowhere else (no _plan).
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
              for path in sorted(PACKAGE.glob("*.py"))}
     callers = [(module, where) for module, tree in trees.items()
@@ -148,6 +151,9 @@ def test_ad_blocks_become_a_matrix_in_one_place():
             for line in _imported_or_read(tree, "_ad_block")] == []
     assert _calls_by_function(trees["cohomology.py"], {"lcm"}) == []
     assert _imported_or_read(trees["cohomology.py"], "lcm") == []
+    assert [(module, line) for module in ("cohomology.py", "structures.py")
+            for line in _imported_or_read(trees[module], "coord_length")] == []
+    assert "_plan" not in _defined_functions()["cohomology.py"]
 
 
 def _defined_functions():
