@@ -3,11 +3,13 @@
 Every differential here is, up to sign, the graded bracket with the
 structure's Maurer-Cartan element: the product, or the pair (product,
 derivation), applied twice in a staircase by the compatible complexes.  So a
-flavor is one row of ``_FLAVORS`` (the kinds it accepts, the kind its base is
-validated as, and whether it takes ``AltMap`` cochains and the
-Nijenhuis-Richardson bracket or ``MultiMap`` cochains and the Gerstenhaber
-bracket), and its differential follows from two facts about the base kind:
-compatible or not, with a derivation or not.
+flavor is one row of ``_FLAVORS``, the kind its base is validated as, and
+everything else follows from that kind's row of ``structures.KIND_INFO``: it
+accepts the kinds of the base's family and compatibility that have a
+derivation if the base has one (``_accepted``); a Lie-family base takes
+``AltMap`` cochains and the Nijenhuis-Richardson bracket, any other
+``MultiMap`` cochains and the Gerstenhaber bracket; and its differential
+follows from two facts: compatible or not, with a derivation or not.
 
 ``_Complex`` is the one complex class; every public differential and
 ``cohomology`` build one, so ``_structure`` checks every base: the schema of
@@ -74,23 +76,15 @@ from .structures import (KIND_INFO, Presentation, check_structure, kind_shape,
                          require, validate_presentation)
 
 
-_Flavor = namedtuple("_Flavor", (
-    "kinds",        # presentation kinds accepted
-    "base",         # the kind the base is validated as
-    "alternating",  # AltMap and [,]_NR, else MultiMap and [,]_G
-))
-
-
+# flavor -> the kind its base is validated as
 _FLAVORS = {
-    "hochschild": _Flavor(("associative", "assder"), "associative", False),
-    "chevalley-eilenberg": _Flavor(("lie", "lieder"), "lie", True),
-    "assder": _Flavor(("assder",), "assder", False),
-    "lieder": _Flavor(("lieder",), "lieder", True),
-    "compatible-associative": _Flavor(
-        ("compatible-associative", "compatible-assder"), "compatible-associative",
-        False),
-    "cad": _Flavor(("compatible-assder",), "compatible-assder", False),
-    "cldp": _Flavor(("compatible-lieder",), "compatible-lieder", True),
+    "hochschild": "associative",
+    "chevalley-eilenberg": "lie",
+    "assder": "assder",
+    "lieder": "lieder",
+    "compatible-associative": "compatible-associative",
+    "cad": "compatible-assder",
+    "cldp": "compatible-lieder",
 }
 
 FLAVORS = tuple(_FLAVORS)
@@ -117,30 +111,36 @@ CohomologyReport = namedtuple(
 # structure maps of a flavor
 # ---------------------------------------------------------------------------
 
+def _accepted(base: str) -> list:
+    """The kinds a flavor on base accepts, sorted: base's family and
+    compatibility, with a derivation wherever base has one."""
+    info = KIND_INFO[base]
+    return sorted(kind for kind, other in KIND_INFO.items()
+                  if other.family == info.family and other.compatible == info.compatible
+                  and other.with_derivation >= info.with_derivation)
+
+
 def _structure(flavor: str, p: Presentation, what: str) -> tuple:
-    """The structure maps of p in the cochain class of a flavor, once p is a base.
+    """The structure maps of p, as MultiMaps, once p is a base of the flavor.
 
     p must pass the schema of its kind, be of a kind the flavor accepts, and
     satisfy the axioms of the flavor's base kind on its maps of that kind.
     Products come first, then derivations, in the order of ``kind_shape`` of
     the base kind.
     """
-    row = _FLAVORS.get(flavor)
-    if row is None:
+    base_kind = _FLAVORS.get(flavor)
+    if base_kind is None:
         raise SchemaError(f"unknown complex flavor {flavor!r}")
     validate_presentation(p)
-    if p.kind not in row.kinds:
-        raise SchemaError(f"{what} needs a presentation of kind in "
-                          f"{sorted(row.kinds)}, got {p.kind!r}")
-    products, derivations = kind_shape(row.base)
+    kinds = _accepted(base_kind)
+    if p.kind not in kinds:
+        raise SchemaError(f"{what} needs a presentation of kind in {kinds}, got {p.kind!r}")
+    products, derivations = kind_shape(base_kind)
     # all of p, or its derivation-free part
     base = Presentation(p.space, {name: p.products[name] for name in products},
-                        {name: p.derivations[name] for name in derivations}, row.base)
+                        {name: p.derivations[name] for name in derivations}, base_kind)
     require(check_structure(base), "base")
-    if not row.alternating:
-        return (*base.products.values(), *base.derivations.values())
-    return (*map(AltMap.from_multimap, base.products.values()),
-            *(AltMap(p.space, 1, m.coeffs) for m in base.derivations.values()))
+    return (*base.products.values(), *base.derivations.values())
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +179,15 @@ class _Complex:
 
     def __init__(self, flavor: str, base: Presentation, what: str | None = None):
         self.maps = _structure(flavor, base, what or flavor)
-        row, self.space = _FLAVORS[flavor], base.space
-        info = KIND_INFO[row.base]
+        info, self.space = KIND_INFO[_FLAVORS[flavor]], base.space
         self.compatible, self.with_derivation = info.compatible, info.with_derivation
-        self._cls, self._bracket = ((AltMap, nijenhuis_richardson) if row.alternating
-                                    else (MultiMap, gerstenhaber))
+        self._cls, self._bracket = MultiMap, gerstenhaber
+        if info.family == "lie":
+            # AltMap cochains and [,]_NR, each bracket antisymmetrized and
+            # each derivation read as an alternating 1-map
+            self._cls, self._bracket = AltMap, nijenhuis_richardson
+            self.maps = tuple(AltMap.from_multimap(m) if m.arity == 2
+                              else AltMap(self.space, 1, m.coeffs) for m in self.maps)
 
     def _kernel0(self) -> list[tuple]:
         """The compatible degree-0 space, ker ad_{mu1-mu2} on vectors, as a basis."""
@@ -203,7 +207,14 @@ class _Complex:
         return _slot_arities(self.compatible, self.with_derivation, n)
 
     def d(self, n: int, slots) -> tuple:
-        """d^n of a slot tuple, n >= 1, as a slot tuple, one bracket per term."""
+        """d^n of a slot tuple, n >= 1, as a slot tuple, one bracket per term.
+
+        The slots must be of the complex's map class and on its space.
+        """
+        if any(type(f) is not self._cls for f in slots):
+            raise ShapeError(f"this complex takes {self._cls.__name__} cochains")
+        if any(f.space != self.space for f in slots):
+            raise ShapeError("operands live on different spaces")
         arities = self.arities(n + 1)
         out = [[] for _ in arities]
         for out_slot, coeff, x, in_slot in _terms(self.compatible, self.with_derivation, n):
@@ -215,14 +226,6 @@ class _Complex:
             result.append(linear_combination(terms) if terms
                           else self._cls._of(self.space, arity, {}))
         return tuple(result)
-
-    def checked(self, n: int, slots) -> tuple:
-        """d^n of slots handed in from outside, once they share the class and space."""
-        if any(type(f) is not self._cls for f in slots):
-            raise ShapeError(f"this complex takes {self._cls.__name__} cochains")
-        if any(f.space != self.space for f in slots):
-            raise ShapeError("operands live on different spaces")
-        return self.d(n, slots)
 
     def dim(self, n: int) -> int:
         if n == 0 and self._c0 is not None:
@@ -274,21 +277,21 @@ def _pair_d(flavor: str, p: Presentation, c, what: str):
     pairs = CompatCochain if cx.compatible else DerCochain
     if not isinstance(c, pairs):
         raise ShapeError(f"{what} takes a {pairs.__name__}")
-    return pairs._from_slots(cx.checked(c.degree, c._slots()))
+    return pairs._from_slots(cx.d(c.degree, c._slots()))
 
 
 def hochschild_d(mu: MultiMap, f: MultiMap) -> MultiMap:
     """d^n f = (-1)^{n-1} [mu, f]; mu must be associative."""
     cx = _Complex("hochschild", Presentation(mu.space, {"mu": mu}, {}, "associative"),
                   "hochschild_d")
-    return cx.checked(f.arity, (f,))[0]
+    return cx.d(f.arity, (f,))[0]
 
 
 def ce_d(w: AltMap, f: AltMap) -> AltMap:
     """d^n f = (-1)^{n-1} [w, f]; w must satisfy the Jacobi identity."""
     cx = _Complex("chevalley-eilenberg",
                   Presentation(w.space, {"bracket": w.to_multimap()}, {}, "lie"), "ce_d")
-    return cx.checked(f.arity, (f,))[0]
+    return cx.d(f.arity, (f,))[0]
 
 
 def assder_d(p: Presentation, c: DerCochain) -> DerCochain:
@@ -321,7 +324,7 @@ def compat_assoc_d(p: Presentation, c) -> tuple:
     n = len(parts)
     if n == 0 or any(f.arity != n for f in parts):
         raise ShapeError("expected an n-tuple of arity-n cochains")
-    return cx.checked(n, parts)
+    return cx.d(n, parts)
 
 
 def cad_d(p: Presentation, c: CompatCochain) -> CompatCochain:

@@ -322,36 +322,17 @@ def violation_to_dict(v: Violation, space: Space) -> dict:
     }
 
 
-def _first_nonzero_entry(value, space: Space):
-    coeffs = getattr(value, "coeffs", None)
-    if not coeffs:
-        return None
-    (args, out), coefficient = min(coeffs.items())
-    return {
-        "args": [space.labels[i] for i in args],
-        "out": space.labels[out],
-        "value": format_scalar(coefficient),
-    }
-
-
 def mc_to_dict(verdict, space: Space) -> dict:
-    return {
-        "holds": verdict.holds,
-        "residuals": [
-            {"name": name, "witness": _first_nonzero_entry(_flatten(value), space)}
-            for name, value in verdict.residuals
-        ],
-    }
-
-
-def _flatten(value):
-    # DerCochain residuals report their top component unless only the shadow
-    # is nonzero.
-    if isinstance(value, DerCochain):
-        if not value.top.is_zero():
-            return value.top
-        return value.shadow
-    return value
+    # every residual is a nonzero map, witnessed by its smallest entry
+    residuals = []
+    for name, value in verdict.residuals:
+        (args, out), coefficient = min(value.coeffs.items())
+        residuals.append({"name": name, "witness": {
+            "args": [space.labels[i] for i in args],
+            "out": space.labels[out],
+            "value": format_scalar(coefficient),
+        }})
+    return {"holds": verdict.holds, "residuals": residuals}
 
 
 def cohomology_to_dict(report) -> dict:

@@ -30,6 +30,7 @@ class McVerdict(namedtuple("McVerdict", "holds residuals")):
 
 
 def _verdict(named_values) -> McVerdict:
+    """The one McVerdict builder: the nonzero values of (name, value) pairs are its residuals."""
     residuals = [(name, value) for name, value in named_values
                  if not value.is_zero()]
     return McVerdict(not residuals, residuals)
@@ -134,13 +135,8 @@ def bidifferential_check(pair1: DerCochain, pair2: DerCochain,
         raise SchemaError("max_degree must be >= 1")
     if pair1.flavor != cochain_flavor or pair2.flavor != cochain_flavor:
         raise ShapeError("pair flavor does not match the requested complex")
-    residuals = []
-    for degree in range(1, max_degree + 1):
-        for index, basis in enumerate(
-                DerCochain.basis(pair1.space, degree, cochain_flavor)):
-            value = (bracket(pair1, bracket(pair2, basis))
-                     + bracket(pair2, bracket(pair1, basis)))
-            if not value.is_zero():
-                residuals.append(
-                    (f"d1d2+d2d1 at degree {degree}, basis {index}", value))
-    return McVerdict(not residuals, residuals)
+    return _verdict(
+        (f"d1d2+d2d1 at degree {degree}, basis {index}",
+         bracket(pair1, bracket(pair2, basis)) + bracket(pair2, bracket(pair1, basis)))
+        for degree in range(1, max_degree + 1)
+        for index, basis in enumerate(DerCochain.basis(pair1.space, degree, cochain_flavor)))

@@ -39,9 +39,11 @@ Supported kinds, with the product/derivation names each requires:
     <kind>der / <kind> pair variants add delta
     compatible-<kind>      mu1, mu2 / bracket1, bracket2 / ... plus delta1, delta2
 
-Lie brackets are stored as plain bilinear tables; skew-symmetry is checked
-explicitly rather than assumed, so user files with a non-antisymmetric table
-get a named violation instead of silent antisymmetrization.
+Every product and derivation is a ``MultiMap``, and ``validate_presentation``
+refuses any other map with a ``SchemaError``.  So Lie brackets are stored as
+full bilinear tables; skew-symmetry is checked explicitly rather than
+assumed, so user files with a non-antisymmetric table get a named violation
+instead of silent antisymmetrization.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from fractions import Fraction
 from functools import cache
 from operator import itemgetter
 
-from .cochains import AltMap, MultiMap, _ad_matrix, accumulate
+from .cochains import MultiMap, _ad_matrix, accumulate
 from .errors import (InvalidStructureError, SchemaError, ShapeError, UnsupportedRoleError,
                      _quote)
 from .linalg import Matrix, Space, as_scalar
@@ -125,7 +127,7 @@ class Presentation(namedtuple("Presentation",
 
 
 def validate_presentation(p: Presentation) -> None:
-    """Schema-level checks: known kind, exact name sets, shared space, arities."""
+    """Schema-level checks: known kind, exact name sets, MultiMaps on one space, arities."""
     needed_products, needed_derivations = kind_shape(p.kind)
     if set(p.products) != set(needed_products):
         raise SchemaError(
@@ -135,16 +137,15 @@ def validate_presentation(p: Presentation) -> None:
         raise SchemaError(
             f"kind {p.kind!r} needs derivations {sorted(needed_derivations)}, "
             f"got {_quote(sorted(p.derivations))}")
-    for name, m in p.products.items():
-        if m.space != p.space:
-            raise SchemaError(f"product {name!r} lives on a different space")
-        if m.arity != 2:
-            raise SchemaError(f"product {name!r} must be bilinear")
-    for name, m in p.derivations.items():
-        if m.space != p.space:
-            raise SchemaError(f"derivation {name!r} lives on a different space")
-        if m.arity != 1:
-            raise SchemaError(f"derivation {name!r} must be linear")
+    for noun, maps, arity in (("product", p.products, 2), ("derivation", p.derivations, 1)):
+        for name, m in maps.items():
+            if not isinstance(m, MultiMap):
+                raise SchemaError(f"{noun} {name!r} must be a MultiMap")
+            if m.space != p.space:
+                raise SchemaError(f"{noun} {name!r} lives on a different space")
+            if m.arity != arity:
+                raise SchemaError(f"{noun} {name!r} must be "
+                                  f"{'bilinear' if arity == 2 else 'linear'}")
 
 
 def fingerprint(p: Presentation) -> str:
@@ -327,13 +328,8 @@ def _side(side: str, maps) -> dict:
 
 
 def _tables(maps) -> dict:
-    """Maps resolved to {key: value} tables; scalars pass through."""
-    tables = {}
-    for name, m in maps.items():
-        if isinstance(m, AltMap):
-            m = m.to_multimap()
-        tables[name] = m.coeffs if isinstance(m, MultiMap) else m
-    return tables
+    """MultiMaps resolved to {key: value} tables; scalars pass through."""
+    return {name: m.coeffs if isinstance(m, MultiMap) else m for name, m in maps.items()}
 
 
 def _axioms(group: str, maps, **tags) -> list:
@@ -417,7 +413,7 @@ def check_morphism(src: Presentation, dst: Presentation, phi: MultiMap):
     validate_presentation(dst)
     if src.kind != dst.kind:
         raise SchemaError("morphism endpoints must share a kind")
-    if phi.arity != 1:
+    if not isinstance(phi, MultiMap) or phi.arity != 1:
         raise ShapeError("a morphism is a linear map")
     if phi.space != src.space or dst.space.dimension != src.space.dimension:
         raise ShapeError("morphism must map the source space to the target space")
@@ -442,7 +438,7 @@ def check_operator(p: Presentation, op: MultiMap, role: str, weight=0):
     the presentation.
     """
     validate_presentation(p)
-    if op.arity != 1 or op.space != p.space:
+    if not isinstance(op, MultiMap) or op.arity != 1 or op.space != p.space:
         raise ShapeError("operator must be a linear endomorphism of p.space")
     weight = as_scalar(weight)
     info = KIND_INFO[p.kind]

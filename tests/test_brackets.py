@@ -303,3 +303,8 @@ def test_space_mismatch_errors():
         nijenhuis_richardson(AltMap.identity(S2), AltMap.identity(S3))
     with pytest.raises(ShapeError):
         dc_bracket(DerCochain.zero(S2, 1, "alt"), DerCochain.zero(S2, 1, "multi"))
+    for bracket, flavor in ((dc_bracket, "alt"), (assder_bracket, "multi")):
+        with pytest.raises(ShapeError, match="operands live on different spaces"):
+            bracket(DerCochain.zero(S2, 1, flavor), DerCochain.zero(S3, 2, flavor))
+    with pytest.raises(ShapeError, match="assder_bracket needs multilinear cochains"):
+        assder_bracket(DerCochain.zero(S2, 1, "alt"), DerCochain.zero(S2, 1, "alt"))

@@ -694,6 +694,31 @@ def test_boolean_cochain_arity_is_rejected(capsys, tmp_path):
     _assert_schema_exit(code, err, "arity must be a positive integer")
 
 
+@pytest.mark.parametrize("argv, budget, message", [
+    (["cohomology", "{corpus}/zero_cldp.json", "--complex", "cldp", "--max-degree", "0"],
+     None, "max_degree must be >= 1"),
+    (["cohomology", "{corpus}/zero_cldp.json", "--complex", "cldp"], "0",
+     "DERPAIR_DEGREE_BUDGET must be positive"),
+    (["dendrify", "{corpus}/compatible_lie.json", "--recipe", "linear-combine",
+      "--coefficients", "1,2,3"], None, "--coefficients needs four rationals k1,k2,p1,p2"),
+    (["check", "{corpus}/compatible_lie.json", "--out", "{tmp}/missing/report.json"], None,
+     "cannot write {tmp}/missing/report.json: "),
+    (["check", "{tmp}/object_mu.json"], None, "products.mu: entries must be a list"),
+], ids=["max-degree-0", "budget-0", "three-coefficients", "out-dir-missing",
+        "entries-object"])
+def test_operational_errors_exit_2_with_one_message(capsys, corpus, tmp_path, monkeypatch,
+                                                    argv, budget, message):
+    _cochain_file(tmp_path, "object_mu.json", {
+        "dimension": 1, "kind": "associative", "products": {"mu": {"0": "1"}},
+        "derivations": {}})
+    if budget is not None:
+        monkeypatch.setenv("DERPAIR_DEGREE_BUDGET", budget)
+    code, out, err = run_cli(capsys, *(a.format(corpus=corpus, tmp=tmp_path) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"derpair: {message.format(tmp=tmp_path)}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 # -- console entry point -------------------------------------------------------------------
 
 def test_console_script_runs(corpus):

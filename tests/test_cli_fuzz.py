@@ -177,7 +177,8 @@ def calls(draw):
     if command == "check" and draw(st.booleans()):
         argv += ["--kind", draw(st.sampled_from(KINDS))]
     elif command == "cohomology":
-        flavor = _mostly_fitting(draw, co.FLAVORS, lambda f: kind in co._FLAVORS[f].kinds)
+        flavor = _mostly_fitting(draw, co.FLAVORS,
+                                 lambda f: kind in co._accepted(co._FLAVORS[f]))
         argv += ["--complex", flavor, "--max-degree", str(draw(st.integers(1, 3)))]
         if draw(st.booleans()):
             argv.append("--kernel-bases")

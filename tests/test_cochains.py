@@ -312,6 +312,18 @@ def test_der_cochain_shape_rules():
         DerCochain(top, gen.rand_altmap(random.Random(2), S2, 1))  # flavor mix
     with pytest.raises(ShapeError):
         CompatCochain([DerCochain(top, MultiMap.zero(S2, 1))] * 3)  # degree 2, 3 parts
+    with pytest.raises(ShapeError, match="top and shadow must share the space"):
+        DerCochain(top, MultiMap.zero(S3, 1))
+    with pytest.raises(ShapeError, match="shadow arity must be top arity - 1"):
+        DerCochain(top, MultiMap.zero(S2, 2))
+    with pytest.raises(ShapeError, match="at least one part"):
+        CompatCochain([])
+    with pytest.raises(ShapeError, match="parts must be DerCochains"):
+        CompatCochain([MultiMap.identity(S2)])
+    part = DerCochain.zero(S2, 2, "multi")
+    for other in (DerCochain.zero(S3, 2, "multi"), DerCochain.zero(S2, 2, "alt")):
+        with pytest.raises(ShapeError, match="parts must share space and flavor"):
+            CompatCochain([part, other])
 
 
 # -- entry-driven kernels against the dense oracles ---------------------------------

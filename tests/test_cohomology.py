@@ -996,6 +996,18 @@ def test_differentials_reject_a_cochain_of_the_wrong_class():
             call()
     with pytest.raises(ShapeError, match="MultiMap or an AltMap"):
         co.der_D(multi1, DerCochain.zero(S2, 1, "alt"))
+    other = MultiMap.identity(S3)
+    spaces, tuples = "operands live on different spaces", "expected an n-tuple of arity-n"
+    cases = [("D needs a linear operator", lambda: co.der_D(gen.NIL2, multi1)),
+             (spaces, lambda: co.der_D(other, multi1)),
+             (spaces, lambda: co.hochschild_d(gen.NIL2, other)),
+             (spaces, lambda: co.ce_d(w, AltMap.identity(S3))),
+             (spaces, lambda: co.assder_d(assder, DerCochain(other))),
+             (tuples, lambda: co.compat_assoc_d(compat, ())),
+             (tuples, lambda: co.compat_assoc_d(compat, (gen.NIL2,)))]
+    for message, call in cases:
+        with pytest.raises(ShapeError, match=message):
+            call()
 
 
 def test_pair_differentials_reject_the_other_pair_class():

@@ -77,6 +77,10 @@ def test_recipe_errors():
     bad = P(S2, "associative", {"mu": gen.mm(S2, 2, [(0, 0, 1, 1), (1, 0, 0, 1)])})
     with pytest.raises(InvalidStructureError):
         dendrify(bad, "associative-to-lie")
+    zero = MultiMap.zero(S2, 1)
+    for construct in (rb_deform_assder, endo_brackets, rb_lie_to_prelie):
+        with pytest.raises(SchemaError, match="needs a .* presentation"):
+            construct(p, zero)
 
 
 def test_failed_preconditions_name_what_failed_and_where():

@@ -255,6 +255,19 @@ def test_every_constructor_rejects_a_negative_size():
     assert Matrix.identity(0) == Matrix.from_columns(0, []) == Matrix.from_rows([])
 
 
+def test_constructors_and_dense_views_reject_bad_shapes_and_indices():
+    m = Matrix.from_rows([[1, 2], [3, 4]])
+    cases = [(r"entry count must equal rows\*cols", lambda: Matrix(2, 2, [1, 2, 3])),
+             ("ragged rows", lambda: Matrix.from_rows([[1, 2], [3]])),
+             (r"entry \(2, 0\) out of range", lambda: m.entry(2, 0)),
+             (r"entry \(0, -1\) out of range", lambda: m.entry(0, -1)),
+             ("row 2 out of range", lambda: m.row(2)),
+             ("row -1 out of range", lambda: m.row(-1))]
+    for message, call in cases:
+        with pytest.raises(ShapeError, match=message):
+            call()
+
+
 # -- the sparse eliminator against the dense oracles ------------------------------------
 
 def _random_matrix(rng):

@@ -272,6 +272,21 @@ def test_bidifferential_detects_incompatibility():
     assert not verdict.holds
 
 
+def test_square_zero_checks_refuse_bad_shapes():
+    w, mu, delta = W2A, gen.NIL2, MultiMap.zero(S2, 1)
+    cases = [("expected a linear operator", lambda: lie_pair(w, gen.NIL2)),
+             ("expected an alternating bilinear map",
+              lambda: mc_lieder(AltMap.identity(S2), delta)),
+             ("expected a bilinear map", lambda: mc_assder(delta, delta)),
+             ("operands live on different spaces",
+              lambda: mc_lieder(w, MultiMap.zero(S3, 1))),
+             ("operands live on different spaces",
+              lambda: mc_assder(mu, MultiMap.zero(S3, 1)))]
+    for message, call in cases:
+        with pytest.raises(ShapeError, match=message):
+            call()
+
+
 def test_bidifferential_shape_errors():
     pair2 = DerCochain(AltMap.zero(S2, 2), AltMap.zero(S2, 1))
     pair3 = DerCochain(AltMap.zero(S3, 2), AltMap.zero(S3, 1))

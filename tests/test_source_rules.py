@@ -281,6 +281,34 @@ def test_one_complex_class_checks_every_base_on_one_path():
     assert with_violation == [("structures.py", "require")]
 
 
+def _bound_names(tree):
+    """The names a module defines or assigns anywhere."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+    return names
+
+
+def test_each_fact_is_stated_once():
+    # a flavor is its base kind, and what it accepts and whether it
+    # alternates are read from the kind table; _Complex.d is the one entry
+    # for slots; files reads each MC residual as the nonzero map _verdict
+    # kept, and _verdict alone builds an McVerdict
+    from derpair.cohomology import _FLAVORS
+    from derpair.structures import KIND_INFO
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {"_Flavor", "checked"}.isdisjoint(_bound_names(trees["cohomology.py"]))
+    assert set(_FLAVORS.values()) <= set(KIND_INFO)
+    assert {"_flatten", "_first_nonzero_entry"}.isdisjoint(_bound_names(trees["files.py"]))
+    assert [(module, where) for module, tree in trees.items()
+            for where, _ in _calls_by_function(tree, {"McVerdict"})] == [
+        ("maurer_cartan.py", "_verdict")]
+
+
 def _accumulates_a_product(node):
     # t[j] += x * y, or t[j] = <...> + x * y: one term of a row product
     if isinstance(node, ast.AugAssign):

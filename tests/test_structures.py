@@ -9,7 +9,8 @@ import pytest
 from derpair import cochains
 from derpair.brackets import dc_bracket, gerstenhaber
 from derpair.cochains import AltMap, DerCochain, MultiMap, _ad_block
-from derpair.errors import SchemaError, UnsupportedRoleError
+from derpair.cohomology import ComplexSpec, cohomology, lieder_d
+from derpair.errors import SchemaError, ShapeError, UnsupportedRoleError
 from derpair.linalg import Space, nullspace
 from derpair.structures import (_FAMILY_PRODUCTS, KIND_INFO, KINDS, Presentation,
                                 Violation, _parse, check_morphism, check_operator,
@@ -161,6 +162,47 @@ def test_schema_validation():
     with pytest.raises(SchemaError):
         check_structure(P(S2, "assder", {"mu": MultiMap.zero(S2, 1)},
                           {"delta": MultiMap.zero(S2, 1)}))
+    with pytest.raises(SchemaError, match="product 'mu' lives on a different space"):
+        check_structure(P(S2, "associative", {"mu": MultiMap.zero(S3, 2)}))
+    with pytest.raises(SchemaError, match="derivation 'delta' lives on a different space"):
+        check_structure(P(S2, "assder", {"mu": gen.NIL2}, {"delta": MultiMap.zero(S3, 1)}))
+    with pytest.raises(SchemaError, match="derivation 'delta' must be linear"):
+        check_structure(P(S2, "assder", {"mu": gen.NIL2}, {"delta": gen.NIL2}))
+
+
+def test_a_presentation_holds_only_multimaps():
+    # Lie brackets are full bilinear tables: an AltMap holds only the
+    # increasing keys, which a complex antisymmetrizing it again would halve
+    space = Space.of_dim(3)
+    bracket = MultiMap(space, 2, {((0, 1), 2): 1, ((1, 0), 2): -1})
+    delta = MultiMap(space, 1, {((0,), 0): 1, ((1,), 1): 1, ((2,), 2): 2})
+    p = P(space, "lieder", {"bracket": bracket}, {"delta": delta})
+    assert check_structure(p) is None
+    c = DerCochain(AltMap(space, 1, {((0,), 0): 1}), None)
+    assert lieder_d(p, c).top == AltMap(space, 2, {((0, 1), 2): 1})
+    for bad in (P(space, "lieder", {"bracket": AltMap.from_multimap(bracket)},
+                  {"delta": delta}),
+                P(space, "lieder", {"bracket": bracket},
+                  {"delta": AltMap(space, 1, delta.coeffs)}),
+                P(space, "lie", {"bracket": bracket.coeffs})):
+        with pytest.raises(SchemaError, match="must be a MultiMap"):
+            check_structure(bad)
+        with pytest.raises(SchemaError, match="must be a MultiMap"):
+            cohomology(ComplexSpec("chevalley-eilenberg", bad, 1))
+
+
+def test_operators_and_morphisms_are_linear_multimaps():
+    p = P(S2, "associative", {"mu": gen.NIL2})
+    for op in (MultiMap.zero(S3, 1), gen.NIL2, AltMap.identity(S2)):
+        with pytest.raises(ShapeError, match="operator must be a linear endomorphism"):
+            check_operator(p, op, "derivation")
+    for phi in (gen.NIL2, AltMap.identity(S2)):
+        with pytest.raises(ShapeError, match="a morphism is a linear map"):
+            check_morphism(p, p, phi)
+    q = P(S3, "associative", {"mu": MultiMap.zero(S3, 2)})
+    for src, dst, phi in ((p, q, MultiMap.identity(S2)), (p, p, MultiMap.identity(S3))):
+        with pytest.raises(ShapeError, match="morphism must map the source space"):
+            check_morphism(src, dst, phi)
 
 
 def test_kind_shape_table():
